@@ -7,7 +7,7 @@
 //	ichannels exp <id> [-seed N]        run one experiment (e.g. fig10a)
 //	ichannels exp all [-seed N]         run every experiment serially
 //	ichannels run [ids...|--all] [-parallel N] [-seed N] [-json]
-//	                                    batch experiments on a worker pool
+//	                                    alias: scenario run over the experiments
 //	ichannels scenario run spec.json    run declarative scenario spec(s)
 //	ichannels scenario schema           print the scenario JSON schema
 //	ichannels sweep run sweep.json      expand and run a parameter grid
@@ -79,8 +79,9 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ichannels list                      list available experiments
   ichannels exp <id>|all [-seed N]    regenerate paper figures/tables (serial)
-  ichannels run [ids...] [--all] [-parallel N] [-seed N] [-json]
-                                      batch experiments on a worker pool
+  ichannels run [ids...] [--all] [scenario run flags]
+                                      alias of scenario run over experiment-role specs (one per id);
+                                      per-experiment seeds derive from -seed and the spec hash
   ichannels scenario run <spec.json...|-> [-parallel N] [-seed N] [-json|-ndjson] [-store DIR|URL [-cache DIR] [-resume]]
                                       run declarative scenario spec(s) (object or array per file)
   ichannels scenario schema           print the scenario spec JSON schema
@@ -115,7 +116,7 @@ func usage() {
                   [-gc-every DUR [-max-age DUR] [-max-bytes N]]
                                       HTTP v1 API: GET /v1/experiments, GET /v1/scenarios/schema,
                                       POST /v1/scenarios, POST /v1/sweeps, GET /v1/sweeps/schema,
-                                      GET /v1/stats (+ legacy /experiments, /run/{name};
+                                      GET /v1/stats (experiments run as {"role":"experiment",...};
                                       -store = durable result tier, either layout or a remote URL;
                                       -cache layers a local read-through replica over a remote URL;
                                       -worker adds POST /v1/cells, the distributed sweep cell endpoint;
@@ -137,77 +138,34 @@ func list() error {
 	return nil
 }
 
-// runBatch executes experiments through the parallel engine. Reports go
-// to stdout (deterministic for a fixed seed, regardless of -parallel);
-// per-experiment timing goes to stderr.
+// runBatch is the experiment alias of scenario run: each id (or, with
+// --all, every registered experiment) becomes an experiment-role
+// scenario, and the batch runs exactly as a spec file holding those
+// scenarios would — same flags, writers, and seed derivation.
 func runBatch(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	all := fs.Bool("all", false, "run every registered experiment")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size")
-	seed := fs.Int64("seed", 1, "base seed (per-experiment seeds derive from it)")
-	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON batch instead of text reports")
-	// Accept experiment ids and flags in any order ("run fig13 -seed 7",
-	// "run -json fig11 -seed 7"), matching the exp subcommand's id-first
-	// convention: alternate between collecting non-flag tokens as ids
-	// and handing the rest back to the flag parser.
-	var ids []string
-	rest := args
-	for len(rest) > 0 {
-		for len(rest) > 0 && !strings.HasPrefix(rest[0], "-") {
-			ids = append(ids, rest[0])
-			rest = rest[1:]
+	return runScenarioBatch("run", args, fs, func(ids []string) ([]ichannels.Scenario, error) {
+		if *all {
+			if len(ids) > 0 {
+				return nil, errors.New("give either --all or explicit experiment ids, not both")
+			}
+			return ichannels.AllExperimentScenarios(), nil
 		}
-		if len(rest) == 0 {
-			break
+		if len(ids) == 0 {
+			return nil, errors.New("no experiments selected (pass ids or --all; see 'ichannels list')")
 		}
-		if err := fs.Parse(rest); err != nil {
-			return err
+		specs := make([]ichannels.Scenario, len(ids))
+		seen := map[string]bool{}
+		for i, id := range ids {
+			if seen[id] {
+				return nil, fmt.Errorf("experiment %q given more than once (same seed would just repeat the report)", id)
+			}
+			seen[id] = true
+			specs[i] = ichannels.ScenarioFromExperiment(id)
 		}
-		if len(fs.Args()) == len(rest) {
-			return fmt.Errorf("run: unexpected argument %q", rest[0])
-		}
-		rest = fs.Args()
-	}
-	if *all && len(ids) > 0 {
-		return errors.New("run: give either --all or explicit experiment ids, not both")
-	}
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			return fmt.Errorf("run: experiment %q given more than once (same seed would just repeat the report)", id)
-		}
-		seen[id] = true
-	}
-	if !*all && len(ids) == 0 {
-		return errors.New("run: no experiments selected (pass ids or --all; see 'ichannels list')")
-	}
-	if *all {
-		ids = nil // engine default: every registered experiment
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	batch, err := ichannels.RunExperiments(ctx, ichannels.BatchOptions{
-		IDs: ids, BaseSeed: *seed, Parallel: *parallel,
+		return specs, nil
 	})
-	if err != nil {
-		return err
-	}
-	if *jsonOut {
-		if err := batch.WriteJSON(os.Stdout); err != nil {
-			return err
-		}
-	} else {
-		if err := batch.WriteText(os.Stdout); err != nil {
-			return err
-		}
-	}
-	batch.WriteTiming(os.Stderr)
-	if failed := batch.Failed(); len(failed) > 0 {
-		return fmt.Errorf("run: %d of %d experiments failed (first: %s: %v)",
-			len(failed), len(batch.Results), failed[0].ID, failed[0].Err)
-	}
-	return nil
 }
 
 // scenarioCmd dispatches the scenario subcommands.
@@ -252,11 +210,41 @@ func splitFilesAndFlags(cmd string, args []string, fs *flag.FlagSet) ([]string, 
 }
 
 // scenarioRun loads one or more spec files (each a single scenario
-// object or an array) and executes them as one batch through the
-// engine. Results go to stdout (deterministic for a fixed seed,
-// regardless of -parallel); per-scenario timing goes to stderr.
+// object or an array) and executes them as one batch.
 func scenarioRun(args []string) error {
 	fs := flag.NewFlagSet("scenario run", flag.ContinueOnError)
+	return runScenarioBatch("scenario run", args, fs, func(files []string) ([]ichannels.Scenario, error) {
+		if len(files) == 0 {
+			return nil, errors.New("no spec files given (pass paths or - for stdin)")
+		}
+		var specs []ichannels.Scenario
+		for _, f := range files {
+			var data []byte
+			var err error
+			if f == "-" {
+				data, err = io.ReadAll(os.Stdin)
+			} else {
+				data, err = os.ReadFile(f)
+			}
+			if err != nil {
+				return nil, err
+			}
+			loaded, err := decodeSpecs(data)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", f, err)
+			}
+			specs = append(specs, loaded...)
+		}
+		return specs, nil
+	})
+}
+
+// runScenarioBatch is the one CLI path a scenario batch takes: it adds
+// the shared batch flags to fs, parses args, turns the positional
+// arguments into specs with load, and runs them through the engine.
+// Results go to stdout (deterministic for a fixed seed, regardless of
+// -parallel); per-scenario timing goes to stderr.
+func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(positional []string) ([]ichannels.Scenario, error)) error {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size")
 	seed := fs.Int64("seed", 1, "base seed (scenarios that pin no seed derive theirs from it)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON batch instead of the comparison table")
@@ -264,40 +252,22 @@ func scenarioRun(args []string) error {
 	storeDir := fs.String("store", "", "persist results to this store directory")
 	cacheDir := fs.String("cache", "", "with a remote -store URL, keep a local read-through replica cache in this directory")
 	resume := fs.Bool("resume", false, "serve scenarios the store already holds instead of recomputing them")
-	files, err := splitFilesAndFlags("scenario run", args, fs)
+	positional, err := splitFilesAndFlags(cmd, args, fs)
 	if err != nil {
 		return err
 	}
-	if len(files) == 0 {
-		return errors.New("scenario run: no spec files given (pass paths or - for stdin)")
-	}
 	if *jsonOut && *ndjsonOut {
-		return errors.New("scenario run: give either -json or -ndjson, not both")
+		return fmt.Errorf("%s: give either -json or -ndjson, not both", cmd)
 	}
-	st, closeStore, err := openRunStore("scenario run", *storeDir, *cacheDir, *resume)
+	specs, err := load(positional)
+	if err != nil {
+		return fmt.Errorf("%s: %w", cmd, err)
+	}
+	st, closeStore, err := openRunStore(cmd, *storeDir, *cacheDir, *resume)
 	if err != nil {
 		return err
 	}
 	defer closeStore()
-
-	var specs []ichannels.Scenario
-	for _, f := range files {
-		var data []byte
-		var err error
-		if f == "-" {
-			data, err = io.ReadAll(os.Stdin)
-		} else {
-			data, err = os.ReadFile(f)
-		}
-		if err != nil {
-			return fmt.Errorf("scenario run: %w", err)
-		}
-		loaded, err := decodeSpecs(data)
-		if err != nil {
-			return fmt.Errorf("scenario run: %s: %w", f, err)
-		}
-		specs = append(specs, loaded...)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -320,8 +290,8 @@ func scenarioRun(args []string) error {
 	}
 	batch.WriteTiming(os.Stderr)
 	if failed := batch.Failed(); len(failed) > 0 {
-		return fmt.Errorf("scenario run: %d of %d scenarios failed (first: %s: %v)",
-			len(failed), len(batch.Results), failed[0].Scenario.Describe(), failed[0].Err)
+		return fmt.Errorf("%s: %d of %d scenarios failed (first: %s: %v)",
+			cmd, len(failed), len(batch.Results), failed[0].Scenario.Describe(), failed[0].Err)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -348,5 +349,42 @@ func TestConformanceSweeps(t *testing.T) {
 			defer coldSrv.Close()
 			checkStream("http-cold", postNDJSON(t, coldSrv, "/v1/sweeps", data), false)
 		})
+	}
+}
+
+// timingLine matches the wall-clock lines of an indented CLI batch
+// JSON document; the effective pool size is envelope, not payload.
+var timingLine = regexp.MustCompile(`(?m)^\s*"(elapsed_us|parallel)": [0-9.e+-]+,\n`)
+
+// TestConformanceRunAlias: `ichannels run ids…` is an alias of
+// `scenario run` over the experiment-role specs of those ids — same
+// JSON bytes once wall-clock is dropped — and its output does not
+// depend on -parallel.
+func TestConformanceRunAlias(t *testing.T) {
+	specFile := filepath.Join(t.TempDir(), "experiments.json")
+	spec := `[{"role":"experiment","experiment":"fig13"},{"role":"experiment","experiment":"table2"}]`
+	if err := os.WriteFile(specFile, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout := func(args ...string) []byte {
+		return bytes.Join(runCLI(t, args...), []byte("\n"))
+	}
+	var scrubbed [][]byte
+	for _, par := range []string{"1", "4"} {
+		alias := timingLine.ReplaceAll(stdout("run", "fig13", "table2", "-seed", "7", "-json", "-parallel", par), nil)
+		direct := timingLine.ReplaceAll(stdout("scenario", "run", specFile, "-seed", "7", "-json", "-parallel", par), nil)
+		if !bytes.Equal(alias, direct) {
+			t.Errorf("-parallel %s: run and scenario run JSON differ:\n%s\nwant:\n%s", par, alias, direct)
+		}
+		if bytes.Contains(alias, []byte("elapsed_us")) {
+			t.Fatalf("timing not scrubbed:\n%s", alias)
+		}
+		scrubbed = append(scrubbed, alias)
+	}
+	if !bytes.Equal(scrubbed[0], scrubbed[1]) {
+		t.Error("run -json differs between -parallel 1 and -parallel 4")
+	}
+	if a, b := stdout("run", "fig13", "table2", "-seed", "7", "-parallel", "1"), stdout("run", "fig13", "table2", "-seed", "7", "-parallel", "4"); !bytes.Equal(a, b) {
+		t.Errorf("run text differs between -parallel 1 and -parallel 4:\n%s\nvs:\n%s", a, b)
 	}
 }

@@ -17,12 +17,14 @@
 //   - the paper's three mitigations (per-core VRs, improved throttling,
 //     secure mode) and an evaluation harness;
 //   - runners that regenerate every figure and table of the paper's
-//     evaluation, a parallel batch engine that executes them on a worker
-//     pool with per-experiment derived seeds (RunExperiments);
+//     evaluation (RunExperiment);
 //   - the Scenario API: one declarative, JSON-serializable spec for
-//     every run path above (RunScenario, RunScenarios), and an HTTP
-//     server exposing it as a versioned v1 API with a (scenario, seed)
-//     result cache (NewExperimentServer).
+//     every run path above, registered experiments included
+//     (ScenarioFromExperiment); a parallel batch engine that executes
+//     scenarios on a worker pool with per-scenario derived seeds
+//     (RunScenario, RunScenarios); and an HTTP server exposing it as a
+//     versioned v1 API with a (scenario, seed) result cache
+//     (NewExperimentServer).
 //
 // Determinism is a hard guarantee throughout: for a fixed seed the
 // simulator, every experiment, and every batch (at any parallelism)
@@ -293,28 +295,6 @@ func RunExperiment(id string, seed int64) (*Report, error) { return exp.Run(id, 
 // Experiments lists the registered experiments in definition order.
 func Experiments() []ExperimentInfo { return exp.Experiments() }
 
-// ---- Experiment engine (batch) and serving ----
-
-// BatchOptions configures a parallel batch run of experiments.
-type BatchOptions = engine.Options
-
-// BatchResult is one experiment's outcome within a batch.
-type BatchResult = engine.Result
-
-// ExperimentBatch is the outcome of a batch run.
-type ExperimentBatch = engine.Batch
-
-// RunExperiments executes experiments on a worker pool with derived
-// per-experiment seeds. For a fixed BaseSeed the reports are
-// byte-identical regardless of BatchOptions.Parallel.
-func RunExperiments(ctx context.Context, opts BatchOptions) (*ExperimentBatch, error) {
-	return engine.Run(ctx, opts)
-}
-
-// DeriveSeed maps a batch base seed and an experiment ID to the seed
-// that experiment receives in a batch.
-func DeriveSeed(base int64, id string) int64 { return engine.DeriveSeed(base, id) }
-
 // ---- Scenario API (v1): one declarative spec for every run ----
 
 // Scenario is the declarative, JSON-serializable description of one
@@ -401,10 +381,11 @@ func ParseScenarioSpecs(data []byte) (specs []Scenario, isArray bool, err error)
 }
 
 // NewExperimentServer returns an http.Handler exposing the versioned
-// scenario API (GET /v1/experiments, GET /v1/scenarios/schema, POST
+// scenario API: GET /v1/experiments, GET /v1/scenarios/schema, POST
 // /v1/scenarios with a (scenario, seed) result cache, POST /v1/sweeps
-// and GET /v1/sweeps/schema for parameter grids) plus the deprecated
-// legacy routes GET /experiments and POST /run/{name}?seed=N.
+// and GET /v1/sweeps/schema for parameter grids. A registered
+// experiment runs as an experiment-role scenario
+// ({"role":"experiment","experiment":ID}).
 func NewExperimentServer() http.Handler { return serve.New(serve.Options{}).Handler() }
 
 // NewExperimentServerWithStore is NewExperimentServer with a durable

@@ -76,8 +76,9 @@ func TestExperimentRegistryExposed(t *testing.T) {
 }
 
 func TestExperimentEngineExposed(t *testing.T) {
-	batch, err := ichannels.RunExperiments(context.Background(), ichannels.BatchOptions{
-		IDs: []string{"fig13", "fig11"}, BaseSeed: 1, Parallel: 2,
+	specs := []ichannels.Scenario{ichannels.ScenarioFromExperiment("fig13"), ichannels.ScenarioFromExperiment("fig11")}
+	batch, err := ichannels.RunScenarios(context.Background(), ichannels.ScenarioBatchOptions{
+		Scenarios: specs, BaseSeed: 1, Parallel: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,24 +86,36 @@ func TestExperimentEngineExposed(t *testing.T) {
 	if len(batch.Results) != 2 || len(batch.Failed()) != 0 {
 		t.Fatalf("batch: %d results, %d failed", len(batch.Results), len(batch.Failed()))
 	}
-	if batch.Results[0].ID != "fig13" || batch.Results[1].ID != "fig11" {
+	if batch.Results[0].Result.Report.ID != "fig13" || batch.Results[1].Result.Report.ID != "fig11" {
 		t.Fatal("batch results not in request order")
 	}
-	if batch.Results[0].Seed != ichannels.DeriveSeed(1, "fig13") {
-		t.Fatal("batch did not use the derived seed")
+	// Each experiment runs with a seed derived from its spec, not from
+	// its position: a reversed batch hands out the same seeds.
+	rev, err := ichannels.RunScenarios(context.Background(), ichannels.ScenarioBatchOptions{
+		Scenarios: []ichannels.Scenario{specs[1], specs[0]}, BaseSeed: 1, Parallel: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := batch.Results[0], batch.Results[1]
+	if a.Seed == b.Seed || a.Result.Seed != a.Seed {
+		t.Fatalf("batch seeds not derived per spec: %d, %d (result ran with %d)", a.Seed, b.Seed, a.Result.Seed)
+	}
+	if rev.Results[1].Seed != a.Seed || rev.Results[0].Seed != b.Seed {
+		t.Fatal("derived seeds depend on batch order")
 	}
 }
 
 func TestExperimentServerExposed(t *testing.T) {
 	ts := httptest.NewServer(ichannels.NewExperimentServer())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/experiments")
+	resp, err := ts.Client().Get(ts.URL + "/v1/experiments")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("GET /experiments: %d", resp.StatusCode)
+		t.Fatalf("GET /v1/experiments: %d", resp.StatusCode)
 	}
 	var list []ichannels.ExperimentInfo
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {

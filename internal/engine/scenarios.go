@@ -1,9 +1,30 @@
+// Package engine runs batches and streams of scenarios on a bounded
+// worker pool, with per-scenario derived seeds, wall-clock timing
+// capture, panic isolation, store fetch-or-compute, and context
+// cancellation. It is the one execution path the CLI (scenario run, and
+// run — its alias for registered experiments), sweeps, the distributed
+// tier, and HTTP serving (internal/serve) build on. A registered figure
+// experiment is a scenario like any other (scenario.FromExperiment).
+//
+// A batch (RunScenarios) collects every outcome; a stream
+// (StreamScenarios) pulls scenarios lazily and emits outcomes in order
+// with bounded memory.
+//
+// Determinism contract: the result content of a batch is a pure
+// function of (BaseSeed, scenarios). The degree of parallelism affects
+// only wall-clock time — for a fixed base seed, a run with Parallel=N
+// produces results byte-identical (text, JSON and NDJSON renderings) to
+// a serial run, because every scenario receives the same derived seed
+// (DeriveScenarioSeed) and the simulator itself is deterministic for a
+// fixed seed. Timing is captured outside the results so it never
+// perturbs their bytes.
 package engine
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"strings"
@@ -92,11 +113,28 @@ func DeriveScenarioSeed(base int64, s scenario.Scenario) int64 {
 	return deriveSeedFromHash(base, s.Hash())
 }
 
+// deriveSeed maps a base seed and a label to a seed. The derivation
+// (FNV-1a over the label, mixed with the base through a splitmix64
+// finalizer) is stable across runs, platforms, and worker counts — it
+// is part of the determinism contract, so changing it moves every
+// derived seed and invalidates recorded baselines and stored corpora.
+func deriveSeed(base int64, label string) int64 {
+	h := fnv.New64a()
+	io.WriteString(h, label)
+	x := h.Sum64() ^ uint64(base)*0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int64(x)
+}
+
 // deriveSeedFromHash is DeriveScenarioSeed for callers that already
 // hold the content hash (the stream dispatcher computes it once per
 // slot).
 func deriveSeedFromHash(base int64, hash string) int64 {
-	d := DeriveSeed(base, "scenario:"+hash) & math.MaxInt64
+	d := deriveSeed(base, "scenario:"+hash) & math.MaxInt64
 	if d == 0 {
 		d = 1
 	}
@@ -177,6 +215,11 @@ func RunScenarios(ctx context.Context, opts ScenarioOptions) (*ScenarioBatch, er
 	}
 	b.Elapsed = stats.Elapsed
 	return b, nil
+}
+
+// poolSize clamps a requested parallelism to [1, n].
+func poolSize(requested, n int) int {
+	return max(1, min(requested, n))
 }
 
 // Failed returns the outcomes whose runner returned an error (or was

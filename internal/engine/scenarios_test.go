@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"ichannels/internal/exp"
 	"ichannels/internal/scenario"
 )
 
@@ -237,5 +241,259 @@ func TestDerivedSeedsArePinnable(t *testing.T) {
 				t.Fatalf("pinning derived seed %d rejected: %v", d, err)
 			}
 		}
+	}
+}
+
+// channelSpecs returns n distinct valid channel specs (bits 8, 10, …)
+// for tests that inject a fake executor.
+func channelSpecs(n int) []scenario.Scenario {
+	out := make([]scenario.Scenario, n)
+	for i := range out {
+		out[i] = scenario.Scenario{Role: scenario.RoleChannel, Bits: 8 + 2*i}
+	}
+	return out
+}
+
+// TestParallelMatchesSerial is the engine's core guarantee over the
+// paper's registry: for a fixed base seed, a parallel batch over every
+// registered experiment produces results byte-identical to the serial
+// batch, in both renderings.
+func TestParallelMatchesSerial(t *testing.T) {
+	run := func(par int) *ScenarioBatch {
+		b, err := RunScenarios(context.Background(), ScenarioOptions{
+			Scenarios: scenario.AllExperiments(), BaseSeed: 1, Parallel: par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serial, par := run(1), run(8)
+	if len(serial.Results) != len(exp.IDs()) || len(par.Results) != len(serial.Results) {
+		t.Fatalf("result counts: serial %d, parallel %d, registry %d",
+			len(serial.Results), len(par.Results), len(exp.IDs()))
+	}
+	for i := range serial.Results {
+		s, p := serial.Results[i], par.Results[i]
+		if s.Scenario.Experiment != p.Scenario.Experiment || s.Seed != p.Seed {
+			t.Fatalf("result %d ordering diverged: %s/%d vs %s/%d",
+				i, s.Scenario.Experiment, s.Seed, p.Scenario.Experiment, p.Seed)
+		}
+		if s.Err != nil || p.Err != nil {
+			t.Fatalf("%s failed: serial %v, parallel %v", s.Scenario.Experiment, s.Err, p.Err)
+		}
+		sj, _ := json.Marshal(s.Result)
+		pj, _ := json.Marshal(p.Result)
+		if !bytes.Equal(sj, pj) {
+			t.Errorf("%s: JSON results differ between serial and parallel", s.Scenario.Experiment)
+		}
+	}
+	// The full deterministic text stream must match byte for byte too.
+	var st, pt bytes.Buffer
+	if err := serial.WriteText(&st); err != nil {
+		t.Fatal(err)
+	}
+	if err := par.WriteText(&pt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(st.Bytes(), pt.Bytes()) {
+		t.Error("WriteText streams differ between serial and parallel")
+	}
+}
+
+// TestParallelIsFaster checks the pool actually overlaps work: four
+// 60 ms jobs on four workers must beat the serial run and must have
+// run concurrently.
+func TestParallelIsFaster(t *testing.T) {
+	var cur, peak int64
+	slow := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		n := atomic.AddInt64(&cur, 1)
+		for {
+			old := atomic.LoadInt64(&peak)
+			if n <= old || atomic.CompareAndSwapInt64(&peak, old, n) {
+				break
+			}
+		}
+		time.Sleep(60 * time.Millisecond)
+		atomic.AddInt64(&cur, -1)
+		return &scenario.Result{Role: s.Role, Seed: seed}, nil
+	}
+	run := func(par int) *ScenarioBatch {
+		b, err := RunScenarios(context.Background(), ScenarioOptions{Scenarios: channelSpecs(4), Parallel: par, Run: slow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	serial := run(1)
+	if peak != 1 {
+		t.Fatalf("serial run overlapped: peak concurrency %d", peak)
+	}
+	peak = 0
+	par := run(4)
+	if peak < 2 {
+		t.Errorf("parallel run never overlapped: peak concurrency %d", peak)
+	}
+	if par.Elapsed >= serial.Elapsed {
+		t.Errorf("parallel batch (%v) not faster than serial (%v)", par.Elapsed, serial.Elapsed)
+	}
+}
+
+// TestCancellation: cancelling the context mid-batch abandons queued
+// scenarios with the context's error while the running one finishes.
+func TestCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var once sync.Once
+	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		once.Do(cancel) // first job cancels the rest
+		return &scenario.Result{Role: s.Role, Seed: seed}, nil
+	}
+	specs := channelSpecs(6)
+	b, err := RunScenarios(ctx, ScenarioOptions{Scenarios: specs, Parallel: 1, Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Results[0].Err != nil {
+		t.Fatalf("first job must complete, got %v", b.Results[0].Err)
+	}
+	cancelled := 0
+	for _, r := range b.Results[1:] {
+		if r.Err == context.Canceled {
+			cancelled++
+		}
+	}
+	if cancelled != len(specs)-1 {
+		t.Errorf("%d of %d queued jobs cancelled", cancelled, len(specs)-1)
+	}
+	if len(b.Failed()) != cancelled {
+		t.Errorf("Failed() = %d, want %d", len(b.Failed()), cancelled)
+	}
+}
+
+// TestUnknownIDRejectedUpfront: an experiment-role spec naming an
+// unregistered experiment fails the whole batch before anything runs.
+func TestUnknownIDRejectedUpfront(t *testing.T) {
+	var calls int64
+	_, err := RunScenarios(context.Background(), ScenarioOptions{
+		Scenarios: []scenario.Scenario{scenario.FromExperiment("fig13"), scenario.FromExperiment("nope")},
+		Run: func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+			atomic.AddInt64(&calls, 1)
+			return &scenario.Result{Role: s.Role, Seed: seed}, nil
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) {
+		t.Errorf("unknown experiment not rejected: %v", err)
+	}
+	if calls != 0 {
+		t.Errorf("%d scenarios ran before the batch was rejected", calls)
+	}
+}
+
+func TestDeriveSeed(t *testing.T) {
+	if deriveSeed(1, "fig6a") != deriveSeed(1, "fig6a") {
+		t.Error("deriveSeed not stable")
+	}
+	if deriveSeed(1, "fig6a") == deriveSeed(1, "fig6b") {
+		t.Error("distinct labels must get distinct seeds")
+	}
+	if deriveSeed(1, "fig6a") == deriveSeed(2, "fig6a") {
+		t.Error("distinct base seeds must derive distinct seeds")
+	}
+	// The derivation is a documented contract (every derived scenario
+	// seed, and so every stored corpus, depends on it): pin one value so
+	// accidental changes to the mixing fail loudly.
+	if got := deriveSeed(1, "fig6a"); got != 3590564834515440597 {
+		t.Errorf("deriveSeed(1, fig6a) = %d, want 3590564834515440597 (derivation changed!)", got)
+	}
+	seen := map[int64]string{}
+	for _, s := range scenario.AllExperiments() {
+		d := DeriveScenarioSeed(1, s)
+		if prev, dup := seen[d]; dup {
+			t.Errorf("seed collision between %s and %s", prev, s.Experiment)
+		}
+		seen[d] = s.Experiment
+	}
+}
+
+// TestWriteTextSkipsFailures: a failed scenario shows as an ERROR row
+// and contributes no report rendering; the successful ones still print.
+func TestWriteTextSkipsFailures(t *testing.T) {
+	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		if s.Experiment == "fig6a" {
+			return nil, errors.New("synthetic failure")
+		}
+		rep := exp.NewReport(s.Experiment+"-report", "t")
+		rep.Table("x", "h").AddRow("v")
+		return &scenario.Result{Role: s.Role, Experiment: s.Experiment, Seed: seed, Report: rep}, nil
+	}
+	specs := []scenario.Scenario{scenario.FromExperiment("fig6a"), scenario.FromExperiment("fig6b"), scenario.FromExperiment("fig13")}
+	b, err := RunScenarios(context.Background(), ScenarioOptions{Scenarios: specs, Parallel: 1, Run: run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := b.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "ERROR: synthetic failure") {
+		t.Error("failed scenario has no ERROR row")
+	}
+	if strings.Contains(out, "fig6a-report") {
+		t.Error("failed scenario rendered a report")
+	}
+	if !strings.Contains(out, "fig6b-report") || !strings.Contains(out, "fig13-report") {
+		t.Error("successful reports missing from text stream")
+	}
+}
+
+func TestBatchJSONShape(t *testing.T) {
+	spec := scenario.FromExperiment("fig13")
+	b, err := RunScenarios(context.Background(), ScenarioOptions{
+		Scenarios: []scenario.Scenario{spec}, BaseSeed: 1, Parallel: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := b.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		BaseSeed int64 `json:"base_seed"`
+		Failed   int   `json:"failed"`
+		Results  []struct {
+			Scenario struct {
+				Role       string `json:"role"`
+				Experiment string `json:"experiment"`
+			} `json:"scenario"`
+			Seed   int64 `json:"seed"`
+			Result *struct {
+				Experiment string `json:"experiment"`
+				Report     *struct {
+					ID      string             `json:"id"`
+					Metrics map[string]float64 `json:"metrics"`
+				} `json:"report"`
+			} `json:"result"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatalf("batch JSON does not round-trip: %v", err)
+	}
+	if decoded.BaseSeed != 1 || decoded.Failed != 0 || len(decoded.Results) != 1 {
+		t.Fatalf("unexpected batch shape: %+v", decoded)
+	}
+	r := decoded.Results[0]
+	if r.Scenario.Role != scenario.RoleExperiment || r.Scenario.Experiment != "fig13" {
+		t.Fatalf("scenario missing from JSON: %+v", r.Scenario)
+	}
+	if r.Result == nil || r.Result.Report == nil || r.Result.Report.ID != "fig13" {
+		t.Fatalf("report missing from JSON: %+v", r.Result)
+	}
+	if r.Seed != DeriveScenarioSeed(1, spec) {
+		t.Errorf("JSON seed %d is not the derived seed", r.Seed)
+	}
+	if len(r.Result.Report.Metrics) == 0 {
+		t.Error("metrics missing from JSON report")
 	}
 }

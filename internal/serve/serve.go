@@ -19,19 +19,15 @@
 // (application/json); malformed seed query values are rejected with
 // HTTP 400.
 //
-// The legacy PR-1 routes are kept as thin shims over the same cache and
-// are deprecated in favor of /v1:
+// A registered figure experiment runs like any other scenario: POST
+// /v1/scenarios with {"role":"experiment","experiment":ID,"seed":N}.
 //
-//	GET  /experiments        → GET /v1/experiments
-//	POST /run/{name}?seed=N  → POST /v1/scenarios with
-//	                           {"role":"experiment","experiment":name,"seed":N}
-//
-// Results are cached in memory keyed by (scenario hash, seed) — the
-// generalization of PR 1's (experiment, seed) key. Because the
-// simulator is deterministic for a fixed seed (see docs/ARCHITECTURE.md)
-// a cached result is bit-for-bit the result a fresh run would produce,
-// so repeated requests are served without recomputation. Concurrent
-// requests for the same key are coalesced: only the first computes, the
+// Results are cached in memory keyed by (scenario hash, seed). Because
+// the simulator is deterministic for a fixed seed (see
+// docs/ARCHITECTURE.md) a cached result is bit-for-bit the result a
+// fresh run would produce, so repeated requests are served without
+// recomputation. Concurrent requests for the same key are coalesced:
+// only the first computes, the
 // rest wait for its result — including across items of one batch and
 // across unrelated clients. Runner errors are cached too — they are
 // equally deterministic — so a failing (scenario, seed) pair does not
@@ -55,7 +51,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -77,32 +72,25 @@ const MaxBatchScenarios = 256
 // maxBodyBytes bounds one request body.
 const maxBodyBytes = 4 << 20
 
-// legacyKeyPrefix namespaces the deprecated /run/{name} route's cache
-// keys: experiment IDs are not scenario content hashes, so they share
-// the in-memory cache under this reserved prefix and never enter the
-// durable store.
-const legacyKeyPrefix = "exp:"
-
 // Error codes of the structured error envelope.
 const (
-	CodeBadRequest        = "bad_request"
-	CodeInvalidScenario   = "invalid_scenario"
-	CodeUnknownExperiment = "unknown_experiment"
-	CodeMethodNotAllowed  = "method_not_allowed"
-	CodeUnsupportedMedia  = "unsupported_media_type"
-	CodeTooLarge          = "payload_too_large"
-	CodeRunFailed         = "run_failed"
-	CodeNotFound          = "not_found"
-	CodeStoreError        = "store_error"
-	CodeUnsupported       = "unsupported"
+	CodeBadRequest       = "bad_request"
+	CodeInvalidScenario  = "invalid_scenario"
+	CodeMethodNotAllowed = "method_not_allowed"
+	CodeUnsupportedMedia = "unsupported_media_type"
+	CodeTooLarge         = "payload_too_large"
+	CodeRunFailed        = "run_failed"
+	CodeNotFound         = "not_found"
+	CodeStoreError       = "store_error"
+	CodeUnsupported      = "unsupported"
 )
 
 // Options configures a Server.
 type Options struct {
-	// Run overrides the experiment executor (nil means exp.Run) for
-	// both the legacy /run/{name} route and experiment-role scenarios.
-	// Injected by tests to observe cache behavior.
-	Run engine.RunFunc
+	// Run overrides the experiment executor of experiment-role
+	// scenarios (nil means exp.Run). Injected by tests to observe cache
+	// behavior.
+	Run func(id string, seed int64) (*exp.Report, error)
 	// MaxCacheEntries bounds the result cache; when full, the
 	// least-recently-used completed entry is evicted (a cache hit
 	// refreshes the entry's recency, so a sweep session's hot repeated
@@ -148,8 +136,7 @@ type Options struct {
 
 // Server runs scenarios on demand and caches their results.
 type Server struct {
-	run        engine.RunFunc  // legacy experiment executor
-	runner     scenario.Runner // scenario executor (ExpRun wired to run)
+	runner     scenario.Runner // scenario executor (ExpRun from Options.Run)
 	machines   *soc.Pool       // machine pool the runner recycles SoCs through
 	maxCache   int
 	sem        chan struct{} // nil = unbounded; else bounds running simulations
@@ -181,9 +168,7 @@ type Server struct {
 }
 
 // cacheKey identifies one deterministic result: the scenario's content
-// hash plus the effective seed. Legacy experiment runs use the reserved
-// "exp:" prefix so they share the cache without colliding with spec
-// hashes (which are fixed-width hex).
+// hash plus the effective seed.
 type cacheKey struct {
 	Hash string
 	Seed int64
@@ -227,10 +212,6 @@ func (e *cacheEntry) done() bool {
 
 // New builds a Server.
 func New(opts Options) *Server {
-	run := opts.Run
-	if run == nil {
-		run = exp.Run
-	}
 	maxCache := opts.MaxCacheEntries
 	if maxCache == 0 {
 		maxCache = DefaultMaxCacheEntries
@@ -244,8 +225,7 @@ func New(opts Options) *Server {
 	}
 	machines := soc.NewPool()
 	s := &Server{
-		run:        run,
-		runner:     scenario.Runner{ExpRun: run, Machines: machines},
+		runner:     scenario.Runner{ExpRun: opts.Run, Machines: machines},
 		machines:   machines,
 		maxCache:   maxCache,
 		sem:        sem,
@@ -336,9 +316,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(store.StorePathPrefix, s.v1StoreIndex)
 		mux.HandleFunc(store.StorePathPrefix+"/", s.v1StoreEntry)
 	}
-	// Legacy shims (deprecated; see the package comment).
-	mux.HandleFunc("GET /experiments", s.handleList)
-	mux.HandleFunc("POST /run/{name}", s.handleRun)
 	return mux
 }
 
@@ -379,7 +356,10 @@ func (s *Server) entry(key cacheKey) (ent *cacheEntry, cached bool) {
 			evicted := false
 			for i, k := range s.order {
 				if e := s.cache[k]; e != nil && e.done() {
-					s.order = append(s.order[:i:i], s.order[i+1:]...)
+					// In place: building a fresh slice here would
+					// allocate O(MaxCacheEntries) on every eviction.
+					copy(s.order[i:], s.order[i+1:])
+					s.order = s.order[:len(s.order)-1]
 					delete(s.cache, k)
 					evicted = true
 					break
@@ -416,12 +396,7 @@ func (s *Server) touchLocked(key cacheKey) {
 func (s *Server) compute(key cacheKey, ent *cacheEntry, fn func() (*scenario.Result, error)) {
 	ent.once.Do(func() {
 		defer close(ent.ready)
-		// The legacy /run/{name} shim keys on an "exp:" pseudo-hash,
-		// not a scenario content hash; those entries stay memory-only
-		// so the durable corpus holds only content-addressed results
-		// (v1 experiment-role scenarios persist under real hashes).
-		useStore := s.store != nil && !strings.HasPrefix(key.Hash, legacyKeyPrefix)
-		if useStore {
+		if s.store != nil {
 			t0 := time.Now()
 			res, ok, err := s.store.Get(store.Key(key))
 			switch {
@@ -445,7 +420,7 @@ func (s *Server) compute(key cacheKey, ent *cacheEntry, fn func() (*scenario.Res
 		t0 := time.Now()
 		ent.result, ent.err = fn()
 		ent.elapsed = time.Since(t0)
-		if useStore && ent.err == nil {
+		if s.store != nil && ent.err == nil {
 			if err := s.store.Put(store.Key(key), ent.result); err != nil {
 				s.countStoreErr(err)
 			}
@@ -794,62 +769,4 @@ func (s *Server) runScenarioIsolated(r *http.Request, n scenario.Scenario, seed 
 		}
 	}()
 	return s.runner.RunSeeded(context.WithoutCancel(r.Context()), n, seed)
-}
-
-// ---- legacy shims ----
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, exp.Experiments())
-}
-
-// runResponse is the legacy wire form of one experiment run. The report
-// object is the deterministic payload; cached/elapsed_us are serving
-// metadata.
-type runResponse struct {
-	ID        string      `json:"id"`
-	Section   string      `json:"section,omitempty"`
-	Desc      string      `json:"desc,omitempty"`
-	Seed      int64       `json:"seed"`
-	Cached    bool        `json:"cached"`
-	ElapsedUS float64     `json:"elapsed_us"`
-	Report    *exp.Report `json:"report"`
-}
-
-// handleRun is the legacy single-experiment route. It shares the
-// scenario cache under the reserved "exp:" key prefix.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := exp.Lookup(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownExperiment, "unknown experiment %q", name)
-		return
-	}
-	seed, set, err := parseSeed(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
-		return
-	}
-	if !set {
-		seed = 1
-	}
-
-	key := cacheKey{Hash: legacyKeyPrefix + name, Seed: seed}
-	ent, cached := s.entry(key)
-	s.compute(key, ent, func() (*scenario.Result, error) {
-		rep, err := engine.RunIsolated(s.run, name, seed)
-		if err != nil {
-			return nil, err
-		}
-		return &scenario.Result{Role: scenario.RoleExperiment, Experiment: name, Seed: seed, Report: rep}, nil
-	})
-	if ent.err != nil {
-		writeError(w, http.StatusInternalServerError, CodeRunFailed, "%s (seed %d): %v", name, seed, ent.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, runResponse{
-		ID: name, Section: e.Section, Desc: e.Desc, Seed: seed,
-		Cached:    ent.served(cached),
-		ElapsedUS: float64(ent.elapsed) / float64(time.Microsecond),
-		Report:    ent.result.Report,
-	})
 }

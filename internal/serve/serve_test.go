@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,10 +52,32 @@ func post(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// expSpec is the experiment-role scenario for (id, seed) — the one way
+// a registered experiment runs over HTTP.
+func expSpec(id string, seed int64) string {
+	return fmt.Sprintf(`{"role":"experiment","experiment":%q,"seed":%d}`, id, seed)
+}
+
+// runExp posts one experiment-role scenario to /v1/scenarios.
+func runExp(t *testing.T, ts *httptest.Server, id string, seed int64) (int, []byte) {
+	t.Helper()
+	return postJSON(t, ts, "/v1/scenarios", "application/json", expSpec(id, seed))
+}
+
+// decodeScenario unmarshals a single-scenario response.
+func decodeScenario(t *testing.T, body []byte) scenarioResponse {
+	t.Helper()
+	var resp scenarioResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("response not JSON: %v: %s", err, body)
+	}
+	return resp
+}
+
 func TestListExperiments(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()
-	code, body := get(t, ts, "/experiments")
+	code, body := get(t, ts, "/v1/experiments")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
@@ -78,29 +101,23 @@ func TestRunAndCacheHit(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, body := post(t, ts, "/run/fig6a?seed=7")
+	code, body := runExp(t, ts, "fig6a", 7)
 	if code != http.StatusOK {
 		t.Fatalf("first run: status %d: %s", code, body)
 	}
-	var first runResponse
-	if err := json.Unmarshal(body, &first); err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached || first.ID != "fig6a" || first.Seed != 7 {
+	first := decodeScenario(t, body)
+	if first.Cached || first.Seed != 7 || first.Result == nil || first.Result.Experiment != "fig6a" {
 		t.Fatalf("first response: %+v", first)
 	}
-	if first.Report == nil || first.Report.Metrics["seed"] != 7 {
-		t.Fatalf("report missing or wrong seed: %+v", first.Report)
+	if first.Result.Report == nil || first.Result.Report.Metrics["seed"] != 7 {
+		t.Fatalf("report missing or wrong seed: %+v", first.Result.Report)
 	}
 
-	code, body2 := post(t, ts, "/run/fig6a?seed=7")
+	code, body2 := runExp(t, ts, "fig6a", 7)
 	if code != http.StatusOK {
 		t.Fatalf("second run: status %d", code)
 	}
-	var second runResponse
-	if err := json.Unmarshal(body2, &second); err != nil {
-		t.Fatal(err)
-	}
+	second := decodeScenario(t, body2)
 	if !second.Cached {
 		t.Error("second identical request not served from cache")
 	}
@@ -108,14 +125,14 @@ func TestRunAndCacheHit(t *testing.T) {
 		t.Errorf("runner executed %d times, want 1", calls)
 	}
 	// The deterministic payload must be byte-identical across the two.
-	a, _ := json.Marshal(first.Report)
-	b, _ := json.Marshal(second.Report)
+	a, _ := json.Marshal(first.Result)
+	b, _ := json.Marshal(second.Result)
 	if string(a) != string(b) {
-		t.Error("cached report differs from the computed one")
+		t.Error("cached result differs from the computed one")
 	}
 
 	// A different seed is a different key.
-	if code, _ := post(t, ts, "/run/fig6a?seed=8"); code != http.StatusOK {
+	if code, _ := runExp(t, ts, "fig6a", 8); code != http.StatusOK {
 		t.Fatalf("seed 8: status %d", code)
 	}
 	if calls != 2 {
@@ -139,7 +156,7 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := ts.Client().Post(ts.URL+"/run/fig13?seed=3", "", nil)
+			resp, err := ts.Client().Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(expSpec("fig13", 3)))
 			if err == nil {
 				codes[i] = resp.StatusCode
 				io.Copy(io.Discard, resp.Body)
@@ -177,16 +194,16 @@ func TestMaxConcurrentBoundsDistinctSeeds(t *testing.T) {
 	defer ts.Close()
 
 	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
+	for i := 1; i <= 10; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(seed int64) {
 			defer wg.Done()
-			resp, err := ts.Client().Post(fmt.Sprintf("%s/run/fig6a?seed=%d", ts.URL, i), "", nil)
+			resp, err := ts.Client().Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(expSpec("fig6a", seed)))
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
-		}(i)
+		}(int64(i))
 	}
 	wg.Wait()
 	if peak > 2 {
@@ -203,16 +220,16 @@ func TestCacheEviction(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	post(t, ts, "/run/fig6a?seed=1") // cache: {1}
-	post(t, ts, "/run/fig6a?seed=2") // cache: {1, 2}
-	post(t, ts, "/run/fig6a?seed=3") // evicts 1 → {2, 3}
+	runExp(t, ts, "fig6a", 1) // cache: {1}
+	runExp(t, ts, "fig6a", 2) // cache: {1, 2}
+	runExp(t, ts, "fig6a", 3) // evicts 1 → {2, 3}
 	if calls != 3 {
 		t.Fatalf("3 distinct seeds ran %d times", calls)
 	}
-	if _, body := post(t, ts, "/run/fig6a?seed=3"); calls != 3 {
+	if _, body := runExp(t, ts, "fig6a", 3); calls != 3 {
 		t.Errorf("seed 3 should be cached: %s", body)
 	}
-	post(t, ts, "/run/fig6a?seed=1") // evicted → recompute
+	runExp(t, ts, "fig6a", 1) // evicted → recompute
 	if calls != 4 {
 		t.Errorf("evicted seed 1 not recomputed (calls=%d)", calls)
 	}
@@ -222,10 +239,33 @@ func TestCacheEviction(t *testing.T) {
 	srv2 := New(Options{Run: countingRun(&calls2, false), MaxCacheEntries: -1})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	post(t, ts2, "/run/fig6a?seed=1")
-	post(t, ts2, "/run/fig6a?seed=1")
+	runExp(t, ts2, "fig6a", 1)
+	runExp(t, ts2, "fig6a", 1)
 	if calls2 != 2 {
 		t.Errorf("caching disabled but runner ran %d times for 2 requests", calls2)
+	}
+}
+
+// TestEvictionAllocsFlat: evicting from a full cache removes the key
+// from the recency order in place, so one evicting entry() call costs
+// the same allocations at any MaxCacheEntries.
+func TestEvictionAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		srv := New(Options{MaxCacheEntries: n})
+		for i := 0; i < n; i++ {
+			ent, _ := srv.entry(cacheKey{Hash: "h", Seed: int64(i)})
+			close(ent.ready) // completed entries are evictable
+		}
+		seed := int64(n)
+		return testing.AllocsPerRun(200, func() {
+			ent, _ := srv.entry(cacheKey{Hash: "h", Seed: seed})
+			close(ent.ready)
+			seed++
+		})
+	}
+	small, large := allocs(16), allocs(1024)
+	if large > small {
+		t.Errorf("an evicting entry() allocates %v times at 1024 entries, %v at 16: eviction cost grows with the cache", large, small)
 	}
 }
 
@@ -235,13 +275,14 @@ func TestErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _ := post(t, ts, "/run/doesnotexist"); code != http.StatusNotFound {
-		t.Errorf("unknown experiment: status %d, want 404", code)
+	code, body := runExp(t, ts, "doesnotexist", 1)
+	if code != http.StatusBadRequest || decodeErr(t, body).Code != CodeInvalidScenario {
+		t.Errorf("unknown experiment: status %d body %s, want 400 %s", code, body, CodeInvalidScenario)
 	}
-	if code, _ := post(t, ts, "/run/fig6a?seed=banana"); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, ts, "/v1/scenarios?seed=banana", "application/json", `{"role":"experiment","experiment":"fig6a"}`); code != http.StatusBadRequest {
 		t.Errorf("bad seed: status %d, want 400", code)
 	}
-	code, body := post(t, ts, "/run/fig6a?seed=1")
+	code, body = runExp(t, ts, "fig6a", 1)
 	if code != http.StatusInternalServerError {
 		t.Errorf("failing runner: status %d, want 500", code)
 	}
@@ -250,30 +291,53 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("error body not JSON: %s", body)
 	}
 	// Failures are cached too: a retry must not rerun the experiment.
-	if code, _ := post(t, ts, "/run/fig6a?seed=1"); code != http.StatusInternalServerError {
+	if code, _ := runExp(t, ts, "fig6a", 1); code != http.StatusInternalServerError {
 		t.Error("cached failure lost")
 	}
 	if calls != 1 {
 		t.Errorf("failing experiment ran %d times, want 1 (errors are cached)", calls)
 	}
 	// Wrong method on a valid route.
-	if code, _ := get(t, ts, "/run/fig6a"); code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /run: status %d, want 405", code)
+	if code, _ := get(t, ts, "/v1/scenarios"); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/scenarios: status %d, want 405", code)
 	}
 }
 
+// TestPanickingRunnerIsIsolated: a panicking experiment inside a batch
+// becomes that item's error line; its siblings still succeed and the
+// server keeps answering.
 func TestPanickingRunnerIsIsolated(t *testing.T) {
 	srv := New(Options{Run: func(id string, seed int64) (*exp.Report, error) {
-		panic("boom")
+		if id == "fig6a" {
+			panic("boom")
+		}
+		return exp.NewReport(id, "ok"), nil
 	}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	code, body := post(t, ts, "/run/fig6a")
-	if code != http.StatusInternalServerError {
+	code, body := postJSON(t, ts, "/v1/scenarios", "application/json", "["+expSpec("fig6a", 1)+","+expSpec("fig6b", 1)+"]")
+	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
+	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("NDJSON lines: %d, want 2 (%s)", len(lines), body)
+	}
+	var bad, good scenarioLine
+	if err := json.Unmarshal([]byte(lines[0]), &bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &good); err != nil {
+		t.Fatal(err)
+	}
+	if bad.Error == nil || !strings.Contains(bad.Error.Message, "panicked") {
+		t.Errorf("panic not converted to an error line: %+v", bad)
+	}
+	if good.Error != nil || good.Result == nil {
+		t.Errorf("healthy sibling affected by the panicking one: %+v", good)
+	}
 	// The server must still answer subsequent requests.
-	if code, _ := get(t, ts, "/experiments"); code != http.StatusOK {
+	if code, _ := get(t, ts, "/v1/experiments"); code != http.StatusOK {
 		t.Error("server unusable after a panicking runner")
 	}
 }
@@ -283,20 +347,17 @@ func TestPanickingRunnerIsIsolated(t *testing.T) {
 func TestRealExperimentRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}).Handler())
 	defer ts.Close()
-	code, body := post(t, ts, fmt.Sprintf("/run/fig13?seed=%d", 42))
+	code, body := runExp(t, ts, "fig13", 42)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var resp runResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := decodeScenario(t, body)
 	direct, err := exp.Run("fig13", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(direct)
-	got, _ := json.Marshal(resp.Report)
+	got, _ := json.Marshal(resp.Result.Report)
 	if string(want) != string(got) {
 		t.Error("served report differs from a direct exp.Run with the same seed")
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ichannels/internal/engine"
@@ -63,6 +62,15 @@ func TestV1ListAndSchema(t *testing.T) {
 	if doc["title"] != "Scenario" {
 		t.Errorf("schema title: %v", doc["title"])
 	}
+
+	// The pre-v1 routes are gone: experiments run as experiment-role
+	// scenarios through POST /v1/scenarios.
+	if code, _ := get(t, ts, "/experiments"); code != http.StatusNotFound {
+		t.Errorf("GET /experiments: status %d, want 404", code)
+	}
+	if code, _ := post(t, ts, "/run/fig13?seed=1"); code != http.StatusNotFound {
+		t.Errorf("POST /run/fig13: status %d, want 404", code)
+	}
 }
 
 // TestV1MethodAndContentTypeChecks: mutating routes enforce method and
@@ -100,7 +108,7 @@ func TestV1MethodAndContentTypeChecks(t *testing.T) {
 }
 
 // TestV1SeedValidation: malformed or conflicting seed query values are
-// 400s with a structured body, on both v1 and the legacy route.
+// 400s with a structured body.
 func TestV1SeedValidation(t *testing.T) {
 	ts := httptest.NewServer(New(Options{Run: countingRun(new(int64), false)}).Handler())
 	defer ts.Close()
@@ -109,6 +117,7 @@ func TestV1SeedValidation(t *testing.T) {
 		"/v1/scenarios?seed=banana",
 		"/v1/scenarios?seed=9999999999999999999999",
 		"/v1/scenarios?seed=1&seed=2",
+		"/v1/scenarios?seed=1e3",
 	} {
 		code, body := postJSON(t, ts, path, "application/json", `{"role":"experiment","experiment":"fig13"}`)
 		if code != http.StatusBadRequest {
@@ -120,19 +129,8 @@ func TestV1SeedValidation(t *testing.T) {
 			t.Errorf("%s: error envelope incomplete: %+v", path, e)
 		}
 	}
-	// Legacy route: same strictness, structured body.
-	for _, path := range []string{"/run/fig6a?seed=banana", "/run/fig6a?seed=1&seed=2", "/run/fig6a?seed=1e3"} {
-		code, body := post(t, ts, path)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, code)
-			continue
-		}
-		if e := decodeErr(t, body); e.Code != CodeBadRequest {
-			t.Errorf("%s: code %q", path, e.Code)
-		}
-	}
 	// Repeated identical seed values are fine.
-	if code, _ := post(t, ts, "/run/fig6a?seed=4&seed=4"); code != http.StatusOK {
+	if code, _ := postJSON(t, ts, "/v1/scenarios?seed=4&seed=4", "application/json", `{"role":"experiment","experiment":"fig6a"}`); code != http.StatusOK {
 		t.Errorf("identical repeated seeds rejected: %d", code)
 	}
 }
@@ -380,35 +378,6 @@ func TestV1RealScenarioRoles(t *testing.T) {
 	}
 	if _, ok := resp.Result.Extra["accuracy"]; !ok {
 		t.Error("spy accuracy missing")
-	}
-}
-
-func TestLegacyRoutesStillServe(t *testing.T) {
-	// The PR-1 routes must keep answering (their original tests also
-	// run; this guards the response shape against the shim).
-	var calls int64
-	srv := New(Options{Run: countingRun(&calls, false)})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	code, body := post(t, ts, fmt.Sprintf("/run/%s?seed=6", "fig6a"))
-	if code != http.StatusOK {
-		t.Fatalf("legacy run: %d", code)
-	}
-	var rr runResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatal(err)
-	}
-	if rr.ID != "fig6a" || rr.Seed != 6 || rr.Report == nil {
-		t.Errorf("legacy response shape broken: %+v", rr)
-	}
-	// Legacy and v1 keys do not collide: same experiment+seed through
-	// v1 is a separate cache entry (the spec hash is not "exp:fig6a").
-	if _, err := ts.Client().Post(ts.URL+"/v1/scenarios", "application/json",
-		strings.NewReader(`{"role":"experiment","experiment":"fig6a","seed":6}`)); err != nil {
-		t.Fatal(err)
-	}
-	if atomic.LoadInt64(&calls) != 2 {
-		t.Logf("note: legacy and v1 caches are separate namespaces (calls=%d)", calls)
 	}
 }
 

@@ -257,18 +257,18 @@ func TestLRUEvictionKeepsHotEntries(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	post(t, ts, "/run/fig6a?seed=1") // miss → {1}
-	post(t, ts, "/run/fig6a?seed=2") // miss → {1, 2}
-	post(t, ts, "/run/fig6a?seed=1") // hit: 1 becomes most recent → {2, 1}
+	runExp(t, ts, "fig6a", 1) // miss → {1}
+	runExp(t, ts, "fig6a", 2) // miss → {1, 2}
+	runExp(t, ts, "fig6a", 1) // hit: 1 becomes most recent → {2, 1}
 	if calls != 2 {
 		t.Fatalf("setup ran %d computations, want 2", calls)
 	}
-	post(t, ts, "/run/fig6a?seed=3") // full: evict LRU = 2 → {1, 3}
-	post(t, ts, "/run/fig6a?seed=1") // must still be resident
+	runExp(t, ts, "fig6a", 3) // full: evict LRU = 2 → {1, 3}
+	runExp(t, ts, "fig6a", 1) // must still be resident
 	if calls != 3 {
 		t.Errorf("hot entry was evicted (calls=%d, want 3: seeds 1, 2, 3 computed once each)", calls)
 	}
-	post(t, ts, "/run/fig6a?seed=2") // was evicted → recompute
+	runExp(t, ts, "fig6a", 2) // was evicted → recompute
 	if calls != 4 {
 		t.Errorf("cold entry not evicted (calls=%d, want 4)", calls)
 	}
