@@ -31,10 +31,17 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"syscall"
 	"time"
 
 	"ichannels"
 )
+
+// shutdownSignals end a run or the server gracefully: the context
+// cancels, and the deferred closers still seal the active packed
+// segment and drain the replica flush queue. SIGTERM is what service
+// managers and container runtimes send.
+var shutdownSignals = []os.Signal{os.Interrupt, syscall.SIGTERM}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -101,23 +108,23 @@ func usage() {
   ichannels sweep schema              print the sweep spec JSON schema
   ichannels store ls|verify|gc|pack <dir> [-json] (gc: [-max-age DUR] [-max-bytes N])
                                       list, integrity-check, clean, or migrate a result store directory
-                                      (both layouts: per-file entries or packed segments; gc retention:
-                                      drop entries older than -max-age, then evict oldest until the
-                                      corpus fits -max-bytes; pack migrates per-file -> packed segments
-                                      in place, idempotent and crash-resumable)
+                                      (gc retention: drop entries older than -max-age, then evict oldest
+                                      until the corpus fits -max-bytes; pack migrates a corpus in the
+                                      retired per-file layout to packed segments in place, idempotent and
+                                      crash-resumable — every other verb and -store refuse such a corpus)
   ichannels store sync <dir> -to URL [-json]
                                       push every local entry the remote corpus lacks (reconcile a
                                       -cache replica after a partition, dropped flushes, or a remote
                                       wipe; idempotent — deterministic results make pushes byte-stable)
-  ichannels store bench [-n N] [-reads N] [-layout both|perfile|packed] [-dir DIR] [-json|-bench]
+  ichannels store bench [-n N] [-reads N] [-dir DIR] [-json|-bench]
                                       fill a synthetic corpus and measure write throughput, warm-read
-                                      latency, and gc time per layout (-bench emits go-bench lines)
+                                      latency, and gc time (-bench emits go-bench lines)
   ichannels serve [-addr HOST:PORT] [-store DIR|URL [-cache DIR]] [-worker] [-share]
                   [-gc-every DUR [-max-age DUR] [-max-bytes N]]
                                       HTTP v1 API: GET /v1/experiments, GET /v1/scenarios/schema,
                                       POST /v1/scenarios, POST /v1/sweeps, GET /v1/sweeps/schema,
                                       GET /v1/stats (experiments run as {"role":"experiment",...};
-                                      -store = durable result tier, either layout or a remote URL;
+                                      -store = durable result tier, a directory or a remote URL;
                                       -cache layers a local read-through replica over a remote URL;
                                       -worker adds POST /v1/cells, the distributed sweep cell endpoint;
                                       -share adds GET/PUT /v1/store/{key} + GET /v1/store, so other
@@ -269,7 +276,7 @@ func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(pos
 	}
 	defer closeStore()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals...)
 	defer stop()
 	batch, err := ichannels.RunScenarios(ctx, ichannels.ScenarioBatchOptions{
 		Scenarios: specs, BaseSeed: *seed, Parallel: *parallel, Store: st,
@@ -380,7 +387,7 @@ func sweepRun(args []string) error {
 	}
 	defer closeStore()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals...)
 	defer stop()
 	opts := ichannels.SweepOptions{BaseSeed: *seed, Parallel: *parallel}.WithStore(st)
 	if *workers != "" {
@@ -490,39 +497,39 @@ func sweepExpand(args []string) error {
 	return nil
 }
 
-// openRunStore opens the optional -store/-cache/-resume trio the
-// scenario and sweep run commands share: no -store means no
-// persistence, -store alone persists but recomputes everything
-// (re-verifying determinism), -store with -resume serves
-// already-materialized results. The spec is a directory (either
-// layout, detected) or an http(s) URL naming a `serve -share` corpus;
-// with a URL, -cache DIR layers a read-through replica cache over it
-// (local hits skip the network, remote hits are verified once and
-// kept, writes flush upstream asynchronously). The returned closer
-// seals packed segments and drains the replica flush queue, and must
-// run after the sweep drains.
-func openRunStore(cmd, spec, cache string, resume bool) (ichannels.ResultStore, func() error, error) {
+// openStore opens the optional -store/-cache pair the run commands and
+// serve share: no -store means no store (nil). The spec is a packed
+// directory (created if new) or an http(s) URL naming a `serve -share`
+// corpus; with a URL, -cache DIR layers a read-through replica cache
+// over it (local hits skip the network, remote hits are verified once
+// and kept, writes flush upstream asynchronously).
+func openStore(cmd, spec, cache string) (ichannels.ResultStore, error) {
 	if spec == "" {
-		if resume {
-			return nil, nil, fmt.Errorf("%s: -resume needs -store DIR|URL (nothing to resume from)", cmd)
-		}
 		if cache != "" {
-			return nil, nil, fmt.Errorf("%s: -cache needs -store URL (a remote corpus to cache)", cmd)
+			return nil, fmt.Errorf("%s: -cache needs -store URL (a remote corpus to cache)", cmd)
 		}
-		return nil, func() error { return nil }, nil
+		return nil, nil
 	}
-	var st ichannels.ResultStore
-	var err error
-	if cache != "" {
-		if !ichannels.IsRemoteStoreSpec(spec) {
-			return nil, nil, fmt.Errorf("%s: -cache only applies to a remote -store URL (a local directory already is the cache)", cmd)
-		}
-		st, err = ichannels.OpenReplicaStore(cache, spec)
-	} else {
-		st, err = ichannels.OpenResultStore(spec)
-	}
+	st, err := ichannels.OpenResultStore(spec, cache)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", cmd, err)
+		return nil, fmt.Errorf("%s: %w", cmd, err)
+	}
+	return st, nil
+}
+
+// openRunStore adds -resume to openStore for the scenario and sweep run
+// commands: -store alone persists but recomputes everything
+// (re-verifying determinism), -store with -resume serves
+// already-materialized results. The returned closer seals packed
+// segments and drains the replica flush queue, and must run after the
+// run drains.
+func openRunStore(cmd, spec, cache string, resume bool) (ichannels.ResultStore, func() error, error) {
+	if resume && spec == "" {
+		return nil, nil, fmt.Errorf("%s: -resume needs -store DIR|URL (nothing to resume from)", cmd)
+	}
+	st, err := openStore(cmd, spec, cache)
+	if err != nil {
+		return nil, nil, err
 	}
 	closeStore := func() error { return ichannels.CloseResultStore(st) }
 	if !resume {
@@ -532,8 +539,8 @@ func openRunStore(cmd, spec, cache string, resume bool) (ichannels.ResultStore, 
 }
 
 // storeCmd dispatches the result-store maintenance subcommands. Every
-// directory subcommand opens through the layout-detecting facade, so
-// per-file and packed corpora are served by identical invocations.
+// directory subcommand but pack opens the packed store, which refuses a
+// per-file corpus with a `store pack` hint.
 func storeCmd(args []string) error {
 	if len(args) < 1 {
 		return errors.New("store: missing subcommand (ls, verify, gc, pack, sync, or bench)")
@@ -586,7 +593,7 @@ func storeCmd(args []string) error {
 			rep.Packed, rep.Bytes, rep.Segments, rep.AlreadyPacked, rep.Skipped)
 		return nil
 	}
-	st, err := ichannels.OpenStoreDir(dirs[0])
+	st, err := ichannels.OpenPackedStore(dirs[0])
 	if err != nil {
 		return err
 	}
@@ -661,7 +668,7 @@ func storeSync(args []string) error {
 	if _, err := os.Stat(dirs[0]); err != nil {
 		return fmt.Errorf("store sync: %w", err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals...)
 	defer stop()
 	rep, err := ichannels.SyncStoreDir(ctx, dirs[0], *remote)
 	if err != nil {
@@ -680,33 +687,19 @@ func storeSync(args []string) error {
 	return nil
 }
 
-// storeBench measures the layouts against each other on a synthetic
-// corpus: write throughput, warm-read latency, gc time.
+// storeBench measures the packed store on a synthetic corpus: write
+// throughput, warm-read latency, gc time.
 func storeBench(args []string) error {
 	fs := flag.NewFlagSet("store bench", flag.ContinueOnError)
-	n := fs.Int("n", 1000000, "synthetic entries to write per layout")
+	n := fs.Int("n", 1000000, "synthetic entries to write")
 	reads := fs.Int("reads", 0, "warm reads to time (0 = one per entry)")
-	layoutName := fs.String("layout", "both", "layouts to measure: both, perfile, or packed")
 	dir := fs.String("dir", "", "scratch directory (default: a temp dir, removed afterwards)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable report")
 	benchOut := fs.Bool("bench", false, "emit go-bench lines (for tools/benchjson)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var layouts []ichannels.ResultStoreLayout
-	switch *layoutName {
-	case "both":
-		layouts = []ichannels.ResultStoreLayout{ichannels.StoreLayoutPerFile, ichannels.StoreLayoutPacked}
-	case "perfile":
-		layouts = []ichannels.ResultStoreLayout{ichannels.StoreLayoutPerFile}
-	case "packed":
-		layouts = []ichannels.ResultStoreLayout{ichannels.StoreLayoutPacked}
-	default:
-		return fmt.Errorf("store bench: unknown -layout %q (both, perfile, or packed)", *layoutName)
-	}
-	rep, err := ichannels.RunStoreBench(ichannels.StoreBenchOptions{
-		Entries: *n, Reads: *reads, Dir: *dir, Layouts: layouts,
-	})
+	rep, err := ichannels.RunStoreBench(ichannels.StoreBenchOptions{Entries: *n, Reads: *reads, Dir: *dir})
 	if err != nil {
 		return err
 	}
@@ -716,20 +709,15 @@ func storeBench(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	case *benchOut:
-		for _, lr := range rep.Layouts {
-			fmt.Printf("BenchmarkStoreWrite/%s %d %.0f ns/op %.1f entries_per_sec\n",
-				lr.Layout, lr.Entries, lr.WriteNSPerOp, lr.WriteEntriesPerSec)
-			fmt.Printf("BenchmarkStoreWarmRead/%s %d %.0f ns/op %.0f p95_ns\n",
-				lr.Layout, lr.Reads, lr.ReadNSPerOp, lr.ReadP95NS)
-			fmt.Printf("BenchmarkStoreGC/%s 1 %.0f ns/op\n", lr.Layout, lr.GCNS)
-		}
+		fmt.Printf("BenchmarkStoreWrite %d %.0f ns/op %.1f entries_per_sec\n",
+			rep.Entries, rep.WriteNSPerOp, rep.WriteEntriesPerSec)
+		fmt.Printf("BenchmarkStoreWarmRead %d %.0f ns/op %.0f p95_ns\n",
+			rep.Reads, rep.ReadNSPerOp, rep.ReadP95NS)
+		fmt.Printf("BenchmarkStoreGC 1 %.0f ns/op\n", rep.GCNS)
 	default:
-		fmt.Printf("%-8s %12s %14s %14s %14s %12s\n",
-			"layout", "entries", "write ns/op", "read ns/op", "read p95 ns", "gc ms")
-		for _, lr := range rep.Layouts {
-			fmt.Printf("%-8s %12d %14.0f %14.0f %14.0f %12.1f\n",
-				lr.Layout, lr.Entries, lr.WriteNSPerOp, lr.ReadNSPerOp, lr.ReadP95NS, lr.GCNS/1e6)
-		}
+		fmt.Printf("%12s %14s %14s %14s %12s\n", "entries", "write ns/op", "read ns/op", "read p95 ns", "gc ms")
+		fmt.Printf("%12d %14.0f %14.0f %14.0f %12.1f\n",
+			rep.Entries, rep.WriteNSPerOp, rep.ReadNSPerOp, rep.ReadP95NS, rep.GCNS/1e6)
 	}
 	return nil
 }
@@ -738,7 +726,7 @@ func storeBench(args []string) error {
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address")
-	storeSpec := fs.String("store", "", "durable result store: a directory (either layout) or a remote http(s) URL")
+	storeSpec := fs.String("store", "", "durable result store: a directory or a remote http(s) URL")
 	cacheDir := fs.String("cache", "", "with a remote -store URL, keep a local read-through replica cache in this directory")
 	worker := fs.Bool("worker", false, "additionally serve POST /v1/cells, the distributed sweep cell endpoint coordinators dispatch to")
 	share := fs.Bool("share", false, "additionally serve the store's objects over GET/PUT /v1/store/{key} (requires -store)")
@@ -754,22 +742,11 @@ func serveCmd(args []string) error {
 	if *gcEvery > 0 && *storeSpec == "" {
 		return errors.New("serve: -gc-every needs -store DIR|URL (no corpus to retain)")
 	}
-	if *cacheDir != "" && !ichannels.IsRemoteStoreSpec(*storeSpec) {
-		return errors.New("serve: -cache only applies to a remote -store URL (a local directory already is the cache)")
+	st, err := openStore("serve", *storeSpec, *cacheDir)
+	if err != nil {
+		return err
 	}
-	var st ichannels.ResultStore
-	if *storeSpec != "" {
-		var err error
-		if *cacheDir != "" {
-			st, err = ichannels.OpenReplicaStore(*cacheDir, *storeSpec)
-		} else {
-			st, err = ichannels.OpenResultStore(*storeSpec)
-		}
-		if err != nil {
-			return err
-		}
-		defer ichannels.CloseResultStore(st)
-	}
+	defer ichannels.CloseResultStore(st)
 	api := ichannels.NewAPIServer(ichannels.ServerOptions{
 		Store: st, Worker: *worker, ShareStore: *share,
 		GCEvery: *gcEvery, GCMaxAge: *gcMaxAge, GCMaxBytes: *gcMaxBytes,
@@ -784,7 +761,7 @@ func serveCmd(args []string) error {
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals...)
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,7 +21,9 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"ichannels"
 )
@@ -225,23 +228,23 @@ func TestConformanceScenarios(t *testing.T) {
 			shared := httptest.NewServer(newStoreServer(t, storeDir))
 			defer shared.Close()
 			assertSurface(t, "http-warm", postScenarios(t, shared, data, isArray), want, seeds, true)
-			coldSrv := httptest.NewServer(ichannels.NewExperimentServer())
+			coldSrv := httptest.NewServer(ichannels.NewAPIServer(ichannels.ServerOptions{}).Handler())
 			defer coldSrv.Close()
 			assertSurface(t, "http-cold", postScenarios(t, coldSrv, data, isArray), want, seeds, false)
 		})
 	}
 }
 
-// newStoreServer opens a result store in whatever layout the directory
-// holds and serves the v1 API over it.
+// newStoreServer opens the result store in dir and serves the v1 API
+// over it.
 func newStoreServer(t *testing.T, dir string) http.Handler {
 	t.Helper()
-	st, err := ichannels.OpenStoreDir(dir)
+	st, err := ichannels.OpenPackedStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	return ichannels.NewExperimentServerWithStore(st)
+	return ichannels.NewAPIServer(ichannels.ServerOptions{Store: st}).Handler()
 }
 
 // postScenarios posts a spec payload to /v1/scenarios and returns one
@@ -345,7 +348,7 @@ func TestConformanceSweeps(t *testing.T) {
 			shared := httptest.NewServer(newStoreServer(t, storeDir))
 			defer shared.Close()
 			checkStream("http-warm", postNDJSON(t, shared, "/v1/sweeps", data), true)
-			coldSrv := httptest.NewServer(ichannels.NewExperimentServer())
+			coldSrv := httptest.NewServer(ichannels.NewAPIServer(ichannels.ServerOptions{}).Handler())
 			defer coldSrv.Close()
 			checkStream("http-cold", postNDJSON(t, coldSrv, "/v1/sweeps", data), false)
 		})
@@ -386,5 +389,49 @@ func TestConformanceRunAlias(t *testing.T) {
 	}
 	if a, b := stdout("run", "fig13", "table2", "-seed", "7", "-parallel", "1"), stdout("run", "fig13", "table2", "-seed", "7", "-parallel", "4"); !bytes.Equal(a, b) {
 		t.Errorf("run text differs between -parallel 1 and -parallel 4:\n%s\nvs:\n%s", a, b)
+	}
+}
+
+// TestConformanceServeSIGTERMSealsStore: `serve -store DIR` stopped
+// with SIGTERM — what service managers and container runtimes send —
+// shuts down gracefully: exit status 0, and the active packed segment
+// the request wrote into is sealed, so every segment has its index
+// sidecar.
+func TestConformanceServeSIGTERMSealsStore(t *testing.T) {
+	storeDir := t.TempDir()
+	srv := startServe(t, "-store", storeDir)
+	spec := `{"role":"channel","kind":"cores","bits":8,"seed":424242}`
+	resp, err := http.Post(srv.url+"/v1/scenarios", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"cached": false`)) {
+		t.Fatalf("fresh-seed POST: status %d: %s", resp.StatusCode, body)
+	}
+
+	if err := srv.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve exited uncleanly after SIGTERM: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not exit after SIGTERM")
+	}
+
+	segs, err := filepath.Glob(filepath.Join(storeDir, "segments", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments written (err %v)", err)
+	}
+	for _, seg := range segs {
+		if _, err := os.Stat(strings.TrimSuffix(seg, ".seg") + ".idx"); err != nil {
+			t.Errorf("segment %s left unsealed: %v", filepath.Base(seg), err)
+		}
 	}
 }

@@ -24,7 +24,7 @@
 //     scenarios on a worker pool with per-scenario derived seeds
 //     (RunScenario, RunScenarios); and an HTTP server exposing it as a
 //     versioned v1 API with a (scenario, seed) result cache
-//     (NewExperimentServer).
+//     (NewAPIServer).
 //
 // Determinism is a hard guarantee throughout: for a fixed seed the
 // simulator, every experiment, and every batch (at any parallelism)
@@ -44,7 +44,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 
 	"ichannels/internal/baselines"
 	"ichannels/internal/core"
@@ -380,48 +379,28 @@ func ParseScenarioSpecs(data []byte) (specs []Scenario, isArray bool, err error)
 	return scenario.ParseSpecs(data)
 }
 
-// NewExperimentServer returns an http.Handler exposing the versioned
-// scenario API: GET /v1/experiments, GET /v1/scenarios/schema, POST
-// /v1/scenarios with a (scenario, seed) result cache, POST /v1/sweeps
-// and GET /v1/sweeps/schema for parameter grids. A registered
-// experiment runs as an experiment-role scenario
-// ({"role":"experiment","experiment":ID}).
-func NewExperimentServer() http.Handler { return serve.New(serve.Options{}).Handler() }
-
-// NewExperimentServerWithStore is NewExperimentServer with a durable
-// result store under the in-memory cache: memory misses are served
-// from the store before computing, computed results are persisted, and
-// a restarted server warms from disk.
-func NewExperimentServerWithStore(st ResultStore) http.Handler {
-	return serve.New(serve.Options{Store: st}).Handler()
-}
-
 // ---- Result store: the durable (scenario hash, seed) corpus ----
 
 // ResultStore is the pluggable persistence contract every execution
 // layer accepts: results are content-addressed by (scenario hash,
 // effective seed) and immutable by the determinism contract. Set it on
 // ScenarioBatchOptions/ScenarioStreamOptions/SweepOptions (directly or
-// via their WithStore methods) to make runs fetch-or-compute, or hand
-// it to NewExperimentServerWithStore.
+// via their WithStore methods) to make runs fetch-or-compute, or on
+// ServerOptions.Store to put a durable tier under the server's cache.
 type ResultStore = store.Store
 
 // ResultStoreKey identifies one stored result.
 type ResultStoreKey = store.Key
 
-// FSResultStore is the filesystem ResultStore: one atomically written,
-// checksummed, versioned envelope per result under a root directory.
-type FSResultStore = store.FS
-
 // StoreEntry, StoreVerifyReport and StoreGCReport are the maintenance
-// views of a filesystem store (List, Verify, GC/GCWith).
+// views of a store directory (List, Verify, GC/GCWith).
 type (
 	StoreEntry        = store.Entry
 	StoreVerifyReport = store.VerifyReport
 	StoreGCReport     = store.GCReport
 )
 
-// StoreGCOptions bounds what FSResultStore.GCWith retains: entries
+// StoreGCOptions bounds what PackedResultStore.GCWith retains: entries
 // older than MaxAge are removed, then the oldest survivors are evicted
 // until the corpus fits MaxBytes — the retention knobs
 // `ichannels store gc -max-age -max-bytes` exposes for CI scratch
@@ -429,125 +408,53 @@ type (
 // so retention trades disk for recompute, never data.
 type StoreGCOptions = store.GCOptions
 
-// OpenStore creates (if needed) and opens a filesystem result store
-// rooted at dir — what `ichannels sweep run -store DIR` and
-// `ichannels serve -store DIR` open.
-func OpenStore(dir string) (*FSResultStore, error) { return store.Open(dir) }
-
 // WriteOnlyStore returns a view of st whose reads always miss: runs
 // persist every result but recompute all of them — how `-store`
 // without `-resume` re-verifies determinism while (re)materializing
 // the corpus.
 func WriteOnlyStore(st ResultStore) ResultStore { return store.WriteOnly(st) }
 
-// ---- Store v2: packed segments, migration, backends ----
-
-// ResultStoreLayout names an on-disk corpus layout: per-file (one
-// envelope per file) or packed (append-only segments with index
-// sidecars). Both serve the identical ResultStore surface; the layout
-// only changes the storage economics.
-type ResultStoreLayout = store.Layout
-
-// The two directory layouts.
-const (
-	StoreLayoutPerFile = store.LayoutPerFile
-	StoreLayoutPacked  = store.LayoutPacked
-)
-
-// DirResultStore is the full directory-store surface both layouts
-// implement: the ResultStore read/write pair plus maintenance (List,
-// Verify, GC), the raw-object Backend verbs, and lifecycle (Close).
-type DirResultStore = store.DirStore
-
-// PackedResultStore is the packed-segment DirResultStore: checksummed
-// envelopes packed into append-only segment files with per-segment
-// index sidecars, crash-safe rebuild, and live-entry compaction.
+// PackedResultStore is the directory ResultStore: checksummed envelopes
+// packed into append-only segment files under DIR/segments with
+// per-segment index sidecars, crash-safe rebuild, and live-entry
+// compaction — plus the maintenance surface (List, Verify, GC/GCWith).
 type PackedResultStore = store.Packed
 
-// RemoteResultStore is a ResultStore served by another process over
-// HTTP (`ichannels serve -store DIR -share`): every read is re-verified
-// locally, so a misbehaving server degrades to recomputes, never to
-// wrong bytes.
-type RemoteResultStore = store.Remote
-
-// ResultStoreBackend is the raw-object seam under every store: three
-// verbs moving opaque envelope bytes by key. Implement it to plug a new
-// transport in; wrap it with NewBackendResultStore to get a verifying
-// ResultStore back.
-type ResultStoreBackend = store.Backend
-
-// StorePackReport and the bench types are the machine-readable results
+// StorePackReport and StoreBenchReport are the machine-readable results
 // of `ichannels store pack` and `ichannels store bench`.
 type (
-	StorePackReport        = store.PackReport
-	StoreBenchOptions      = store.BenchOptions
-	StoreBenchReport       = store.BenchReport
-	StoreBenchLayoutReport = store.BenchLayoutReport
+	StorePackReport   = store.PackReport
+	StoreBenchOptions = store.BenchOptions
+	StoreBenchReport  = store.BenchReport
 )
 
-// DetectStoreLayout reports which layout a store directory holds.
-func DetectStoreLayout(dir string) ResultStoreLayout { return store.DetectLayout(dir) }
-
-// OpenStoreDir opens a store directory in whichever layout it already
-// holds — the opener every maintenance surface uses so `store
-// ls|verify|gc` work identically on both layouts.
-func OpenStoreDir(dir string) (DirResultStore, error) { return store.OpenDir(dir) }
-
-// OpenResultStore opens a store spec: an http(s):// URL becomes a
-// RemoteResultStore talking to a `serve -share` corpus, anything else a
-// directory in its detected layout. The opener behind every `-store`
-// flag.
-func OpenResultStore(spec string) (ResultStore, error) { return store.OpenAuto(spec) }
-
-// IsRemoteStoreSpec reports whether a -store spec names a remote corpus.
-func IsRemoteStoreSpec(spec string) bool { return store.IsRemoteSpec(spec) }
-
-// CloseResultStore releases st's resources (segment handles, pending
-// compaction) when it has any; stores without lifecycle are a no-op.
-func CloseResultStore(st ResultStore) error { return store.CloseStore(st) }
-
-// OpenPackedStore creates (if needed) and opens a packed-layout store.
-func OpenPackedStore(dir string) (*PackedResultStore, error) { return store.OpenPacked(dir) }
-
-// OpenRemoteStore opens the corpus a `serve -store DIR -share` process
-// exposes at baseURL.
-func OpenRemoteStore(baseURL string) (*RemoteResultStore, error) {
-	return store.OpenRemote(baseURL, nil)
+// OpenResultStore opens the store behind every `-store`/`-cache` flag
+// pair: a directory opens as a PackedResultStore (created if new); an
+// http(s):// URL opens the corpus a `serve -store DIR -share` process
+// exposes, with retry/backoff and a circuit breaker, and every read
+// re-verified locally; a URL plus a non-empty cacheDir layers a
+// read-through replica cache in cacheDir over that remote. A cacheDir
+// with a directory spec is an error. A directory still holding the
+// retired per-file layout is refused with an `ichannels store pack DIR`
+// hint and left untouched.
+func OpenResultStore(spec, cacheDir string) (ResultStore, error) {
+	return store.OpenAuto(spec, cacheDir)
 }
 
-// NewBackendResultStore wraps a raw-object backend in the envelope
-// verification that makes it a trustworthy ResultStore.
-func NewBackendResultStore(b ResultStoreBackend) ResultStore { return store.NewBackendStore(b) }
+// CloseResultStore releases st's resources (segment handles, pending
+// compaction, the replica flush queue) when it has any; stores without
+// lifecycle are a no-op.
+func CloseResultStore(st ResultStore) error { return store.CloseStore(st) }
+
+// OpenPackedStore creates (if needed) and opens a store directory with
+// its maintenance surface — what `ichannels store ls|verify|gc`
+// open. Like OpenResultStore it refuses a per-file corpus.
+func OpenPackedStore(dir string) (*PackedResultStore, error) { return store.OpenPacked(dir) }
 
 // ---- Resilient shared-corpus tier ----
 
-// RemoteStoreRetryOptions tunes the retry/backoff/circuit-breaker
-// policy every remote store opens with (OpenRemoteStore uses the
-// defaults). Transient failures — transport errors, timeouts, 5xx —
-// are retried with bounded exponential backoff; permanent ones (4xx,
-// corrupt envelopes) surface immediately; a dead share server costs
-// one probe per cooldown instead of a timeout per cell.
-type RemoteStoreRetryOptions = store.RetryOptions
-
-// OpenRemoteStoreWith opens a remote corpus with an explicit retry
-// policy (tests use RemoteStoreRetryOptions{Disable: true} to skip
-// backoff sleeps).
-func OpenRemoteStoreWith(baseURL string, opts RemoteStoreRetryOptions) (*RemoteResultStore, error) {
-	return store.OpenRemoteWith(baseURL, nil, opts)
-}
-
-// ReplicaResultStore is the read-through replica cache that makes the
-// shared-corpus tier survivable: a local store layered over a remote
-// corpus. Remote hits are verified once and persisted verbatim, local
-// hits never touch the network, writes land locally first with an
-// async best-effort upstream flush. Because results are immutable,
-// the tiers can never disagree about a key's bytes — there is no
-// invalidation, only presence.
-type (
-	ReplicaResultStore  = store.ReplicaStore
-	ReplicaStoreOptions = store.ReplicaOptions
-	StoreSyncReport     = store.SyncReport
-)
+// StoreSyncReport describes one `store sync` reconcile pass.
+type StoreSyncReport = store.SyncReport
 
 // Tier counters the resilient store path exposes: retry/breaker
 // activity on the remote leg, cache activity on the replica leg.
@@ -559,23 +466,12 @@ type (
 	StoreReplicaStats = store.ReplicaStats
 )
 
-// OpenReplicaStore layers a local cache directory (created packed if
-// new) over the remote corpus at baseURL — what `-store URL -cache
-// DIR` opens. The remote leg carries the default retry policy.
-func OpenReplicaStore(cacheDir, baseURL string) (*ReplicaResultStore, error) {
-	r, err := store.OpenRemote(baseURL, nil)
-	if err != nil {
-		return nil, err
-	}
-	return store.OpenReplica(cacheDir, r.Retry(), store.ReplicaOptions{})
-}
-
 // SyncStoreDir reconciles a local store directory against the remote
 // corpus at baseURL: every local entry the remote lacks is pushed
 // upstream. The recovery path after a partition or a remote wipe —
 // `ichannels store sync` drives it.
 func SyncStoreDir(ctx context.Context, dir, baseURL string) (*StoreSyncReport, error) {
-	local, err := store.OpenDir(dir)
+	local, err := store.OpenPacked(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -587,14 +483,15 @@ func SyncStoreDir(ctx context.Context, dir, baseURL string) (*StoreSyncReport, e
 	return store.SyncDirToRemote(ctx, local, r.Retry())
 }
 
-// PackStore migrates a per-file corpus into packed segments in place.
-// Idempotent and crash-resumable: each entry is removed only after its
-// bytes land in a segment, and a re-run finishes whatever a crash left.
+// PackStore migrates a corpus written in the retired per-file layout
+// into packed segments in place. Idempotent and crash-resumable: each
+// entry is removed only after its bytes land in a segment, and a re-run
+// finishes whatever a crash left. It is the only path that still reads
+// per-file entries.
 func PackStore(dir string) (*StorePackReport, error) { return store.Pack(dir) }
 
-// RunStoreBench fills a synthetic corpus and measures write throughput,
-// warm-read latency, and gc time — per layout, so the per-file/packed
-// trade-off is a measurement, not folklore.
+// RunStoreBench fills a synthetic packed corpus and measures write
+// throughput, warm-read latency, and gc time.
 func RunStoreBench(opts StoreBenchOptions) (*StoreBenchReport, error) {
 	return store.RunBench(opts)
 }
@@ -735,33 +632,24 @@ var (
 	ParseCellDispatch = dist.ParseCellDispatch
 )
 
-// NewWorkerServer is NewExperimentServerWithStore plus the distributed
-// tier's cell endpoint (POST /v1/cells): the handler `ichannels serve
-// -worker` mounts. Workers share the single-flight (hash, seed) cache
-// with every other route, and with a non-nil store the durable corpus
-// too — cross-node dedup for free. Pass nil to run a memory-only
-// worker.
-func NewWorkerServer(st ResultStore) http.Handler {
-	return serve.New(serve.Options{Store: st, Worker: true}).Handler()
-}
+// ---- HTTP server ----
 
-// ServerOptions configures NewServer: the full serve surface (store
-// tier, worker endpoint, store sharing, cache and concurrency bounds)
-// in one struct. The named constructors above remain as the common
-// presets.
+// ServerOptions configures NewAPIServer: the full serve surface (store
+// tier, worker endpoint, store sharing, retention, cache and
+// concurrency bounds) in one struct. The zero value is a memory-only
+// API server.
 type ServerOptions = serve.Options
 
-// NewServer builds the scenario-API handler from explicit options.
-// Callers that need the server's lifecycle (the retention timer) use
-// NewAPIServer instead.
-func NewServer(opts ServerOptions) http.Handler { return serve.New(opts).Handler() }
-
-// APIServer is the serve-layer server itself, exposed for callers that
-// need more than the handler: Close stops the retention timer,
-// RunRetention forces one GC pass.
+// APIServer is the scenario-API server: Handler exposes the versioned
+// v1 routes — GET /v1/experiments, GET /v1/scenarios/schema, POST
+// /v1/scenarios with a (scenario, seed) result cache, POST /v1/sweeps,
+// GET /v1/sweeps/schema, GET /v1/stats, plus POST /v1/cells with
+// Worker and /v1/store with ShareStore. A registered experiment runs as
+// an experiment-role scenario ({"role":"experiment","experiment":ID}).
+// Close stops the retention timer; RunRetention forces one GC pass.
 type APIServer = serve.Server
 
-// NewAPIServer builds the full server — what `ichannels serve` uses so
+// NewAPIServer builds the server — what `ichannels serve` runs, so
 // shutdown stops the retention loop (-gc-every) cleanly.
 func NewAPIServer(opts ServerOptions) *APIServer { return serve.New(opts) }
 

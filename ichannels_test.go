@@ -107,7 +107,7 @@ func TestExperimentEngineExposed(t *testing.T) {
 }
 
 func TestExperimentServerExposed(t *testing.T) {
-	ts := httptest.NewServer(ichannels.NewExperimentServer())
+	ts := httptest.NewServer(ichannels.NewAPIServer(ichannels.ServerOptions{}).Handler())
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL + "/v1/experiments")
 	if err != nil {
@@ -197,7 +197,7 @@ func TestScenarioAPIExposed(t *testing.T) {
 		t.Error("experiment-role scenario returned no report")
 	}
 
-	ts := httptest.NewServer(ichannels.NewExperimentServer())
+	ts := httptest.NewServer(ichannels.NewAPIServer(ichannels.ServerOptions{}).Handler())
 	defer ts.Close()
 	body, _ := json.Marshal(spec)
 	resp, err := ts.Client().Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(body))
@@ -266,7 +266,7 @@ func TestSweepAPIExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts := httptest.NewServer(ichannels.NewExperimentServer())
+	ts := httptest.NewServer(ichannels.NewAPIServer(ichannels.ServerOptions{}).Handler())
 	defer ts.Close()
 	resp, err := ts.Client().Post(ts.URL+"/v1/sweeps?seed=7", "application/json", bytes.NewReader(data))
 	if err != nil {

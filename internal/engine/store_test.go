@@ -62,136 +62,103 @@ func collectBytes(t *testing.T, opts StreamOptions) (*StreamStats, [][]byte) {
 	return stats, lines
 }
 
-// storeLayouts names each directory layout with its opener and a way to
-// corrupt exactly one stored entry on disk, so the engine-level store
-// contract runs identically over per-file and packed corpora.
-var storeLayouts = []struct {
-	name       string
-	open       func(dir string) (store.Store, error)
-	corruptOne func(t *testing.T, dir string)
-}{
-	{
-		name: "perfile",
-		open: func(dir string) (store.Store, error) { return store.Open(dir) },
-		corruptOne: func(t *testing.T, dir string) {
-			t.Helper()
-			var victim string
-			filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-				if err == nil && !d.IsDir() && victim == "" && strings.HasSuffix(path, ".json") {
-					victim = path
-				}
-				return nil
-			})
-			if victim == "" {
-				t.Fatal("no entry file found to corrupt")
-			}
-			if err := os.WriteFile(victim, []byte("{trunc"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		},
-	},
-	{
-		name: "packed",
-		open: func(dir string) (store.Store, error) { return store.OpenPacked(dir) },
-		corruptOne: func(t *testing.T, dir string) {
-			t.Helper()
-			seg := filepath.Join(dir, store.SegmentsDirName, "00000001.seg")
-			data, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := store.ScanSegment(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sc.Entries) == 0 {
-				t.Fatal("no segment records to corrupt")
-			}
-			e := sc.Entries[0]
-			f, err := os.OpenFile(seg, os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if _, err := f.WriteAt([]byte{0xff}, e.Offset+e.Length/2); err != nil {
-				t.Fatal(err)
-			}
-		},
-	},
+// corruptOneRecord damages the first record of the store's first
+// segment on disk.
+func corruptOneRecord(t *testing.T, dir string) {
+	t.Helper()
+	seg := filepath.Join(dir, store.SegmentsDirName, "00000001.seg")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := store.ScanSegment(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Entries) == 0 {
+		t.Fatal("no segment records to corrupt")
+	}
+	e := sc.Entries[0]
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{0xff}, e.Offset+e.Length/2); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestStreamStoreFetchOrCompute: a cold store computes and persists
 // every scenario; a warm store serves all of them without a single
 // compute, with byte-identical results; a corrupted entry degrades to
-// a recompute of just that cell. Both directory layouts must satisfy
-// the contract through the identical store.Store surface.
+// a recompute of just that cell.
 func TestStreamStoreFetchOrCompute(t *testing.T) {
-	for _, layout := range storeLayouts {
-		t.Run(layout.name, func(t *testing.T) {
-			const n = 6
-			dir := t.TempDir()
-			st, err := layout.open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store.CloseStore(st)
-			var calls atomic.Int64
+	t.Run("packed", func(t *testing.T) {
+		const n = 6
+		dir := t.TempDir()
+		st, err := store.OpenPacked(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var calls atomic.Int64
 
-			stats, cold := collectBytes(t, StreamOptions{
-				Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
-				Run: countingStoreRun(&calls), Store: st,
-			})
-			if calls.Load() != n || stats.Cached != 0 || stats.StoreErrors != 0 {
-				t.Fatalf("cold run: %d computes, %d cached, %d store errors; want %d/0/0",
-					calls.Load(), stats.Cached, stats.StoreErrors, n)
-			}
-			if entries, err := st.(store.DirStore).List(); err != nil || len(entries) != n {
-				t.Fatalf("store holds %d entries (%v), want %d", len(entries), err, n)
-			}
-
-			calls.Store(0)
-			stats, warm := collectBytes(t, StreamOptions{
-				Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
-				Run: countingStoreRun(&calls), Store: st,
-			})
-			if calls.Load() != 0 || stats.Cached != n {
-				t.Fatalf("warm run: %d computes, %d cached; want 0/%d", calls.Load(), stats.Cached, n)
-			}
-			for i := range cold {
-				if !bytes.Equal(cold[i], warm[i]) {
-					t.Fatalf("result %d differs between cold and warm runs:\n%s\n%s", i, cold[i], warm[i])
-				}
-			}
-
-			// Corrupt one entry: only that cell recomputes, and the stream
-			// reports the degraded store operation without failing anything.
-			layout.corruptOne(t, dir)
-			calls.Store(0)
-			stats, repaired := collectBytes(t, StreamOptions{
-				Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
-				Run: countingStoreRun(&calls), Store: st,
-			})
-			if calls.Load() != 1 || stats.Cached != n-1 || stats.StoreErrors != 1 {
-				t.Fatalf("corrupt-entry run: %d computes, %d cached, %d store errors; want 1/%d/1",
-					calls.Load(), stats.Cached, stats.StoreErrors, n-1)
-			}
-			for i := range cold {
-				if !bytes.Equal(cold[i], repaired[i]) {
-					t.Fatalf("result %d differs after repair", i)
-				}
-			}
+		stats, cold := collectBytes(t, StreamOptions{
+			Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
+			Run: countingStoreRun(&calls), Store: st,
 		})
-	}
+		if calls.Load() != n || stats.Cached != 0 || stats.StoreErrors != 0 {
+			t.Fatalf("cold run: %d computes, %d cached, %d store errors; want %d/0/0",
+				calls.Load(), stats.Cached, stats.StoreErrors, n)
+		}
+		if entries, err := st.List(); err != nil || len(entries) != n {
+			t.Fatalf("store holds %d entries (%v), want %d", len(entries), err, n)
+		}
+
+		calls.Store(0)
+		stats, warm := collectBytes(t, StreamOptions{
+			Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
+			Run: countingStoreRun(&calls), Store: st,
+		})
+		if calls.Load() != 0 || stats.Cached != n {
+			t.Fatalf("warm run: %d computes, %d cached; want 0/%d", calls.Load(), stats.Cached, n)
+		}
+		for i := range cold {
+			if !bytes.Equal(cold[i], warm[i]) {
+				t.Fatalf("result %d differs between cold and warm runs:\n%s\n%s", i, cold[i], warm[i])
+			}
+		}
+
+		// Corrupt one entry: only that cell recomputes, and the stream
+		// reports the degraded store operation without failing anything.
+		corruptOneRecord(t, dir)
+		calls.Store(0)
+		stats, repaired := collectBytes(t, StreamOptions{
+			Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
+			Run: countingStoreRun(&calls), Store: st,
+		})
+		if calls.Load() != 1 || stats.Cached != n-1 || stats.StoreErrors != 1 {
+			t.Fatalf("corrupt-entry run: %d computes, %d cached, %d store errors; want 1/%d/1",
+				calls.Load(), stats.Cached, stats.StoreErrors, n-1)
+		}
+		for i := range cold {
+			if !bytes.Equal(cold[i], repaired[i]) {
+				t.Fatalf("result %d differs after repair", i)
+			}
+		}
+	})
 }
 
 // TestRunScenariosWithStore: the collect-all wrapper threads the store
 // through, and outcomes carry the Cached marker into the NDJSON wire
 // form.
 func TestRunScenariosWithStore(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	specs := []scenario.Scenario{
 		{Role: scenario.RoleChannel, Kind: scenario.KindCores, Bits: 4},
 		{Role: scenario.RoleChannel, Kind: scenario.KindCores, Bits: 6},

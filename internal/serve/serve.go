@@ -116,13 +116,13 @@ type Options struct {
 	// Off by default — a plain API server is not a compute worker.
 	Worker bool
 	// GCEvery, when positive and the store supports retention
-	// (store.DirStore's GCWith — both directory layouts and the replica
-	// cache do), runs an age/size GC pass on that interval for the
-	// lifetime of the server. GCMaxAge and GCMaxBytes are the pass's
-	// GCOptions; both zero still removes corrupt entries and stale
-	// temporaries. The retention config and last report are advertised
-	// via /v1/stats, and GCMaxBytes also caps uploaded envelopes on the
-	// shared store routes.
+	// (GCWith — store.Packed and the replica cache have it), runs an
+	// age/size GC pass on that interval for the lifetime of the
+	// server. GCMaxAge and GCMaxBytes are the pass's GCOptions; both
+	// zero still removes corrupt entries and stale temporaries. The
+	// retention config and last report are advertised via /v1/stats,
+	// and GCMaxBytes also caps uploaded envelopes on the shared store
+	// routes.
 	GCEvery    time.Duration
 	GCMaxAge   time.Duration
 	GCMaxBytes int64
@@ -247,7 +247,7 @@ func New(opts Options) *Server {
 }
 
 // retainer is the retention surface a store must expose for the timer
-// (both directory layouts and the replica cache satisfy it).
+// (store.Packed and the replica cache satisfy it).
 type retainer interface {
 	GCWith(opts store.GCOptions) (*store.GCReport, error)
 }

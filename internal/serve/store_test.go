@@ -10,14 +10,23 @@ import (
 	"ichannels/internal/store"
 )
 
+// openTestStore opens a packed store in a fresh directory, closed when
+// the test ends.
+func openTestStore(t *testing.T) *store.Packed {
+	t.Helper()
+	st, err := store.OpenPacked(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // TestServerWarmsFromStore: a restarted server (fresh memory cache,
 // same store directory) serves previously computed results from disk
 // without recomputing them — the two-tier contract.
 func TestServerWarmsFromStore(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t)
 	spec := `{"role":"experiment","experiment":"fig6a","seed":5}`
 	type response struct {
 		Cached bool `json:"cached"`
@@ -70,10 +79,7 @@ func TestServerWarmsFromStore(t *testing.T) {
 // server recomputes nothing — every cell streams with "cached":true,
 // and the aggregate bytes match the cold run's.
 func TestV1SweepSkipsMaterializedCells(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := openTestStore(t)
 	ts1 := httptest.NewServer(New(Options{Store: st}).Handler())
 	code, cold := postBody(t, ts1, "/v1/sweeps?seed=11", testSweepSpec)
 	ts1.Close()

@@ -5,7 +5,7 @@ package serve
 // remote processes open `-store http://host:port` (store.OpenRemote)
 // and read/write checksummed envelopes over GET/PUT /v1/store/{key}
 // without a shared filesystem. The wire carries exactly the bytes a
-// directory layout would hold, so the envelope verification on both
+// segment record holds, so the envelope verification on both
 // ends is unchanged; this server never has to trust its clients (a
 // corrupt PUT is rejected before it touches disk) and clients never
 // have to trust this server (store.Remote re-verifies every GET).
@@ -107,8 +107,8 @@ func (s *Server) v1Stats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// backend returns the store's raw-object interface. Every directory
-// layout and the remote client implement it; a store that doesn't
+// backend returns the store's raw-object interface. The packed store,
+// the replica cache and the remote client implement it; a store that doesn't
 // (possible through the facade's custom-Store seam) can still serve
 // scenarios but cannot share objects.
 func (s *Server) backend() (store.Backend, bool) {

@@ -173,10 +173,7 @@ func TestWorkerEndpointDisabledByDefault(t *testing.T) {
 // on the single-flight cache (cross-node dedup) and successes land in
 // the durable store (the shared corpus -resume reads).
 func TestWorkerEndpointSharesCacheAndStore(t *testing.T) {
-	fs, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := openTestStore(t)
 	s, srv := workerServer(t, Options{Store: fs})
 	frame, key := cellFrame(t, scenario.Scenario{Role: scenario.RoleChannel, Kind: scenario.KindCores, Bits: 8}, 42)
 

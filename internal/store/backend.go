@@ -7,10 +7,10 @@ import (
 )
 
 // Backend is the pluggable object seam under the Store contract: raw
-// envelope bytes addressed by content key. Both on-disk layouts expose
-// it (FS stores one object per file, Packed one record per object), and
-// the HTTP remote backend serves it over /v1/store/{key} — so N workers
-// can share one corpus without a shared filesystem.
+// envelope bytes addressed by content key. The packed store exposes it
+// (one segment record per object), and the HTTP remote backend serves
+// it over /v1/store/{key} — so N workers can share one corpus without a
+// shared filesystem.
 //
 // A Backend moves bytes; it does not vouch for them. BackendStore
 // layers the envelope verification every read path in this repo goes

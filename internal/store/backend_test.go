@@ -1,7 +1,7 @@
 package store
 
-// The backend seam: both directory layouts and the HTTP remote expose
-// the same three-verb object protocol, and BackendStore layers the
+// The backend seam: the packed store and the HTTP remote expose the
+// same three-verb object protocol, and BackendStore layers the
 // envelope verification that makes any of them safe to trust.
 
 import (
@@ -27,16 +27,13 @@ func backendFixtures(t *testing.T) map[string]Backend {
 		}
 	}
 
-	fs := openTest(t)
-	fill(fs)
-
 	packed := openPackedTest(t)
 	fill(packed)
 
-	// The remote backend, served off a per-file store the way
+	// The remote backend, served off a packed store the way
 	// `serve -store DIR -share` does — but through a minimal handler so
 	// this test pins the wire protocol itself, not the serve layer.
-	origin := openTest(t)
+	origin := openPackedTest(t)
 	fill(origin)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == StorePathPrefix {
@@ -77,7 +74,7 @@ func backendFixtures(t *testing.T) map[string]Backend {
 		t.Fatal(err)
 	}
 
-	return map[string]Backend{"fs": fs, "packed": packed, "http": hb}
+	return map[string]Backend{"packed": packed, "http": hb}
 }
 
 func writeTestJSON(w http.ResponseWriter, v any) {
@@ -178,27 +175,41 @@ func TestHTTPBackendErrors(t *testing.T) {
 	}
 }
 
-// TestOpenAuto routes specs: URLs to the remote store, paths to the
-// directory layouts.
+// TestOpenAuto routes specs: paths to the packed store, URLs to the
+// remote store, URLs plus a cache directory to the replica cache, and
+// refuses a cache in front of a directory.
 func TestOpenAuto(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenAuto(dir)
+	st, err := OpenAuto(dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.(*FS); !ok {
-		t.Fatalf("OpenAuto(dir) = %T, want *FS", st)
+	if _, ok := st.(*Packed); !ok {
+		t.Fatalf("OpenAuto(dir) = %T, want *Packed", st)
 	}
 	CloseStore(st)
 
-	st, err = OpenAuto("http://127.0.0.1:9")
+	st, err = OpenAuto("http://127.0.0.1:9", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.(*Remote); !ok {
 		t.Fatalf("OpenAuto(url) = %T, want *Remote", st)
 	}
-	if !IsRemoteSpec("https://host/x") || IsRemoteSpec("/tmp/store") {
-		t.Fatal("IsRemoteSpec misclassifies")
+
+	st, err = OpenAuto("http://127.0.0.1:9", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.(*ReplicaStore); !ok {
+		t.Fatalf("OpenAuto(url, cache) = %T, want *ReplicaStore", st)
+	}
+	CloseStore(st)
+
+	if st, err := OpenAuto(dir, t.TempDir()); err == nil {
+		t.Fatalf("OpenAuto(dir, cache) = %T, want an error", st)
+	}
+	if !isRemoteSpec("https://host/x") || isRemoteSpec("/tmp/store") {
+		t.Fatal("isRemoteSpec misclassifies")
 	}
 }

@@ -15,21 +15,18 @@ import (
 
 // BenchOptions sizes a store benchmark run (`store bench`).
 type BenchOptions struct {
-	// Entries is the synthetic corpus size to write per layout.
+	// Entries is the synthetic corpus size to write.
 	Entries int
 	// Reads is how many warm reads to sample (0 = Entries, capped).
 	Reads int
-	// Dir is the scratch root; one subdirectory per layout is created
+	// Dir is the scratch root; the corpus is created in a subdirectory
 	// under it (a temp dir when empty).
 	Dir string
-	// Layouts selects which layouts to measure (nil = both).
-	Layouts []Layout
 }
 
-// BenchLayoutReport is one layout's measurements.
-type BenchLayoutReport struct {
-	Layout  Layout `json:"layout"`
-	Entries int    `json:"entries"`
+// BenchReport is the `store bench` result.
+type BenchReport struct {
+	Entries int `json:"entries"`
 	// Bytes is the corpus size on disk after the fill.
 	Bytes int64 `json:"bytes"`
 	// Write throughput over the fill.
@@ -42,12 +39,6 @@ type BenchLayoutReport struct {
 	ReadP95NS   float64 `json:"read_p95_ns"`
 	// GCNS is one full zero-options gc pass over the corpus.
 	GCNS float64 `json:"gc_ns"`
-}
-
-// BenchReport is the full `store bench` result.
-type BenchReport struct {
-	Entries int                 `json:"entries"`
-	Layouts []BenchLayoutReport `json:"layouts"`
 }
 
 // benchResult builds the i-th synthetic result. Small and realistic:
@@ -71,33 +62,17 @@ func benchKey(i int) Key {
 	return Key{Hash: hex.EncodeToString(sum[:8]), Seed: 1}
 }
 
-// openBenchStore opens a fresh store of the given layout at dir.
-func openBenchStore(layout Layout, dir string) (DirStore, error) {
-	if layout == LayoutPacked {
-		return OpenPacked(dir)
-	}
-	return Open(dir)
-}
-
-// RunBench fills a synthetic corpus per layout and measures write
-// throughput, warm-read latency (after a reopen, so the packed layout
-// pays its index load), and one gc pass — the numbers behind the
-// packed-vs-per-file crossover claim. The scratch corpora are removed
-// afterwards.
+// RunBench fills a synthetic packed corpus and measures write
+// throughput, warm-read latency (after a reopen, so the index load is
+// paid), and one gc pass. The scratch corpus is removed afterwards.
 func RunBench(opts BenchOptions) (*BenchReport, error) {
 	if opts.Entries <= 0 {
 		return nil, fmt.Errorf("store: bench: need a positive entry count")
 	}
-	layouts := opts.Layouts
-	if len(layouts) == 0 {
-		layouts = []Layout{LayoutPerFile, LayoutPacked}
-	}
+	entries := opts.Entries
 	reads := opts.Reads
-	if reads <= 0 {
-		reads = opts.Entries
-	}
-	if reads > opts.Entries {
-		reads = opts.Entries
+	if reads <= 0 || reads > entries {
+		reads = entries
 	}
 	root := opts.Dir
 	if root == "" {
@@ -108,27 +83,15 @@ func RunBench(opts BenchOptions) (*BenchReport, error) {
 		}
 		defer os.RemoveAll(root)
 	}
-
-	rep := &BenchReport{Entries: opts.Entries}
-	for _, layout := range layouts {
-		lr, err := benchLayout(layout, filepath.Join(root, string(layout)), opts.Entries, reads)
-		if err != nil {
-			return nil, err
-		}
-		rep.Layouts = append(rep.Layouts, *lr)
-	}
-	return rep, nil
-}
-
-func benchLayout(layout Layout, dir string, entries, reads int) (*BenchLayoutReport, error) {
+	dir := filepath.Join(root, "corpus")
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, fmt.Errorf("store: bench: %w", err)
 	}
-	st, err := openBenchStore(layout, dir)
+	st, err := OpenPacked(dir)
 	if err != nil {
 		return nil, err
 	}
-	lr := &BenchLayoutReport{Layout: layout, Entries: entries, Reads: reads}
+	rep := &BenchReport{Entries: entries, Reads: reads}
 
 	// Phase 1: fill.
 	start := time.Now()
@@ -142,12 +105,12 @@ func benchLayout(layout Layout, dir string, entries, reads int) (*BenchLayoutRep
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	lr.WriteNSPerOp = float64(elapsed.Nanoseconds()) / float64(entries)
-	lr.WriteEntriesPerSec = float64(entries) / elapsed.Seconds()
+	rep.WriteNSPerOp = float64(elapsed.Nanoseconds()) / float64(entries)
+	rep.WriteEntriesPerSec = float64(entries) / elapsed.Seconds()
 
 	// Phase 2: warm reads against a reopened corpus — the resume/serve
 	// access pattern, including the open cost amortized to zero.
-	st, err = openBenchStore(layout, dir)
+	st, err = OpenPacked(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -157,10 +120,10 @@ func benchLayout(layout Layout, dir string, entries, reads int) (*BenchLayoutRep
 		return nil, err
 	}
 	for _, e := range ls {
-		lr.Bytes += e.Size
+		rep.Bytes += e.Size
 	}
 	lat := make([]float64, 0, reads)
-	// Deterministic LCG sampling: identical key sequence per layout.
+	// Deterministic LCG sampling: an identical key sequence every run.
 	rng := uint64(1)
 	for i := 0; i < reads; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
@@ -174,16 +137,15 @@ func benchLayout(layout Layout, dir string, entries, reads int) (*BenchLayoutRep
 		lat = append(lat, float64(time.Since(t0).Nanoseconds()))
 	}
 	sum := stats.Summarize(lat)
-	lr.ReadNSPerOp = sum.Mean
-	lr.ReadP95NS = sum.P95
+	rep.ReadNSPerOp = sum.Mean
+	rep.ReadP95NS = sum.P95
 
-	// Phase 3: one zero-options gc pass (integrity sweep + compaction
-	// on packed, integrity sweep on per-file).
+	// Phase 3: one zero-options gc pass (integrity sweep + compaction).
 	t0 := time.Now()
 	if _, err := st.GC(); err != nil {
 		st.Close()
 		return nil, err
 	}
-	lr.GCNS = float64(time.Since(t0).Nanoseconds())
-	return lr, st.Close()
+	rep.GCNS = float64(time.Since(t0).Nanoseconds())
+	return rep, st.Close()
 }

@@ -1,38 +1,22 @@
 package store
 
 import (
-	"os"
 	"strings"
 	"testing"
 	"time"
 )
 
-// truncate cuts an entry's file in half — the on-disk shape of a writer
-// killed mid-write on a filesystem without atomic rename, or a
-// partially transferred worker response.
-func truncate(t *testing.T, fs *FS, key Key) {
-	t.Helper()
-	path := fs.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGetRejectsTruncatedEnvelope: a half-written entry is an error (a
-// degraded miss to the engine), never a served result.
+// TestGetRejectsTruncatedEnvelope: a half-written record is an error
+// (a degraded miss to the engine), never a served result.
 func TestGetRejectsTruncatedEnvelope(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	key := Key{Hash: "0123456789abcdef", Seed: 3}
-	if err := fs.Put(key, testResult(3)); err != nil {
+	if err := p.Put(key, testResult(3)); err != nil {
 		t.Fatal(err)
 	}
-	truncate(t, fs, key)
-	if _, ok, err := fs.Get(key); ok || err == nil || !strings.Contains(err.Error(), "malformed envelope") {
-		t.Errorf("truncated entry: ok=%v err=%v, want malformed-envelope error", ok, err)
+	tearRecord(t, p, key)
+	if _, ok, err := p.Get(key); ok || err == nil || !strings.Contains(err.Error(), "segment read") {
+		t.Errorf("truncated entry: ok=%v err=%v, want segment-read error", ok, err)
 	}
 }
 
@@ -87,20 +71,11 @@ func flipResultByte(t *testing.T, env []byte) []byte {
 // TestVerifyFlagsTruncatedAndBitFlipped: an integrity pass over a
 // partially damaged corpus reports exactly the damaged entries.
 func TestVerifyFlagsTruncatedAndBitFlipped(t *testing.T) {
-	fs := openTest(t)
-	keys := []Key{
-		{Hash: "0123456789abcdef", Seed: 1},
-		{Hash: "0123456789abcdef", Seed: 2},
-		{Hash: "0123456789abcdef", Seed: 3},
-	}
-	for _, k := range keys {
-		if err := fs.Put(k, testResult(k.Seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	truncate(t, fs, keys[0])
-	corrupt(t, fs, keys[1])
-	rep, err := fs.Verify()
+	p := openPackedTest(t)
+	keys := fillPacked(t, p, 3)
+	damageRecord(t, p, keys[1])
+	tearRecord(t, p, keys[2])
+	rep, err := p.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +90,9 @@ func TestVerifyFlagsTruncatedAndBitFlipped(t *testing.T) {
 // TestGCWithEmptyCorpus: a retention pass over nothing is a no-op, not
 // an error — including with every retention knob set.
 func TestGCWithEmptyCorpus(t *testing.T) {
-	fs := openTest(t)
+	p := openPackedTest(t)
 	for _, opts := range []GCOptions{{}, {MaxAge: time.Hour}, {MaxBytes: 1}, {MaxAge: time.Hour, MaxBytes: 1}} {
-		rep, err := fs.GCWith(opts)
+		rep, err := p.GCWith(opts)
 		if err != nil {
 			t.Fatalf("GCWith(%+v) on empty corpus: %v", opts, err)
 		}
@@ -130,34 +105,25 @@ func TestGCWithEmptyCorpus(t *testing.T) {
 // TestGCWithPartiallyCorruptCorpus: GC removes exactly the damaged
 // entries (truncated and bit-flipped) and the survivors still serve.
 func TestGCWithPartiallyCorruptCorpus(t *testing.T) {
-	fs := openTest(t)
-	keys := []Key{
-		{Hash: "0123456789abcdef", Seed: 1},
-		{Hash: "0123456789abcdef", Seed: 2},
-		{Hash: "0123456789abcdef", Seed: 3},
-		{Hash: "0123456789abcdef", Seed: 4},
-	}
-	for _, k := range keys {
-		if err := fs.Put(k, testResult(k.Seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	truncate(t, fs, keys[0])
-	corrupt(t, fs, keys[1])
-	rep, err := fs.GCWith(GCOptions{})
+	p := openPackedTest(t)
+	keys := fillPacked(t, p, 4)
+	damaged := []Key{keys[1], keys[3]}
+	damageRecord(t, p, keys[1])
+	tearRecord(t, p, keys[3])
+	rep, err := p.GCWith(GCOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.RemovedCorrupt != 2 || rep.Kept != 2 {
 		t.Fatalf("report = %+v, want 2 removed corrupt, 2 kept", rep)
 	}
-	for _, k := range keys[:2] {
-		if _, ok, err := fs.Get(k); ok || err != nil {
+	for _, k := range damaged {
+		if _, ok, err := p.Get(k); ok || err != nil {
 			t.Errorf("removed entry %s: ok=%v err=%v, want a clean miss", k, ok, err)
 		}
 	}
-	for _, k := range keys[2:] {
-		if _, ok, err := fs.Get(k); !ok || err != nil {
+	for _, k := range []Key{keys[0], keys[2]} {
+		if _, ok, err := p.Get(k); !ok || err != nil {
 			t.Errorf("surviving entry %s: ok=%v err=%v, want served", k, ok, err)
 		}
 	}

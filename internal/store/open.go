@@ -1,84 +1,52 @@
 package store
 
 import (
-	"os"
-	"path/filepath"
+	"fmt"
 	"strconv"
 	"strings"
 )
 
-// Layout names an on-disk store format.
-type Layout string
-
-const (
-	// LayoutPerFile is the v1 format: one file per entry under
-	// dir/<hash[:2]>/<hash>-<seed>.json.
-	LayoutPerFile Layout = "perfile"
-	// LayoutPacked is the v2 format: framed envelopes appended to
-	// segment files under dir/segments, each with an index sidecar.
-	LayoutPacked Layout = "packed"
-)
-
-// DirStore is the full surface both directory-backed layouts share:
-// the Store contract plus the maintenance operations the `store` CLI
-// and CI retention drive. OpenDir returns one without the caller ever
-// naming a layout.
-type DirStore interface {
-	Store
-	Backend
-	List() ([]Entry, error)
-	Verify() (*VerifyReport, error)
-	GC() (*GCReport, error)
-	GCWith(opts GCOptions) (*GCReport, error)
-	Dir() string
-	Layout() Layout
-	// Close releases resources and, for the packed layout, seals the
-	// active segment. Always safe to call; a no-op for per-file.
-	Close() error
-}
-
 var (
-	_ DirStore = (*FS)(nil)
-	_ DirStore = (*Packed)(nil)
-	_ Store    = (*BackendStore)(nil)
-	_ Backend  = (*BackendStore)(nil)
+	_ Store   = (*Packed)(nil)
+	_ Backend = (*Packed)(nil)
+	_ Store   = (*BackendStore)(nil)
+	_ Backend = (*BackendStore)(nil)
 )
 
-// DetectLayout reports which format dir holds: packed when a
-// dir/segments directory exists, per-file otherwise (including for a
-// directory that does not exist yet — new corpora default to the v1
-// layout until `store pack` migrates them).
-func DetectLayout(dir string) Layout {
-	if info, err := os.Stat(filepath.Join(dir, SegmentsDirName)); err == nil && info.IsDir() {
-		return LayoutPacked
-	}
-	return LayoutPerFile
-}
-
-// OpenDir opens a directory-backed store in whatever layout it already
-// holds. Every CLI surface (-store, -resume, `store ls|verify|gc`, and
-// `serve -store`) opens through it, which is what makes the layouts
-// interchangeable: no caller branches on the format.
-func OpenDir(dir string) (DirStore, error) {
-	if DetectLayout(dir) == LayoutPacked {
-		return OpenPacked(dir)
-	}
-	return Open(dir)
-}
-
-// IsRemoteSpec reports whether a -store argument names a remote
+// isRemoteSpec reports whether a -store argument names a remote
 // backend (an http:// or https:// base URL) rather than a directory.
-func IsRemoteSpec(spec string) bool {
+func isRemoteSpec(spec string) bool {
 	return strings.HasPrefix(spec, "http://") || strings.HasPrefix(spec, "https://")
 }
 
-// OpenAuto opens any -store argument: a remote store for http(s) URLs,
-// a directory store (either layout) otherwise.
-func OpenAuto(spec string) (Store, error) {
-	if IsRemoteSpec(spec) {
-		return OpenRemote(spec, nil)
+// OpenAuto opens any -store argument, with the optional -cache
+// directory: a packed directory store for a path, a remote store for an
+// http(s) URL, and with cacheDir set a read-through replica cache in
+// cacheDir layered over that remote. A cache only makes sense in front
+// of a remote — a local directory already is the cache.
+func OpenAuto(spec, cacheDir string) (Store, error) {
+	if !isRemoteSpec(spec) {
+		if cacheDir != "" {
+			return nil, fmt.Errorf("store: a -cache directory only applies to a remote store URL (a local directory already is the cache)")
+		}
+		p, err := OpenPacked(spec)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
 	}
-	return OpenDir(spec)
+	r, err := OpenRemote(spec, nil)
+	if err != nil {
+		return nil, err
+	}
+	if cacheDir == "" {
+		return r, nil
+	}
+	rs, err := OpenReplica(cacheDir, r.Retry(), ReplicaOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return rs, nil
 }
 
 // ParseKeyString recovers a Key from its canonical "hash-seed" spelling

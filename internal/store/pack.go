@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 )
 
 // PackReport summarizes one per-file → packed migration.
@@ -23,52 +25,46 @@ type PackReport struct {
 	Problems []Problem `json:"problems,omitempty"`
 }
 
-// Pack migrates a per-file corpus into the packed segment layout, in
-// place: every verifying entry is appended to segments under
-// dir/segments (envelope bytes copied verbatim, so checksums and the
-// byte-identity contract survive untouched) and its per-file original
-// removed; entries that fail verification stay where they are and are
-// reported. Pack is idempotent and crash-resumable — the per-file
-// entry is removed only after its bytes are in a segment, the packed
-// Put deduplicates, and a re-run finishes whatever an interrupted one
-// left (including a corpus that is already fully packed: a no-op).
+// Pack migrates a per-file corpus — the retired v1 layout, one envelope
+// per file under dir/<hash[:2]>/<hash>-<seed>.json — into the packed
+// segment layout, in place: every verifying entry is appended to
+// segments under dir/segments (envelope bytes copied verbatim, so
+// checksums and the byte-identity contract survive untouched) and its
+// per-file original removed; entries that fail verification stay where
+// they are and are reported. Pack is idempotent and crash-resumable —
+// the per-file entry is removed only after its bytes are in a segment,
+// the packed Put deduplicates, and a re-run finishes whatever an
+// interrupted one left (including a corpus that is already fully
+// packed: a no-op). It is the only code that reads per-file entries.
 func Pack(dir string) (*PackReport, error) {
-	fsStore, err := Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	packed, err := OpenPackedWith(dir, PackedOptions{DisableAutoCompact: true})
+	packed, err := openPacked(dir, PackedOptions{DisableAutoCompact: true})
 	if err != nil {
 		return nil, err
 	}
 	defer packed.Close()
 
 	rep := &PackReport{}
-	// FS.List ignores segment files and sidecars (their names are not
-	// entry names), so listing the root of a half-packed corpus sees
-	// exactly the entries still to migrate.
-	entries, err := fsStore.List()
+	entries, err := perFileEntries(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: pack: %w", err)
 	}
 	for _, e := range entries {
-		path := fsStore.path(e.Key)
-		data, _, err := fsStore.GetObject(e.Key)
+		data, err := os.ReadFile(e.path)
 		if err == nil {
-			_, err = decodeEnvelope(e.Key, data)
+			_, err = decodeEnvelope(e.key, data)
 		}
 		if err != nil {
 			rep.Skipped++
-			rep.Problems = append(rep.Problems, Problem{Path: path, Err: err.Error()})
+			rep.Problems = append(rep.Problems, Problem{Path: e.path, Err: err.Error()})
 			continue
 		}
 		packed.mu.RLock()
-		_, dup := packed.index[e.Key]
+		_, dup := packed.index[e.key]
 		packed.mu.RUnlock()
 		if dup {
 			rep.AlreadyPacked++
 		} else {
-			if err := packed.PutObject(e.Key, data); err != nil {
+			if err := packed.PutObject(e.key, data); err != nil {
 				return nil, err
 			}
 			rep.Packed++
@@ -76,7 +72,7 @@ func Pack(dir string) (*PackReport, error) {
 		}
 		// The segment holds the bytes (or already did); the per-file
 		// original is now a duplicate.
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		if err := os.Remove(e.path); err != nil && !os.IsNotExist(err) {
 			return nil, fmt.Errorf("store: pack: %w", err)
 		}
 	}
@@ -88,6 +84,68 @@ func Pack(dir string) (*PackReport, error) {
 	rep.Segments = len(packed.segs)
 	packed.mu.RUnlock()
 	return rep, nil
+}
+
+// perFileEntry is one entry file of the per-file layout.
+type perFileEntry struct {
+	key  Key
+	path string
+}
+
+// perFileEntries lists the per-file entries in dir's two-character
+// shard directories, sorted by key. Segments, sidecars, temporaries and
+// foreign files never parse as entry names, so on a half-packed corpus
+// it sees exactly the entries still to migrate.
+func perFileEntries(dir string) ([]perFileEntry, error) {
+	shards, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var out []perFileEntry
+	for _, shard := range shards {
+		if !shard.IsDir() || len(shard.Name()) != 2 {
+			continue
+		}
+		files, err := os.ReadDir(filepath.Join(dir, shard.Name()))
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range files {
+			if key, ok := parseEntryName(f.Name()); ok && f.Type().IsRegular() {
+				out = append(out, perFileEntry{key: key, path: filepath.Join(dir, shard.Name(), f.Name())})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].key, out[j].key) })
+	return out, nil
+}
+
+// refusePerFile fails when dir still holds per-file entries: the packed
+// store never reads them, so opening such a directory would silently
+// serve an empty corpus. The directory is left untouched.
+func refusePerFile(dir string) error {
+	entries, err := perFileEntries(dir)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if len(entries) > 0 {
+		return fmt.Errorf("store: %s holds a corpus in the retired per-file layout; migrate it first with 'ichannels store pack %s'", dir, dir)
+	}
+	return nil
+}
+
+// parseEntryName recovers the key from a per-file entry name
+// (<hash>-<seed>.json). ok is false for anything else (tmp files,
+// foreign files).
+func parseEntryName(name string) (Key, bool) {
+	base, found := strings.CutSuffix(name, ".json")
+	if !found || strings.HasPrefix(name, tmpPrefix) {
+		return Key{}, false
+	}
+	return ParseKeyString(base)
 }
 
 // removeEmptyShards clears out the two-hex-character shard directories

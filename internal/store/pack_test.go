@@ -3,34 +3,41 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestPackMigratesCorpus: every per-file entry lands in segments with
-// identical payload bytes, the per-file originals disappear, and the
-// directory now detects as packed.
-func TestPackMigratesCorpus(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := Open(dir)
+// writePerFile stores key's test result the way the retired per-file
+// layout did — its envelope at dir/<hash[:2]>/<hash>-<seed>.json — and
+// returns the entry's path and bytes.
+func writePerFile(t *testing.T, dir string, key Key) (string, []byte) {
+	t.Helper()
+	data, err := EncodeEnvelope(key, testResult(key.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []Key
+	shard := filepath.Join(dir, key.Hash[:2])
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(shard, key.String()+".json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// TestPackMigratesCorpus: every per-file entry lands in segments with
+// identical payload bytes, and the per-file originals disappear.
+func TestPackMigratesCorpus(t *testing.T) {
+	dir := t.TempDir()
+	want := map[Key][]byte{}
+	var paths []string
 	for i := 1; i <= 6; i++ {
 		key := Key{Hash: "0123456789abcdef", Seed: int64(i)}
-		if err := fs.Put(key, testResult(key.Seed)); err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, key)
-	}
-	// Snapshot the canonical bytes before migrating.
-	want := map[Key][]byte{}
-	for _, key := range keys {
-		data, _, err := fs.GetObject(key)
-		if err != nil {
-			t.Fatal(err)
-		}
+		path, data := writePerFile(t, dir, key)
 		want[key] = data
+		paths = append(paths, path)
 	}
 
 	rep, err := Pack(dir)
@@ -43,27 +50,27 @@ func TestPackMigratesCorpus(t *testing.T) {
 	if rep.Segments < 1 {
 		t.Fatalf("pack report %+v: no segments", rep)
 	}
-	if DetectLayout(dir) != LayoutPacked {
-		t.Fatal("packed directory not detected as packed")
-	}
 	// Per-file originals are gone (shard dirs removed too).
-	for _, key := range keys {
-		if _, err := os.Stat(fs.path(key)); !os.IsNotExist(err) {
-			t.Fatalf("per-file entry %s survived the migration (err=%v)", key, err)
+	for _, path := range paths {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("per-file entry %s survived the migration (err=%v)", path, err)
 		}
 	}
+	if _, err := os.Stat(filepath.Dir(paths[0])); !os.IsNotExist(err) {
+		t.Fatalf("empty shard directory survived the migration (err=%v)", err)
+	}
 	// The packed corpus serves byte-identical envelopes.
-	p, err := OpenDir(dir)
+	p, err := OpenPacked(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	for _, key := range keys {
-		data, ok, err := p.GetObject(key)
+	for key, data := range want {
+		got, ok, err := p.GetObject(key)
 		if !ok || err != nil {
 			t.Fatalf("migrated entry %s: ok=%v err=%v", key, ok, err)
 		}
-		if string(data) != string(want[key]) {
+		if string(got) != string(data) {
 			t.Fatalf("entry %s bytes changed across migration", key)
 		}
 	}
@@ -74,14 +81,8 @@ func TestPackMigratesCorpus(t *testing.T) {
 // without duplicating records.
 func TestPackIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	key := Key{Hash: "0123456789abcdef", Seed: 1}
-	if err := fs.Put(key, testResult(1)); err != nil {
-		t.Fatal(err)
-	}
+	writePerFile(t, dir, key)
 	if _, err := Pack(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +96,7 @@ func TestPackIsIdempotent(t *testing.T) {
 	}
 	// Recreate the per-file duplicate (the crash-mid-pack shape: bytes
 	// already in a segment, file not yet removed) and re-run.
-	if err := fs.Put(key, testResult(1)); err != nil {
-		t.Fatal(err)
-	}
+	path, _ := writePerFile(t, dir, key)
 	rep, err = Pack(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +104,10 @@ func TestPackIsIdempotent(t *testing.T) {
 	if rep.AlreadyPacked != 1 || rep.Packed != 0 {
 		t.Fatalf("re-pack report %+v: want 1 already-packed", rep)
 	}
-	if _, err := os.Stat(fs.path(key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("duplicate per-file entry survived")
 	}
-	p, err := OpenDir(dir)
+	p, err := OpenPacked(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,18 +125,13 @@ func TestPackIsIdempotent(t *testing.T) {
 // verification is reported and left for gc, never migrated.
 func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
 	dir := t.TempDir()
-	fs, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	good := Key{Hash: "0123456789abcdef", Seed: 1}
 	bad := Key{Hash: "0123456789abcdef", Seed: 2}
-	for _, key := range []Key{good, bad} {
-		if err := fs.Put(key, testResult(key.Seed)); err != nil {
-			t.Fatal(err)
-		}
+	writePerFile(t, dir, good)
+	badPath, data := writePerFile(t, dir, bad)
+	if err := os.WriteFile(badPath, flipResultByte(t, data), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	corrupt(t, fs, bad)
 
 	rep, err := Pack(dir)
 	if err != nil {
@@ -146,10 +140,10 @@ func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
 	if rep.Packed != 1 || rep.Skipped != 1 || len(rep.Problems) != 1 {
 		t.Fatalf("pack report %+v: want 1 packed, 1 skipped with its problem", rep)
 	}
-	if _, err := os.Stat(fs.path(bad)); err != nil {
+	if _, err := os.Stat(badPath); err != nil {
 		t.Fatalf("corrupt entry removed instead of left in place: %v", err)
 	}
-	p, err := OpenDir(dir)
+	p, err := OpenPacked(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +154,8 @@ func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
 	if _, ok, _ := p.Get(bad); ok {
 		t.Fatal("corrupt entry migrated")
 	}
-	// gc on the packed layout reports the leftover as skipped-foreign
-	// only once its shard path is foreign — it still parses as an entry
-	// name, so the packed gc counts the whole file foreign.
+	// The leftover lives outside segments/, so packed gc counts it as a
+	// foreign file and leaves it alone.
 	gcRep, err := p.GC()
 	if err != nil {
 		t.Fatal(err)
@@ -170,30 +163,79 @@ func TestPackLeavesCorruptEntriesInPlace(t *testing.T) {
 	if gcRep.Skipped != 1 {
 		t.Fatalf("gc report %+v: want the un-migrated file skipped", gcRep)
 	}
-	if _, err := os.Stat(filepath.Join(dir, SegmentsDirName)); err != nil {
+}
+
+// TestOpenRefusesPerFileCorpus: every opener refuses a directory that
+// still holds per-file entries, names `store pack` in the error, and
+// leaves the directory untouched; once packed, it opens.
+func TestOpenRefusesPerFileCorpus(t *testing.T) {
+	dir := t.TempDir()
+	key := Key{Hash: "0123456789abcdef", Seed: 1}
+	writePerFile(t, dir, key)
+
+	hint := "ichannels store pack " + dir
+	openers := map[string]func() error{
+		"packed":        func() error { _, err := OpenPacked(dir); return err },
+		"directory":     func() error { _, err := OpenAuto(dir, ""); return err },
+		"replica cache": func() error { _, err := OpenAuto("http://127.0.0.1:9", dir); return err },
+	}
+	for name, open := range openers {
+		if err := open(); err == nil || !strings.Contains(err.Error(), hint) {
+			t.Errorf("%s over a per-file corpus: err=%v, want the %q hint", name, err, hint)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, SegmentsDirName)); !os.IsNotExist(err) {
+		t.Fatalf("a refused open created segments/ (err=%v)", err)
+	}
+
+	if _, err := Pack(dir); err != nil {
 		t.Fatal(err)
+	}
+	p, err := OpenPacked(dir)
+	if err != nil {
+		t.Fatalf("open after pack: %v", err)
+	}
+	defer p.Close()
+	if _, ok, err := p.Get(key); !ok || err != nil {
+		t.Fatalf("migrated entry: ok=%v err=%v", ok, err)
 	}
 }
 
-// TestStoreBenchSmoke: the bench harness end to end at toy scale, both
-// layouts, sane numbers.
+func TestParseEntryName(t *testing.T) {
+	cases := []struct {
+		name string
+		key  Key
+		ok   bool
+	}{
+		{"0123456789abcdef-7.json", Key{"0123456789abcdef", 7}, true},
+		{"exp:fig10a-12.json", Key{"exp:fig10a", 12}, true},
+		{tmpPrefix + "12345", Key{}, false},
+		{"noseed.json", Key{}, false},
+		{"0123456789abcdef-7.txt", Key{}, false},
+		{"-7.json", Key{}, false},
+	}
+	for _, c := range cases {
+		key, ok := parseEntryName(c.name)
+		if ok != c.ok || key != c.key {
+			t.Errorf("parseEntryName(%q) = %v, %v; want %v, %v", c.name, key, ok, c.key, c.ok)
+		}
+	}
+}
+
+// TestStoreBenchSmoke: the bench harness end to end at toy scale, sane
+// numbers.
 func TestStoreBenchSmoke(t *testing.T) {
 	rep, err := RunBench(BenchOptions{Entries: 64, Reads: 32, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Layouts) != 2 {
-		t.Fatalf("bench covered %d layouts, want 2", len(rep.Layouts))
+	if rep.Entries != 64 || rep.Reads != 32 {
+		t.Fatalf("bench sized wrong: %+v", rep)
 	}
-	for _, lr := range rep.Layouts {
-		if lr.Entries != 64 || lr.Reads != 32 {
-			t.Fatalf("layout %s sized wrong: %+v", lr.Layout, lr)
-		}
-		if lr.WriteNSPerOp <= 0 || lr.ReadNSPerOp <= 0 || lr.GCNS <= 0 || lr.Bytes <= 0 {
-			t.Fatalf("layout %s has non-positive measurements: %+v", lr.Layout, lr)
-		}
-		if lr.ReadP95NS < lr.ReadNSPerOp/10 {
-			t.Fatalf("layout %s p95 %.0f implausibly below mean %.0f", lr.Layout, lr.ReadP95NS, lr.ReadNSPerOp)
-		}
+	if rep.WriteNSPerOp <= 0 || rep.ReadNSPerOp <= 0 || rep.GCNS <= 0 || rep.Bytes <= 0 {
+		t.Fatalf("non-positive measurements: %+v", rep)
+	}
+	if rep.ReadP95NS < rep.ReadNSPerOp/10 {
+		t.Fatalf("p95 %.0f implausibly below mean %.0f", rep.ReadP95NS, rep.ReadNSPerOp)
 	}
 }

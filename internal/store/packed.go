@@ -14,8 +14,8 @@ import (
 	"ichannels/internal/scenario"
 )
 
-// SegmentsDirName is the subdirectory whose presence marks a store
-// directory as packed-layout (DetectLayout keys on it).
+// SegmentsDirName is the subdirectory holding a store's segments and
+// sidecars.
 const SegmentsDirName = "segments"
 
 // DefaultMaxSegmentBytes is the roll threshold: the active segment
@@ -62,19 +62,16 @@ type segmentState struct {
 	entries []segmentIndexEntry
 }
 
-// Packed is the segment-corpus Store: results are appended as framed
-// envelopes to an active segment under dir/segments, located through an
-// in-memory index loaded from per-segment sidecars — or rebuilt by
-// scanning any segment whose sidecar is missing or stale, the
-// crash-safe path. It implements the same Store interface as FS plus
-// the same maintenance surface (List, Verify, GC/GCWith), so the
-// engine, sweep resume, and serve use it with no layout-specific code.
+// Packed is the result store: results are appended as framed envelopes
+// to an active segment under dir/segments, located through an in-memory
+// index loaded from per-segment sidecars — or rebuilt by scanning any
+// segment whose sidecar is missing or stale, the crash-safe path. It
+// carries the maintenance surface (List, Verify, GC/GCWith) the `store`
+// CLI and serve retention drive. Three semantics are deliberate:
 //
-// Semantics that differ from FS on purpose:
-//
-//   - Put of an existing key is a true no-op (the per-file layout
-//     rewrites the identical bytes; appending them again would only
-//     create dead bytes in the log).
+//   - Put of an existing key is a true no-op: the bytes are
+//     deterministic, and appending them again would only create dead
+//     bytes in the log.
 //   - A Get that finds a damaged record drops it from the index
 //     (self-healing): the caller sees the usual error-degrades-to-miss
 //     contract, and the next Put of that key re-materializes it —
@@ -85,8 +82,8 @@ type segmentState struct {
 //
 // One process should write a packed directory at a time (the active
 // segment is an append cursor); racing writers are detected at segment
-// creation (O_EXCL) and pick distinct ids, but the per-file layout
-// remains the choice for heavily multi-writer corpora.
+// creation (O_EXCL) and pick distinct ids. Fleets share one corpus
+// through a single `serve -store DIR -share` process instead.
 type Packed struct {
 	dir    string
 	segDir string
@@ -106,8 +103,8 @@ type Packed struct {
 	bg sync.WaitGroup
 }
 
-// OpenPacked creates (if needed) and opens a packed-layout store rooted
-// at dir with default options.
+// OpenPacked creates (if needed) and opens the store rooted at dir with
+// default options.
 func OpenPacked(dir string) (*Packed, error) {
 	return OpenPackedWith(dir, PackedOptions{})
 }
@@ -115,11 +112,25 @@ func OpenPacked(dir string) (*Packed, error) {
 // OpenPackedWith is OpenPacked with explicit options. Opening loads
 // every segment's sidecar; a segment whose sidecar is missing or stale
 // is rescanned (truncating any torn tail a killed writer left) and
-// resealed, so the full corpus serves after any crash.
+// resealed, so the full corpus serves after any crash. A directory
+// without segments that still holds per-file entries is refused with a
+// `store pack` hint and left untouched; the check runs only then, so
+// reopening a packed corpus costs nothing extra.
 func OpenPackedWith(dir string, opts PackedOptions) (*Packed, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
+	if _, err := os.Stat(filepath.Join(dir, SegmentsDirName)); os.IsNotExist(err) {
+		if err := refusePerFile(dir); err != nil {
+			return nil, err
+		}
+	}
+	return openPacked(dir, opts)
+}
+
+// openPacked is OpenPackedWith without the per-file refusal — the
+// opener Pack migrates through.
+func openPacked(dir string, opts PackedOptions) (*Packed, error) {
 	segDir := filepath.Join(dir, SegmentsDirName)
 	if err := os.MkdirAll(segDir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -251,9 +262,6 @@ func (p *Packed) loadSegment(id int) error {
 
 // Dir returns the store's root directory.
 func (p *Packed) Dir() string { return p.dir }
-
-// Layout identifies the on-disk format for DirStore consumers.
-func (p *Packed) Layout() Layout { return LayoutPacked }
 
 // WaitMaintenance blocks until any background compaction scheduled at
 // open has finished — the deterministic hook tests and Close use.
@@ -480,8 +488,9 @@ func (p *Packed) appendLocked(key Key, frame []byte, ts int64) error {
 // ListObjects implements Backend.
 func (p *Packed) ListObjects() ([]Entry, error) { return p.List() }
 
-// List returns every indexed entry sorted by key, sizes in payload
-// bytes — the same view FS.List gives of the per-file layout.
+// List returns every indexed entry sorted by key, sizes in envelope
+// bytes. The slice is non-nil even when empty, so `store ls -json`
+// emits [] rather than null.
 func (p *Packed) List() ([]Entry, error) {
 	p.mu.RLock()
 	out := make([]Entry, 0, len(p.index))
@@ -489,12 +498,7 @@ func (p *Packed) List() ([]Entry, error) {
 		out = append(out, Entry{Key: key, Size: ref.length - 4})
 	}
 	p.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Hash != out[j].Key.Hash {
-			return out[i].Key.Hash < out[j].Key.Hash
-		}
-		return out[i].Key.Seed < out[j].Key.Seed
-	})
+	sortEntries(out)
 	return out, nil
 }
 
@@ -504,12 +508,7 @@ func (p *Packed) sortedKeysLocked() []Key {
 	for k := range p.index {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Hash != keys[j].Hash {
-			return keys[i].Hash < keys[j].Hash
-		}
-		return keys[i].Seed < keys[j].Seed
-	})
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	return keys
 }
 
@@ -612,13 +611,12 @@ func (p *Packed) tmpFilesLocked(cutoff time.Time) ([]string, error) {
 // reclaimed bytes return to the filesystem.
 func (p *Packed) GC() (*GCReport, error) { return p.GCWith(GCOptions{}) }
 
-// GCWith is the packed layout's retention + compaction pass. The
-// retention semantics mirror FS.GCWith — corrupt entries always go,
-// then MaxAge and MaxBytes evict intact entries oldest-first by append
-// time — and compaction then rewrites every segment holding dead bytes:
-// survivors are copied verbatim (frames and timestamps preserved) into
-// fresh segments and the old files deleted. Files the layout does not
-// own are counted in Skipped and never touched.
+// GCWith is the retention + compaction pass: corrupt entries always
+// go, then MaxAge and MaxBytes evict intact entries oldest-first by
+// append time, and compaction then rewrites every segment holding dead
+// bytes: survivors are copied verbatim (frames and timestamps
+// preserved) into fresh segments and the old files deleted. Files the
+// layout does not own are counted in Skipped and never touched.
 func (p *Packed) GCWith(opts GCOptions) (*GCReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -329,8 +329,7 @@ func TestPackedGCCompacts(t *testing.T) {
 	}
 }
 
-// TestPackedGCMaxAge mirrors the FS retention semantics on the packed
-// layout's append-timestamp clock.
+// TestPackedGCMaxAge: the age bound runs on the append-timestamp clock.
 func TestPackedGCMaxAge(t *testing.T) {
 	p := openPackedTest(t)
 	base := time.Now()
@@ -425,29 +424,6 @@ func TestPackedGCSkipsForeignFiles(t *testing.T) {
 	}
 }
 
-// TestFSGCSkipsForeignFiles: the same contract on the per-file layout.
-func TestFSGCSkipsForeignFiles(t *testing.T) {
-	fs := openTest(t)
-	key := Key{Hash: "0123456789abcdef", Seed: 1}
-	if err := fs.Put(key, testResult(1)); err != nil {
-		t.Fatal(err)
-	}
-	foreign := filepath.Join(fs.Dir(), "README.txt")
-	if err := os.WriteFile(foreign, []byte("not an envelope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := fs.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Skipped != 1 || rep.Kept != 1 {
-		t.Fatalf("gc report %+v: want Skipped=1 Kept=1", rep)
-	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Fatalf("gc touched the foreign file: %v", err)
-	}
-}
-
 // TestPackedAutoCompact: an open that discovers a mostly-dead corpus
 // schedules compaction in the background; after WaitMaintenance the
 // disk holds only live records.
@@ -539,41 +515,6 @@ func TestPackedVerify(t *testing.T) {
 	}
 	if !strings.Contains(rep.Problems[0].Path, "@") {
 		t.Fatalf("problem path %q should carry the segment offset", rep.Problems[0].Path)
-	}
-}
-
-// TestDetectLayoutAndOpenDir: layout detection drives OpenDir to the
-// right implementation, and the per-file default holds for fresh
-// directories.
-func TestDetectLayoutAndOpenDir(t *testing.T) {
-	dir := t.TempDir()
-	if got := DetectLayout(dir); got != LayoutPerFile {
-		t.Fatalf("fresh dir layout = %q, want perfile", got)
-	}
-	st, err := OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Layout() != LayoutPerFile {
-		t.Fatalf("OpenDir on fresh dir = %q", st.Layout())
-	}
-	st.Close()
-
-	p, err := OpenPacked(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	if got := DetectLayout(dir); got != LayoutPacked {
-		t.Fatalf("layout after packed open = %q, want packed", got)
-	}
-	st, err = OpenDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if st.Layout() != LayoutPacked {
-		t.Fatalf("OpenDir on packed dir = %q", st.Layout())
 	}
 }
 

@@ -172,16 +172,11 @@ type Remote struct {
 // OpenRemote opens a remote store on a serve process sharing its
 // corpus at baseURL, with default retry/breaker policy.
 func OpenRemote(baseURL string, client *http.Client) (*Remote, error) {
-	return OpenRemoteWith(baseURL, client, RetryOptions{})
-}
-
-// OpenRemoteWith opens a remote store with an explicit retry policy.
-func OpenRemoteWith(baseURL string, client *http.Client, opts RetryOptions) (*Remote, error) {
 	b, err := NewHTTPBackend(baseURL, client)
 	if err != nil {
 		return nil, err
 	}
-	rb := NewRetryBackend(b, opts)
+	rb := NewRetryBackend(b, RetryOptions{})
 	return &Remote{BackendStore: NewBackendStore(rb), http: b, retry: rb}, nil
 }
 

@@ -12,7 +12,6 @@ package store
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -33,10 +32,10 @@ type ReplicaOptions struct {
 	QueueSize int
 }
 
-// ReplicaStore layers a local directory store over a remote backend.
+// ReplicaStore layers a local packed store over a remote backend.
 // It implements Store, ContextStore, Backend, and TierStatter.
 type ReplicaStore struct {
-	local  DirStore
+	local  *Packed
 	remote Backend
 
 	ch chan flushItem
@@ -53,20 +52,13 @@ type flushItem struct {
 	data []byte
 }
 
-// OpenReplica opens (or creates) the local cache at cacheDir and
-// layers it over remote. A new cache directory is created in the
-// packed layout; an existing directory keeps whatever layout it holds.
+// OpenReplica opens (or creates) the packed local cache at cacheDir and
+// layers it over remote.
 func OpenReplica(cacheDir string, remote Backend, opts ReplicaOptions) (*ReplicaStore, error) {
 	if remote == nil {
 		return nil, fmt.Errorf("store: replica %s: nil remote backend", cacheDir)
 	}
-	var local DirStore
-	var err error
-	if _, serr := os.Stat(cacheDir); serr == nil {
-		local, err = OpenDir(cacheDir)
-	} else {
-		local, err = OpenPacked(cacheDir)
-	}
+	local, err := OpenPacked(cacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +91,7 @@ func (r *ReplicaStore) flushLoop() {
 }
 
 // Local returns the local cache tier.
-func (r *ReplicaStore) Local() DirStore { return r.local }
+func (r *ReplicaStore) Local() *Packed { return r.local }
 
 // Get implements Store.
 func (r *ReplicaStore) Get(key Key) (*scenario.Result, bool, error) {
@@ -218,15 +210,17 @@ func (r *ReplicaStore) ListObjects() ([]Entry, error) {
 	return mergeEntries(local, remote), nil
 }
 
-// sortEntries orders a listing the way both layouts do: by hash, then
-// seed.
+// keyLess is the store's listing order: by hash, then seed.
+func keyLess(a, b Key) bool {
+	if a.Hash != b.Hash {
+		return a.Hash < b.Hash
+	}
+	return a.Seed < b.Seed
+}
+
+// sortEntries orders a listing by key.
 func sortEntries(out []Entry) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Hash != out[j].Key.Hash {
-			return out[i].Key.Hash < out[j].Key.Hash
-		}
-		return out[i].Key.Seed < out[j].Key.Seed
-	})
+	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].Key, out[j].Key) })
 }
 
 // mergeEntries unions two sorted entry listings by key.
@@ -288,7 +282,7 @@ func (r *ReplicaStore) Sync(ctx context.Context) (*SyncReport, error) {
 // SyncDirToRemote pushes every entry in local that remote lacks. The
 // `store sync` CLI drives it against a plain cache directory, no
 // ReplicaStore needed.
-func SyncDirToRemote(ctx context.Context, local DirStore, remote Backend) (*SyncReport, error) {
+func SyncDirToRemote(ctx context.Context, local *Packed, remote Backend) (*SyncReport, error) {
 	locals, err := local.List()
 	if err != nil {
 		return nil, err

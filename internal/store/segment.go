@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 )
 
-// Segment file format (the packed "store v2" layout).
+// Segment file format (the packed store layout).
 //
 // A segment is an append-only file of checksummed result envelopes:
 //
@@ -17,8 +17,8 @@ import (
 //	  4 bytes       big-endian uint32: payload length N
 //	  N bytes       one EncodeEnvelope payload (versioned, checksummed)
 //
-// The envelope payload is byte-identical to what the per-file layout
-// stores and the distributed tier ships — the segment adds framing,
+// The envelope payload is byte-identical to what the retired per-file
+// layout stored and the distributed tier ships — the segment adds framing,
 // never a second encoding. There is no per-record CRC: the envelope's
 // own SHA-256 checksum covers the payload, and a damaged length prefix
 // surfaces as an impossible frame (zero, oversized, or past the end of
@@ -136,8 +136,7 @@ type segmentIndexEntry struct {
 }
 
 // writeSidecar atomically writes a segment's index sidecar — the
-// "seal". Like entry writes in the per-file layout: temp file in the
-// destination directory, then rename.
+// "seal": temp file in the destination directory, then rename.
 func writeSidecar(path string, idx *segmentIndex) error {
 	data, err := json.Marshal(idx)
 	if err != nil {

@@ -5,14 +5,14 @@
 // so the store needs no invalidation: an entry, once written, is valid
 // forever, and any writer racing on the same key writes the same bytes.
 //
-// The filesystem implementation (FS) wraps every result in a versioned
-// envelope carrying a checksum of the result's canonical JSON encoding;
-// reads verify the checksum and the key before returning anything, so a
-// truncated or bit-flipped file surfaces as an error instead of a wrong
-// result. Writes go to a temporary file in the destination directory
-// and are renamed into place, so a killed process never leaves a
-// half-written entry under a valid name — the property sweep resume
-// relies on.
+// The directory implementation (Packed) wraps every result in a
+// versioned envelope carrying a checksum of the result's canonical JSON
+// encoding and appends it to a segment file; reads verify the checksum
+// and the key before returning anything, so a truncated or bit-flipped
+// record surfaces as an error instead of a wrong result, and a killed
+// writer's torn tail is truncated away on the next open — the property
+// sweep resume relies on. Pack migrates corpora written in the retired
+// per-file layout.
 //
 // The engine (StreamScenarios), the sweep runner, and the HTTP serve
 // layer all consult a Store before computing and persist after, turning

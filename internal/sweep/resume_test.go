@@ -26,26 +26,19 @@ func marshalAggregate(t *testing.T, tab *Table) []byte {
 // TestSweepResumeRecomputesOnlyMissing is the resume acceptance test:
 // a sweep killed mid-grid leaves its completed cells in the store, and
 // the re-run computes exactly the missing ones while producing
-// byte-identical output to an uninterrupted run. Both directory
-// layouts must satisfy it through the identical store.Store surface.
+// byte-identical output to an uninterrupted run.
 func TestSweepResumeRecomputesOnlyMissing(t *testing.T) {
-	openers := map[string]func(dir string) (store.Store, error){
-		"perfile": func(dir string) (store.Store, error) { return store.Open(dir) },
-		"packed":  func(dir string) (store.Store, error) { return store.OpenPacked(dir) },
-	}
-	for name, open := range openers {
-		t.Run(name, func(t *testing.T) { testSweepResume(t, open) })
-	}
+	t.Run("packed", testSweepResume)
 }
 
-func testSweepResume(t *testing.T, open func(dir string) (store.Store, error)) {
+func testSweepResume(t *testing.T) {
 	sw := testSweep() // 8 cells
 	const cells = 8
-	st, err := open(t.TempDir())
+	st, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.CloseStore(st)
+	defer st.Close()
 	var calls atomic.Int64
 	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
 		calls.Add(1)
@@ -124,10 +117,11 @@ func testSweepResume(t *testing.T, open func(dir string) (store.Store, error)) {
 // everything recomputes, everything persists.
 func TestSweepWriteOnlyStoreRecomputes(t *testing.T) {
 	sw := testSweep()
-	st, err := store.Open(t.TempDir())
+	st, err := store.OpenPacked(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	var calls atomic.Int64
 	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
 		calls.Add(1)

@@ -1,46 +1,85 @@
 package ichannels_test
 
-// Migration conformance: a corpus materialized by a per-file sweep,
-// migrated with `store pack`, must serve a resumed run and a fresh
-// server with byte-identical output — cold == warm == migrated, every
-// post-migration cell marked cached. This is the promise that lets an
-// operator pack a production corpus between runs without anyone
-// downstream noticing.
+// Migration conformance: a corpus in the retired per-file layout is
+// refused by every opener until `store pack` migrates it; after that it
+// must serve a resumed run and a fresh server with byte-identical
+// output — cold == migrated, every post-migration cell marked cached.
+// This is the promise that lets an operator pack an old corpus without
+// anyone downstream noticing.
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ichannels"
+	"ichannels/internal/store"
 )
 
 const migrationSpec = "examples/sweeps/specs/crosscore_noise.json"
+
+// writePerFileCorpus lays out the cell results of a sweep's NDJSON
+// stream the way the per-file layout stored them: one envelope per
+// result at dir/<hash[:2]>/<hash>-<seed>.json.
+func writePerFileCorpus(t *testing.T, dir string, lines [][]byte) {
+	t.Helper()
+	for _, ln := range lines {
+		var cell ichannels.SweepCellLineJSON
+		if err := json.Unmarshal(ln, &cell); err != nil {
+			t.Fatal(err)
+		}
+		key := store.Key{Hash: cell.Hash, Seed: cell.Seed}
+		data, err := store.EncodeEnvelope(key, cell.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := filepath.Join(dir, cell.Hash[:2])
+		if err := os.MkdirAll(shard, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(shard, key.String()+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func TestStorePackMigrationConformance(t *testing.T) {
 	storeDir := t.TempDir()
 	args := []string{"sweep", "run", migrationSpec, "-ndjson", "-parallel", "4", "-store", storeDir, "-resume"}
 
-	// Cold run materializes the per-file corpus.
-	cold := runCLI(t, args...)
-	if ichannels.DetectStoreLayout(storeDir) != ichannels.StoreLayoutPerFile {
-		t.Fatal("fresh corpus did not come up per-file")
-	}
+	// A cold no-store run supplies the results of the per-file fixture.
+	cold := runCLI(t, "sweep", "run", migrationSpec, "-ndjson", "-parallel", "4")
 	for _, ln := range cold[:len(cold)-1] {
 		if wl, _ := parseWireLine(t, ln); wl.Cached {
 			t.Fatal("cold cell marked cached")
 		}
 	}
+	writePerFileCorpus(t, storeDir, cold[:len(cold)-1])
+
+	// Resuming over the un-migrated corpus is refused with the pack
+	// hint, and the directory is left exactly as it was.
+	cmd := exec.Command(buildCLI(t), args...)
+	refusal, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("resume over a per-file corpus succeeded:\n%s", refusal)
+	}
+	if !strings.Contains(string(refusal), "ichannels store pack "+storeDir) {
+		t.Fatalf("refusal does not name store pack:\n%s", refusal)
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, "segments")); !os.IsNotExist(err) {
+		t.Fatalf("refused open created segments/ (stat err %v)", err)
+	}
 
 	// Migrate in place via the CLI, exactly as an operator would.
 	out := runCLI(t, "store", "pack", storeDir)
-	if len(out) == 0 || !bytes.Contains(out[len(out)-1], []byte("packed")) {
+	if len(out) == 0 || !bytes.Contains(out[len(out)-1], []byte(fmt.Sprintf("packed %d entries", len(cold)-1))) {
 		t.Fatalf("store pack said: %s", bytes.Join(out, []byte("\n")))
-	}
-	if ichannels.DetectStoreLayout(storeDir) != ichannels.StoreLayoutPacked {
-		t.Fatal("store pack left the corpus per-file")
 	}
 	// Nothing per-file survives except the segments directory.
 	des, err := os.ReadDir(storeDir)
