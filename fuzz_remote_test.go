@@ -73,7 +73,7 @@ func FuzzRemoteResponses(f *testing.F) {
 		// Writes and listings against the hostile server must degrade
 		// to errors, never panic.
 		_ = remote.Put(key, result)
-		_, _ = rb.ListObjects()
+		_, _ = rb.ListObjects(t.Context())
 
 		rep, rerr := store.OpenReplica(t.TempDir(), rb, store.ReplicaOptions{})
 		if rerr != nil {
@@ -84,7 +84,7 @@ func FuzzRemoteResponses(f *testing.F) {
 		if ok2 && res2 == nil {
 			t.Fatal("replica get: ok with nil result")
 		}
-		cachedBytes, cached, _ := rep.Local().GetObject(key)
+		cachedBytes, cached, _ := rep.Local().GetObject(t.Context(), key)
 		if cached {
 			// Whatever landed in the cache must be a verified envelope
 			// for the key — byzantine bytes never persist.

@@ -22,6 +22,13 @@
 // A registered figure experiment runs like any other scenario: POST
 // /v1/scenarios with {"role":"experiment","experiment":ID,"seed":N}.
 //
+// Every route resolves a cell the same way — Server.resolve publishes
+// or joins its cache entry and fills it once — and every fan-out is the
+// engine stream: a batch runs on engine.StreamScenarios and a sweep on
+// sweep.Run, with the Server itself as the engine.CellRunner. A cell's
+// elapsed_us is its entry's compute (or store-read) cost on every
+// route, never the time a request waited for it.
+//
 // Results are cached in memory keyed by (scenario hash, seed). Because
 // the simulator is deterministic for a fixed seed (see
 // docs/ARCHITECTURE.md) a cached result is bit-for-bit the result a
@@ -52,6 +59,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ichannels/internal/dist"
@@ -158,7 +166,6 @@ type Server struct {
 	misses      int64
 	storeHits   int64
 	storeMisses int64
-	storeErrors int64
 	storeTrans  int64 // transient store failures (network-class)
 	storePerm   int64 // permanent store failures (corrupt envelopes)
 	gcRuns      int64
@@ -175,40 +182,25 @@ type cacheKey struct {
 }
 
 // cacheEntry coalesces concurrent computations of one key: the entry is
-// published under the mutex, the computation runs exactly once, and
-// ready is closed when it finishes so any number of waiters (including
-// NDJSON batch writers) can block on it. Eviction skips in-flight
-// entries (evicting one would let a concurrent identical request start
-// a duplicate simulation).
+// published under the mutex and the computation runs exactly once —
+// every other caller of compute blocks in once.Do until it finishes.
+// Eviction skips in-flight entries (evicting one would let a concurrent
+// identical request start a duplicate simulation).
 type cacheEntry struct {
 	once    sync.Once
-	ready   chan struct{}
 	result  *scenario.Result
 	err     error
 	elapsed time.Duration
 	// fromStore marks a result fetched from the durable tier instead
-	// of computed (set before ready closes; read only after it).
+	// of computed (set inside once.Do; read only after compute).
 	fromStore bool
+	// finished is set when the computation completes; done reads it
+	// without joining the computation.
+	finished atomic.Bool
 }
-
-// served reports whether the entry was already complete in memory
-// (memCached) or filled from the store — the conditions under which a
-// response is marked "cached". Call only after the entry is ready.
-func (e *cacheEntry) served(memCached bool) bool {
-	return memCached || e.fromStore
-}
-
-func newCacheEntry() *cacheEntry { return &cacheEntry{ready: make(chan struct{})} }
 
 // done reports whether the computation has finished.
-func (e *cacheEntry) done() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
-}
+func (e *cacheEntry) done() bool { return e.finished.Load() }
 
 // New builds a Server.
 func New(opts Options) *Server {
@@ -347,7 +339,7 @@ func (s *Server) entry(key cacheKey) (ent *cacheEntry, cached bool) {
 		return ent, cached
 	}
 	s.misses++
-	ent = newCacheEntry()
+	ent = &cacheEntry{}
 	if s.maxCache > 0 {
 		// Evict least-recently-used completed entries; in-flight ones
 		// are skipped (the cap may be exceeded transiently, bounded by
@@ -395,7 +387,7 @@ func (s *Server) touchLocked(key cacheKey) {
 // behind running simulations.
 func (s *Server) compute(key cacheKey, ent *cacheEntry, fn func() (*scenario.Result, error)) {
 	ent.once.Do(func() {
-		defer close(ent.ready)
+		defer ent.finished.Store(true)
 		if s.store != nil {
 			t0 := time.Now()
 			res, ok, err := s.store.Get(store.Key(key))
@@ -436,7 +428,7 @@ const (
 	storeTallyMiss
 )
 
-// countStore tallies durable-tier activity for StoreStats and the
+// countStore tallies durable-tier activity for StoreCounters and the
 // /v1/stats endpoint. Both the compute read-through path and the shared
 // /v1/store object routes feed it, so the counters describe corpus
 // effectiveness across every consumer of this server's store.
@@ -457,7 +449,6 @@ func (s *Server) countStore(t storeTally) {
 func (s *Server) countStoreErr(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.storeErrors++
 	if store.IsPermanentError(err) {
 		s.storePerm++
 	} else {
@@ -465,22 +456,15 @@ func (s *Server) countStoreErr(err error) {
 	}
 }
 
-// StoreStats reports durable-tier hits and degraded operations
-// (unreadable entries and failed writes) so far. Zeroes when no store
-// is configured. See StoreCounters for the full hit/miss/error split.
-func (s *Server) StoreStats() (hits, failures int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storeHits, s.storeErrors
-}
-
 // StoreCounters reports the durable tier's full tally: hits (reads
 // served from the corpus), misses (clean absences that led to a
-// compute), and errors (unreadable entries and failed writes).
+// compute), and errors (unreadable entries and failed writes, of
+// either class — see StoreErrorCounters). Zeroes when no store is
+// configured.
 func (s *Server) StoreCounters() (hits, misses, errors int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.storeHits, s.storeMisses, s.storeErrors
+	return s.storeHits, s.storeMisses, s.storeTrans + s.storePerm
 }
 
 // StoreErrorCounters splits the error tally by failure class:
@@ -519,23 +503,49 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, errBody(code, format, args...))
 }
 
-// parseSeed extracts an optional integer seed query value, rejecting
-// malformed or conflicting values instead of silently defaulting.
-func parseSeed(r *http.Request) (seed int64, set bool, err error) {
+// querySeed reads the optional ?seed= query value: the seed of specs
+// that pin none (a single scenario runs with it, batch items and sweep
+// cells derive theirs from it). Absent or zero means
+// scenario.DefaultSeed, exactly like a spec's seed field. Malformed,
+// conflicting and negative values are rejected instead of silently
+// defaulting: scenario seeds are non-negative (spec rule), and a query
+// seed must not smuggle in values no valid spec could reproduce.
+func querySeed(r *http.Request) (int64, error) {
 	vals := r.URL.Query()["seed"]
 	if len(vals) == 0 {
-		return 0, false, nil
+		return scenario.DefaultSeed, nil
 	}
 	for _, v := range vals[1:] {
 		if v != vals[0] {
-			return 0, false, fmt.Errorf("conflicting seed values %q and %q", vals[0], v)
+			return 0, fmt.Errorf("conflicting seed values %q and %q", vals[0], v)
 		}
 	}
-	seed, perr := strconv.ParseInt(vals[0], 10, 64)
-	if perr != nil {
-		return 0, false, fmt.Errorf("bad seed %q: must be an integer", vals[0])
+	seed, err := strconv.ParseInt(vals[0], 10, 64)
+	switch {
+	case err != nil:
+		return 0, fmt.Errorf("bad seed %q: must be an integer", vals[0])
+	case seed < 0:
+		return 0, fmt.Errorf("seed must be non-negative, got %d", seed)
+	case seed == 0:
+		return scenario.DefaultSeed, nil
 	}
-	return seed, true, nil
+	return seed, nil
+}
+
+// readBody reads a request body of at most maxBodyBytes, answering
+// 400 or 413 itself when it cannot.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+		return nil, false
+	}
+	if len(body) > maxBodyBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			"request body exceeds %d bytes", maxBodyBytes)
+		return nil, false
+	}
+	return body, true
 }
 
 // requireJSON enforces the Content-Type of mutating routes.
@@ -612,29 +622,13 @@ func (s *Server) v1Scenarios(w http.ResponseWriter, r *http.Request) {
 	if !requireJSON(w, r) {
 		return
 	}
-	querySeed, seedSet, err := parseSeed(r)
+	baseSeed, err := querySeed(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	// Scenario seeds are non-negative (spec rule); a query seed must
-	// not smuggle in values no valid spec could reproduce. Zero means
-	// "default", exactly like a spec's seed field.
-	if seedSet && querySeed < 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "seed must be non-negative, got %d", querySeed)
-		return
-	}
-	if seedSet && querySeed == 0 {
-		seedSet = false
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > maxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			"request body exceeds %d bytes", maxBodyBytes)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	specs, isArray, err := scenario.ParseSpecs(body)
@@ -643,7 +637,7 @@ func (s *Server) v1Scenarios(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if isArray {
-		s.runBatch(w, r, specs, querySeed, seedSet)
+		s.runBatch(w, r, specs, baseSeed)
 		return
 	}
 	n := specs[0].Normalized()
@@ -653,106 +647,194 @@ func (s *Server) v1Scenarios(w http.ResponseWriter, r *http.Request) {
 	}
 	seed := n.Seed
 	if seed == 0 {
-		seed = scenario.DefaultSeed
-		if seedSet {
-			seed = querySeed
-		}
+		seed = baseSeed
 	}
 	hash := n.Hash()
-	key := cacheKey{Hash: hash, Seed: seed}
-	ent, cached := s.entry(key)
-	s.compute(key, ent, func() (*scenario.Result, error) {
-		return s.runScenarioIsolated(r, n, seed)
-	})
+	ent, cached := s.resolve(r.Context(), n, hash, seed)
 	if ent.err != nil {
 		writeError(w, http.StatusInternalServerError, CodeRunFailed,
 			"%s (seed %d): %v", n.Describe(), seed, ent.err)
 		return
 	}
 	writeJSON(w, http.StatusOK, scenarioResponse{
-		Name: n.Name, Hash: hash, Seed: seed, Cached: ent.served(cached),
+		Name: n.Name, Hash: hash, Seed: seed, Cached: cached,
 		ElapsedUS: float64(ent.elapsed) / float64(time.Microsecond),
 		Result:    ent.result,
 	})
 }
 
-// runBatch executes a scenario array and streams NDJSON outcomes in
-// request order as they complete.
-func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, specs []scenario.Scenario, querySeed int64, seedSet bool) {
+// runBatch executes a scenario array on the engine stream and writes
+// one NDJSON outcome line per scenario, in request order, as each
+// completes.
+func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, specs []scenario.Scenario, baseSeed int64) {
 	if len(specs) > MaxBatchScenarios {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
 			"batch of %d scenarios exceeds the limit of %d", len(specs), MaxBatchScenarios)
 		return
 	}
-	baseSeed := int64(scenario.DefaultSeed)
-	if seedSet {
-		baseSeed = querySeed
-	}
 	// Validate everything up front: a malformed batch fails whole,
 	// before any simulation runs.
-	type item struct {
-		spec   scenario.Scenario
-		hash   string
-		seed   int64
-		ent    *cacheEntry
-		cached bool
-	}
-	items := make([]item, len(specs))
 	for i, spec := range specs {
-		n := spec.Normalized()
-		if err := n.Validate(); err != nil {
+		if err := spec.Normalized().Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, CodeInvalidScenario, "scenarios[%d]: %v", i, err)
 			return
 		}
-		items[i].spec = n
-		items[i].hash = n.Hash()
-		items[i].seed = n.Seed
-		if items[i].seed == 0 {
-			items[i].seed = engine.DeriveScenarioSeed(baseSeed, n)
-		}
 	}
-	// Publish all entries first so duplicates inside the batch coalesce,
-	// then compute concurrently (bounded by the simulation semaphore).
-	for i := range items {
-		items[i].ent, items[i].cached = s.entry(cacheKey{Hash: items[i].hash, Seed: items[i].seed})
-	}
-	for i := range items {
-		it := items[i]
-		go s.compute(cacheKey{Hash: it.hash, Seed: it.seed}, it.ent, func() (*scenario.Result, error) {
-			return s.runScenarioIsolated(r, it.spec, it.seed)
-		})
-	}
+	ctx, meta := withCellLog(r.Context())
+	enc := json.NewEncoder(startNDJSON(w))
+	next, index := 0, 0
+	// The error is the client going away (a failed write stops the
+	// stream); in-flight cells still complete into the cache.
+	engine.StreamScenarios(ctx, engine.StreamOptions{
+		Next: func() (scenario.Scenario, bool) {
+			if next == len(specs) {
+				return scenario.Scenario{}, false
+			}
+			next++
+			return specs[next-1], true
+		},
+		BaseSeed: baseSeed,
+		Parallel: s.parallel(),
+		Runner:   s,
+		Emit: func(o engine.ScenarioOutcome) error {
+			m := meta.take(o.Hash, o.Seed)
+			line := scenarioLine{
+				Index: index, Name: o.Scenario.Name, Hash: o.Hash, Seed: o.Seed,
+				Cached: m.cached, ElapsedUS: m.elapsedUS(),
+			}
+			index++
+			line.Error, line.Result = outcomeBody(o.Scenario, o.Seed, o.Result, o.Err)
+			return enc.Encode(line)
+		},
+	})
+}
 
+// outcomeBody splits one resolved cell into the line's error envelope
+// or result: exactly one of the two is non-nil.
+func outcomeBody(n scenario.Scenario, seed int64, res *scenario.Result, err error) (*errorBody, *scenario.Result) {
+	if err != nil {
+		return errBody(CodeRunFailed, "%s (seed %d): %v", n.Describe(), seed, err), nil
+	}
+	return nil, res
+}
+
+// flushWriter flushes the response after every Write. json.Encoder
+// writes each value with one Write call, so every NDJSON line reaches
+// the client as soon as it is encoded.
+type flushWriter struct{ w http.ResponseWriter }
+
+func (f flushWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	if fl, ok := f.w.(http.Flusher); ok {
+		fl.Flush()
+	}
+	return n, err
+}
+
+// startNDJSON commits a 200 NDJSON response and returns its line
+// writer.
+func startNDJSON(w http.ResponseWriter) io.Writer {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i := range items {
-		it := items[i]
-		select {
-		case <-it.ent.ready:
-		case <-r.Context().Done():
-			// Client went away; in-flight computations still complete
-			// into the cache for the next request.
-			return
-		}
-		line := scenarioLine{
-			Index: i, Name: it.spec.Name, Hash: it.hash, Seed: it.seed,
-			Cached:    it.ent.served(it.cached),
-			ElapsedUS: float64(it.ent.elapsed) / float64(time.Microsecond),
-		}
-		if it.ent.err != nil {
-			line.Error = errBody(CodeRunFailed, "%s (seed %d): %v", it.spec.Describe(), it.seed, it.ent.err)
-		} else {
-			line.Result = it.ent.result
-		}
-		if err := enc.Encode(line); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+	return flushWriter{w}
+}
+
+// parallel sizes the engine worker pool of the streaming routes: the
+// simulation semaphore bounds real concurrency anyway, so match it.
+func (s *Server) parallel() int {
+	if s.sem != nil {
+		return cap(s.sem)
 	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// resolve is the server's one per-cell resolver, behind every route
+// that runs a scenario: it publishes (or joins) the (hash, seed) cache
+// entry and fills it through compute — durable store first, then an
+// isolated run under the simulation semaphore. compute returns only
+// once the entry is ready (sync.Once blocks concurrent callers until
+// the first finishes), so a coalesced caller waits there. cached
+// reports whether the result was already complete in memory when the
+// request arrived or came from the store; a coalesced waiter on an
+// in-flight entry still pays the compute wall-clock.
+func (s *Server) resolve(ctx context.Context, n scenario.Scenario, hash string, seed int64) (ent *cacheEntry, cached bool) {
+	key := cacheKey{Hash: hash, Seed: seed}
+	ent, cached = s.entry(key)
+	s.compute(key, ent, func() (*scenario.Result, error) {
+		return s.runScenarioIsolated(ctx, n, hash, seed)
+	})
+	return ent, cached || ent.fromStore
+}
+
+// RunCell implements engine.CellRunner over resolve: the engine stream
+// that drives the batch and sweep routes fans cells out through it,
+// reusing the hash the stream computes once per slot. When ctx carries
+// a route's cellLog (withCellLog), the entry's cached flag and cost are
+// recorded there for the emitter — the stream's own slot timing
+// includes coalescing and semaphore waits, which elapsed_us never
+// reports.
+func (s *Server) RunCell(ctx context.Context, n scenario.Scenario, hash string, seed int64) (*scenario.Result, error) {
+	ent, cached := s.resolve(ctx, n, hash, seed)
+	if l, ok := ctx.Value(cellLogKey{}).(*cellLog); ok {
+		l.record(cacheKey{Hash: hash, Seed: seed}, cellMeta{cached: cached, elapsed: ent.elapsed})
+	}
+	return ent.result, ent.err
+}
+
+// cellLogKey is the context key a streaming route stores its cellLog
+// under.
+type cellLogKey struct{}
+
+// cellMeta is one resolved cell's serving metadata.
+type cellMeta struct {
+	cached  bool
+	elapsed time.Duration // the entry's compute or store-read cost
+	refs    int           // resolutions recorded but not yet taken
+}
+
+func (m cellMeta) elapsedUS() float64 { return float64(m.elapsed) / float64(time.Microsecond) }
+
+// cellLog carries serving metadata from RunCell, on the engine's
+// workers, to the route's emitter. A record lives from resolution to
+// emission, so the log holds at most one engine window of cells;
+// duplicate cells in one stream share a record.
+type cellLog struct {
+	mu sync.Mutex
+	m  map[cacheKey]*cellMeta
+}
+
+// withCellLog returns a context carrying a fresh cellLog for RunCell to
+// record into.
+func withCellLog(ctx context.Context) (context.Context, *cellLog) {
+	l := &cellLog{m: map[cacheKey]*cellMeta{}}
+	return context.WithValue(ctx, cellLogKey{}, l), l
+}
+
+func (l *cellLog) record(key cacheKey, m cellMeta) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if rec := l.m[key]; rec != nil {
+		rec.refs++
+		return
+	}
+	m.refs = 1
+	l.m[key] = &m
+}
+
+// take releases one record for (hash, seed). A cell the stream never
+// resolved (its slot was cancelled before it ran) reports zero.
+func (l *cellLog) take(hash string, seed int64) cellMeta {
+	key := cacheKey{Hash: hash, Seed: seed}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rec := l.m[key]
+	if rec == nil {
+		return cellMeta{}
+	}
+	if rec.refs--; rec.refs == 0 {
+		delete(l.m, key)
+	}
+	return *rec
 }
 
 // runScenarioIsolated executes one scenario with panic isolation. The
@@ -762,11 +844,11 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, specs []scenar
 // that later, healthy clients would then be served. The simulation is
 // short and completes into the cache either way — exactly what a
 // retrying client wants.
-func (s *Server) runScenarioIsolated(r *http.Request, n scenario.Scenario, seed int64) (res *scenario.Result, err error) {
+func (s *Server) runScenarioIsolated(ctx context.Context, n scenario.Scenario, hash string, seed int64) (res *scenario.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("scenario %s panicked: %v", n.Hash(), p)
+			res, err = nil, fmt.Errorf("scenario %s panicked: %v", hash, p)
 		}
 	}()
-	return s.runner.RunSeeded(context.WithoutCancel(r.Context()), n, seed)
+	return s.runner.RunSeeded(context.WithoutCancel(ctx), n, seed)
 }

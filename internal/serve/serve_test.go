@@ -175,42 +175,67 @@ func TestConcurrentRequestsCoalesce(t *testing.T) {
 	}
 }
 
+// TestMaxConcurrentBoundsDistinctSeeds: MaxConcurrent caps running
+// simulations whether the load is ten concurrent single requests or
+// one ten-item batch on the engine stream — and both reach the cap, so
+// neither runs serially.
 func TestMaxConcurrentBoundsDistinctSeeds(t *testing.T) {
-	var cur, peak int64
-	slow := func(id string, seed int64) (*exp.Report, error) {
-		n := atomic.AddInt64(&cur, 1)
-		for {
-			old := atomic.LoadInt64(&peak)
-			if n <= old || atomic.CompareAndSwapInt64(&peak, old, n) {
-				break
-			}
+	singles := func(t *testing.T, ts *httptest.Server) {
+		var wg sync.WaitGroup
+		for i := 1; i <= 10; i++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				resp, err := ts.Client().Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(expSpec("fig6a", seed)))
+				if err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}(int64(i))
 		}
-		time.Sleep(20 * time.Millisecond)
-		atomic.AddInt64(&cur, -1)
-		return exp.NewReport(id, "slow"), nil
+		wg.Wait()
 	}
-	srv := New(Options{Run: slow, MaxConcurrent: 2})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var wg sync.WaitGroup
-	for i := 1; i <= 10; i++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			resp, err := ts.Client().Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(expSpec("fig6a", seed)))
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+	batch := func(t *testing.T, ts *httptest.Server) {
+		items := make([]string, 10)
+		for i := range items {
+			items[i] = expSpec("fig6a", int64(i+1))
+		}
+		code, body := postJSON(t, ts, "/v1/scenarios", "application/json", "["+strings.Join(items, ",")+"]")
+		if code != http.StatusOK {
+			t.Fatalf("batch: status %d: %s", code, body)
+		}
+		if n := strings.Count(string(body), "\n"); n != len(items) {
+			t.Fatalf("batch streamed %d lines, want %d", n, len(items))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		load func(*testing.T, *httptest.Server)
+	}{{"singles", singles}, {"batch", batch}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cur, peak int64
+			slow := func(id string, seed int64) (*exp.Report, error) {
+				n := atomic.AddInt64(&cur, 1)
+				for {
+					old := atomic.LoadInt64(&peak)
+					if n <= old || atomic.CompareAndSwapInt64(&peak, old, n) {
+						break
+					}
+				}
+				time.Sleep(20 * time.Millisecond)
+				atomic.AddInt64(&cur, -1)
+				return exp.NewReport(id, "slow"), nil
 			}
-		}(int64(i))
-	}
-	wg.Wait()
-	if peak > 2 {
-		t.Errorf("peak concurrent simulations %d exceeds MaxConcurrent=2", peak)
-	}
-	if peak < 2 {
-		t.Errorf("distinct-seed requests never overlapped (peak %d)", peak)
+			ts := httptest.NewServer(New(Options{Run: slow, MaxConcurrent: 2}).Handler())
+			defer ts.Close()
+			tc.load(t, ts)
+			if peak > 2 {
+				t.Errorf("peak concurrent simulations %d exceeds MaxConcurrent=2", peak)
+			}
+			if peak < 2 {
+				t.Errorf("distinct-seed simulations never overlapped (peak %d)", peak)
+			}
+		})
 	}
 }
 
@@ -254,12 +279,12 @@ func TestEvictionAllocsFlat(t *testing.T) {
 		srv := New(Options{MaxCacheEntries: n})
 		for i := 0; i < n; i++ {
 			ent, _ := srv.entry(cacheKey{Hash: "h", Seed: int64(i)})
-			close(ent.ready) // completed entries are evictable
+			ent.finished.Store(true) // completed entries are evictable
 		}
 		seed := int64(n)
 		return testing.AllocsPerRun(200, func() {
 			ent, _ := srv.entry(cacheKey{Hash: "h", Seed: seed})
-			close(ent.ready)
+			ent.finished.Store(true)
 			seed++
 		})
 	}

@@ -70,8 +70,8 @@ func TestServerWarmsFromStore(t *testing.T) {
 	if !second.Cached {
 		t.Error("store-served request not marked cached")
 	}
-	if hits, fails := srv2.StoreStats(); hits != 1 || fails != 0 {
-		t.Errorf("store stats %d hits / %d failures, want 1/0", hits, fails)
+	if hits, misses, errs := srv2.StoreCounters(); hits != 1 || misses != 0 || errs != 0 {
+		t.Errorf("store counters %d hits / %d misses / %d errors, want 1/0/0", hits, misses, errs)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestV1SweepSkipsMaterializedCells(t *testing.T) {
 	if string(coldAgg) != string(warmAgg) {
 		t.Errorf("aggregate differs across restart:\ncold: %s\nwarm: %s", coldAgg, warmAgg)
 	}
-	if hits, fails := srv2.StoreStats(); hits != int64(len(cells)) || fails != 0 {
-		t.Errorf("store stats %d hits / %d failures, want %d/0", hits, fails, len(cells))
+	if hits, misses, errs := srv2.StoreCounters(); hits != int64(len(cells)) || misses != 0 || errs != 0 {
+		t.Errorf("store counters %d hits / %d misses / %d errors, want %d/0/0", hits, misses, errs, len(cells))
 	}
 }

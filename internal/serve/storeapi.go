@@ -128,7 +128,7 @@ func (s *Server) v1StoreIndex(w http.ResponseWriter, r *http.Request) {
 			"this server's store does not expose raw objects")
 		return
 	}
-	ls, err := b.ListObjects()
+	ls, err := b.ListObjects(r.Context())
 	if err != nil {
 		s.countStoreErr(err)
 		writeError(w, http.StatusInternalServerError, CodeStoreError, "list store: %v", err)
@@ -153,7 +153,7 @@ func (s *Server) v1StoreEntry(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		data, ok, err := b.GetObject(key)
+		data, ok, err := b.GetObject(r.Context(), key)
 		if err != nil {
 			s.countStoreErr(err)
 			writeError(w, http.StatusInternalServerError, CodeStoreError,
@@ -197,7 +197,7 @@ func (s *Server) v1StoreEntry(w http.ResponseWriter, r *http.Request) {
 				"rejected envelope for %s: %v", key, err)
 			return
 		}
-		if err := b.PutObject(key, data); err != nil {
+		if err := b.PutObject(r.Context(), key, data); err != nil {
 			s.countStoreErr(err)
 			writeError(w, http.StatusInternalServerError, CodeStoreError,
 				"write %s: %v", key, err)

@@ -277,7 +277,7 @@ func TestServeOverPackedStore(t *testing.T) {
 	if !resp.Cached {
 		t.Error("packed-store restart did not serve from segments")
 	}
-	if hits, fails := srv.StoreStats(); hits != 1 || fails != 0 {
-		t.Errorf("store stats %d/%d, want 1 hit, 0 failures", hits, fails)
+	if hits, misses, errs := srv.StoreCounters(); hits != 1 || misses != 0 || errs != 0 {
+		t.Errorf("store counters %d/%d/%d, want 1 hit, 0 misses, 0 errors", hits, misses, errs)
 	}
 }

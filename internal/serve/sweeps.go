@@ -1,15 +1,9 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"runtime"
-	"sync"
-	"time"
 
-	"ichannels/internal/engine"
 	"ichannels/internal/scenario"
 	"ichannels/internal/sweep"
 )
@@ -50,43 +44,16 @@ type sweepLine struct {
 	Result    *scenario.Result  `json:"result,omitempty"`
 }
 
-// sweepItem carries one cell through the serving pipeline. hash is the
-// cell spec's content hash, computed once in the producer and reused
-// for both the cache key and the wire line.
-type sweepItem struct {
-	cell   scenario.Cell
-	hash   string
-	seed   int64
-	ent    *cacheEntry
-	cached bool
-}
-
-// sweepWindow bounds how many cells may be past the producer (entry
-// published, compute dispatched) but not yet written. Grid size never
-// enters the bound — that is the serving side of the streaming
-// contract asserted by engine.TestStreamBoundedMemory.
-func (s *Server) sweepWindow() int {
-	n := runtime.GOMAXPROCS(0)
-	if s.sem != nil {
-		n = cap(s.sem)
-	}
-	w := 2 * n
-	if w < 4 {
-		w = 4
-	}
-	if w > 64 {
-		w = 64
-	}
-	return w
-}
-
-// v1Sweeps expands a sweep spec and streams one NDJSON line per cell,
-// in expansion order, followed by a final aggregate envelope
-// ({"aggregate": …}) whose bytes match `ichannels sweep run` for the
-// same spec and seed. Every cell shares the server-wide
-// (scenario hash, seed) single-flight cache, so re-posting a sweep —
-// or posting a sweep that overlaps earlier scenario requests — recomputes
-// nothing.
+// v1Sweeps expands a sweep spec and streams it on the engine stream
+// (sweep.Run): one NDJSON line per cell, in expansion order — preceded,
+// for a refined sweep, by one pass-marker line per refinement pass, the
+// pass's cells following in the controller's deterministic hash order —
+// then a final aggregate envelope ({"aggregate": …}, plus the
+// refinement record when adaptive) whose bytes match `ichannels sweep
+// run -ndjson` for the same spec and seed. Every cell resolves through
+// the server-wide (scenario hash, seed) single-flight cache and the
+// durable store underneath it, so re-posting a sweep — or posting one
+// that overlaps earlier requests — recomputes nothing.
 func (s *Server) v1Sweeps(w http.ResponseWriter, r *http.Request) {
 	if !methodOnly(w, r, http.MethodPost) {
 		return
@@ -94,23 +61,13 @@ func (s *Server) v1Sweeps(w http.ResponseWriter, r *http.Request) {
 	if !requireJSON(w, r) {
 		return
 	}
-	querySeed, seedSet, err := parseSeed(r)
+	baseSeed, err := querySeed(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
-	if seedSet && querySeed < 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "seed must be non-negative, got %d", querySeed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > maxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			"request body exceeds %d bytes", maxBodyBytes)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	sw, err := scenario.ParseSweep(body)
@@ -132,163 +89,24 @@ func (s *Server) v1Sweeps(w http.ResponseWriter, r *http.Request) {
 			cells, MaxSweepCellsPerRequest)
 		return
 	}
-	baseSeed := int64(scenario.DefaultSeed)
-	if seedSet && querySeed != 0 {
-		baseSeed = querySeed
-	}
-	if nsw.Refine != nil {
-		s.v1SweepsRefined(w, r, nsw, baseSeed)
-		return
-	}
-	it, err := nsw.Cells()
-	if err != nil {
-		// Unreachable after CountCells; keep the 400 for safety.
-		writeError(w, http.StatusBadRequest, CodeInvalidSweep, "%v", err)
-		return
-	}
 
-	// Producer: expand lazily, publish cache entries, dispatch compute.
-	// The bounded channel is the back-pressure that keeps the number of
-	// in-flight cells O(window), never O(grid).
-	items := make(chan sweepItem, s.sweepWindow())
-	ctx := r.Context()
-	go func() {
-		defer close(items)
-		for {
-			cell, ok, err := it.Next()
-			if err != nil || !ok {
-				// err is unreachable post-Validate; ending the stream
-				// early is the safe degradation.
-				return
-			}
-			seed := cell.Scenario.Seed
-			if seed == 0 {
-				seed = engine.DeriveScenarioSeed(baseSeed, cell.Scenario)
-			}
-			hash := cell.Scenario.Hash()
-			key := cacheKey{Hash: hash, Seed: seed}
-			ent, cached := s.entry(key)
-			n := cell.Scenario
-			go s.compute(key, ent, func() (*scenario.Result, error) {
-				return s.runScenarioIsolated(r, n, seed)
-			})
-			select {
-			case items <- sweepItem{cell: cell, hash: hash, seed: seed, ent: ent, cached: cached}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	agg := sweep.NewAggregator(nsw.EffectiveGroupBy())
-	for it := range items {
-		select {
-		case <-it.ent.ready:
-		case <-ctx.Done():
-			// Client went away; in-flight computations still complete
-			// into the cache for the next request.
-			return
-		}
-		line := sweepLine{
-			Index: it.cell.Index, Name: it.cell.Scenario.Name, Axes: it.cell.Axes,
-			Hash: it.hash, Seed: it.seed, Cached: it.ent.served(it.cached),
-			ElapsedUS: float64(it.ent.elapsed) / float64(time.Microsecond),
-		}
-		if it.ent.err != nil {
-			line.Error = errBody(CodeRunFailed, "%s (seed %d): %v", it.cell.Scenario.Describe(), it.seed, it.ent.err)
-		} else {
-			line.Result = it.ent.result
-		}
-		agg.Add(it.cell.Axes, it.ent.result, it.ent.err)
-		if err := enc.Encode(line); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	sweep.WriteAggregateLine(w, agg.Table(nsw.Hash(), baseSeed))
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// refinedParallel sizes the refinement controller's worker pool: the
-// simulation semaphore bounds real concurrency anyway, so match it.
-func (s *Server) refinedParallel() int {
-	if s.sem != nil {
-		return cap(s.sem)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// v1SweepsRefined streams an adaptive sweep: one NDJSON pass-marker
-// line per refinement pass, the pass's cell lines in the controller's
-// deterministic hash order, and a final aggregate envelope that records
-// cells computed vs the dense-grid equivalent — framing and bytes
-// identical to `ichannels sweep run -ndjson` for the same spec and
-// seed. Every cell still goes through the server-wide (hash, seed)
-// single-flight cache (and the durable store underneath it), so a
-// refined sweep that overlaps earlier requests recomputes nothing.
-func (s *Server) v1SweepsRefined(w http.ResponseWriter, r *http.Request, nsw scenario.Sweep, baseSeed int64) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	// The controller runs cells on engine workers; each worker resolves
-	// its cell through the server cache. served records which keys were
-	// answered from memory or the durable tier — written on the worker
-	// goroutine, read on the emitter goroutine, hence the sync.Map.
-	var served sync.Map
-	runFn := func(ctx context.Context, n scenario.Scenario, seed int64) (*scenario.Result, error) {
-		key := cacheKey{Hash: n.Hash(), Seed: seed}
-		ent, cached := s.entry(key)
-		s.compute(key, ent, func() (*scenario.Result, error) {
-			return s.runScenarioIsolated(r, n, seed)
-		})
-		<-ent.ready
-		if ent.served(cached) {
-			served.Store(key, true)
-		}
-		return ent.result, ent.err
-	}
-	res, err := sweep.Run(r.Context(), nsw, sweep.Options{
+	ctx, meta := withCellLog(r.Context())
+	out := startNDJSON(w)
+	enc := json.NewEncoder(out)
+	res, err := sweep.Run(ctx, nsw, sweep.Options{
 		BaseSeed: baseSeed,
-		Parallel: s.refinedParallel(),
-		Run:      runFn,
-		OnPass: func(p sweep.PassStats) error {
-			if err := sweep.WritePassLine(w, p); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		},
+		Parallel: s.parallel(),
+		Runner:   s,
+		OnPass:   func(p sweep.PassStats) error { return sweep.WritePassLine(out, p) },
 		OnCell: func(o sweep.CellOutcome) error {
-			_, cached := served.Load(cacheKey{Hash: o.Hash, Seed: o.Seed})
+			m := meta.take(o.Hash, o.Seed)
 			line := sweepLine{
 				Index: o.Cell.Index, Name: o.Cell.Scenario.Name, Axes: o.Cell.Axes,
-				Hash: o.Hash, Seed: o.Seed, Pass: o.Pass, Cached: cached,
-				ElapsedUS: float64(o.Elapsed) / float64(time.Microsecond),
+				Hash: o.Hash, Seed: o.Seed, Pass: o.Pass,
+				Cached: m.cached, ElapsedUS: m.elapsedUS(),
 			}
-			if o.Err != nil {
-				line.Error = errBody(CodeRunFailed, "%s (seed %d): %v", o.Cell.Scenario.Describe(), o.Seed, o.Err)
-			} else {
-				line.Result = o.Result
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
+			line.Error, line.Result = outcomeBody(o.Cell.Scenario, o.Seed, o.Result, o.Err)
+			return enc.Encode(line)
 		},
 	})
 	if err != nil {
@@ -297,8 +115,5 @@ func (s *Server) v1SweepsRefined(w http.ResponseWriter, r *http.Request, nsw sce
 		// still complete into the cache for the next request.
 		return
 	}
-	res.WriteAggregateLine(w)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	res.WriteAggregateLine(out)
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -271,5 +272,81 @@ func TestLRUEvictionKeepsHotEntries(t *testing.T) {
 	runExp(t, ts, "fig6a", 2) // was evicted → recompute
 	if calls != 4 {
 		t.Errorf("cold entry not evicted (calls=%d, want 4)", calls)
+	}
+}
+
+// TestElapsedUSIsEntryCost: elapsed_us means the same thing on every
+// route — the resolved entry's compute (or store-read) cost, never the
+// wall time a request spent waiting for it. Posting the same request
+// twice, every cached line of the second response must repeat the
+// first response's elapsed_us for that cell.
+func TestElapsedUSIsEntryCost(t *testing.T) {
+	refined, err := os.ReadFile("../../examples/sweeps/specs/fig14_noise_refined.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ name, path, body string }{
+		{"single", "/v1/scenarios", `{"role":"channel","kind":"cores","bits":8,"seed":3}`},
+		{"batch", "/v1/scenarios?seed=5", `[{"role":"channel","kind":"cores","bits":8},
+			{"role":"channel","kind":"smt","bits":8},{"role":"channel","kind":"cores","bits":8}]`},
+		{"dense sweep", "/v1/sweeps?seed=7", testSweepSpec},
+		{"refined sweep", "/v1/sweeps?seed=1", string(refined)},
+	}
+	type cellKey struct {
+		Hash string
+		Seed int64
+	}
+	// cellCosts decodes a response — one JSON object or an NDJSON
+	// stream with pass markers and an aggregate — into its cell lines.
+	cellCosts := func(t *testing.T, body []byte) (costs map[cellKey]float64, cached []bool) {
+		t.Helper()
+		costs = map[cellKey]float64{}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		for dec.More() {
+			var l struct {
+				Hash      string  `json:"hash"`
+				Seed      int64   `json:"seed"`
+				Cached    bool    `json:"cached"`
+				ElapsedUS float64 `json:"elapsed_us"`
+			}
+			if err := dec.Decode(&l); err != nil {
+				t.Fatalf("decoding %s: %v", body, err)
+			}
+			if l.Hash == "" {
+				continue // pass marker or aggregate envelope
+			}
+			costs[cellKey{l.Hash, l.Seed}] = l.ElapsedUS
+			cached = append(cached, l.Cached)
+		}
+		if len(cached) == 0 {
+			t.Fatalf("no cell lines in %s", body)
+		}
+		return costs, cached
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(New(Options{}).Handler())
+			defer ts.Close()
+			code, first := postBody(t, ts, tc.path, tc.body)
+			if code != http.StatusOK {
+				t.Fatalf("first post: status %d: %s", code, first)
+			}
+			code, second := postBody(t, ts, tc.path, tc.body)
+			if code != http.StatusOK {
+				t.Fatalf("second post: status %d: %s", code, second)
+			}
+			want, _ := cellCosts(t, first)
+			got, cached := cellCosts(t, second)
+			for i, c := range cached {
+				if !c {
+					t.Errorf("second post: cell line %d not cached", i)
+				}
+			}
+			for k, us := range got {
+				if w, ok := want[k]; !ok || us != w {
+					t.Errorf("cell %s-%d: cached elapsed_us %v, first post reported %v", k.Hash, k.Seed, us, w)
+				}
+			}
+		})
 	}
 }

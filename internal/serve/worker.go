@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"io"
 	"net/http"
 
 	"ichannels/internal/dist"
-	"ichannels/internal/scenario"
 	"ichannels/internal/store"
 )
 
@@ -32,14 +30,8 @@ func (s *Server) v1Cells(w http.ResponseWriter, r *http.Request) {
 	if !requireJSON(w, r) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > maxBodyBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			"request body exceeds %d bytes", maxBodyBytes)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	d, err := dist.ParseCellDispatch(body)
@@ -70,17 +62,13 @@ func (s *Server) v1Cells(w http.ResponseWriter, r *http.Request) {
 			"dispatched hash %s, this worker computes %s: coordinator/worker version skew", d.Hash, h)
 		return
 	}
-	key := cacheKey{Hash: d.Hash, Seed: d.Seed}
-	ent, _ := s.entry(key)
-	s.compute(key, ent, func() (*scenario.Result, error) {
-		return s.runScenarioIsolated(r, n, d.Seed)
-	})
+	ent, _ := s.resolve(r.Context(), n, d.Hash, d.Seed)
 	if ent.err != nil {
 		writeError(w, http.StatusInternalServerError, CodeRunFailed,
 			"%s (seed %d): %v", n.Describe(), d.Seed, ent.err)
 		return
 	}
-	env, err := store.EncodeEnvelope(store.Key(key), ent.result)
+	env, err := store.EncodeEnvelope(store.Key{Hash: d.Hash, Seed: d.Seed}, ent.result)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeRunFailed,
 			"encoding result envelope: %v", err)

@@ -16,51 +16,20 @@ import (
 // layers the envelope verification every read path in this repo goes
 // through, so a corrupt or byzantine backend is detected exactly the
 // way a corrupt disk entry is.
+//
+// Every verb takes a context: remote backends honor it, so a cancelled
+// sweep aborts in-flight store I/O promptly; local backends may ignore
+// it (disk ops don't hang).
 type Backend interface {
 	// GetObject returns the stored envelope bytes for key, ok=false on
 	// a clean miss.
-	GetObject(key Key) ([]byte, bool, error)
+	GetObject(ctx context.Context, key Key) ([]byte, bool, error)
 	// PutObject stores envelope bytes under key. Callers must only
 	// store canonical EncodeEnvelope output; implementations may assume
 	// (or verify) that.
-	PutObject(key Key, data []byte) error
+	PutObject(ctx context.Context, key Key, data []byte) error
 	// ListObjects enumerates the stored entries sorted by key.
-	ListObjects() ([]Entry, error)
-}
-
-// BackendContext is the context-aware variant of Backend. Remote
-// backends implement it so a cancelled sweep aborts in-flight store
-// I/O promptly; local backends need not bother (disk ops don't hang).
-// The backendGet/backendPut/backendList helpers upgrade to it when
-// available, so callers pass a context unconditionally.
-type BackendContext interface {
-	GetObjectContext(ctx context.Context, key Key) ([]byte, bool, error)
-	PutObjectContext(ctx context.Context, key Key, data []byte) error
-	ListObjectsContext(ctx context.Context) ([]Entry, error)
-}
-
-// backendGet fetches through the context-aware path when b supports it.
-func backendGet(ctx context.Context, b Backend, key Key) ([]byte, bool, error) {
-	if cb, ok := b.(BackendContext); ok && ctx != nil {
-		return cb.GetObjectContext(ctx, key)
-	}
-	return b.GetObject(key)
-}
-
-// backendPut stores through the context-aware path when b supports it.
-func backendPut(ctx context.Context, b Backend, key Key, data []byte) error {
-	if cb, ok := b.(BackendContext); ok && ctx != nil {
-		return cb.PutObjectContext(ctx, key, data)
-	}
-	return b.PutObject(key, data)
-}
-
-// backendList lists through the context-aware path when b supports it.
-func backendList(ctx context.Context, b Backend) ([]Entry, error) {
-	if cb, ok := b.(BackendContext); ok && ctx != nil {
-		return cb.ListObjectsContext(ctx)
-	}
-	return b.ListObjects()
+	ListObjects(ctx context.Context) ([]Entry, error)
 }
 
 // ContextStore is the context-aware variant of Store, implemented by
@@ -112,7 +81,7 @@ func (s *BackendStore) Get(key Key) (*scenario.Result, bool, error) {
 
 // GetContext implements ContextStore: fetch honoring ctx, then verify.
 func (s *BackendStore) GetContext(ctx context.Context, key Key) (*scenario.Result, bool, error) {
-	data, ok, err := backendGet(ctx, s.b, key)
+	data, ok, err := s.b.GetObject(ctx, key)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -135,19 +104,25 @@ func (s *BackendStore) PutContext(ctx context.Context, key Key, res *scenario.Re
 	if err != nil {
 		return err
 	}
-	return backendPut(ctx, s.b, key, data)
+	return s.b.PutObject(ctx, key, data)
 }
 
 // List enumerates the backend's entries.
-func (s *BackendStore) List() ([]Entry, error) { return s.b.ListObjects() }
+func (s *BackendStore) List() ([]Entry, error) { return s.b.ListObjects(context.Background()) }
 
 // GetObject, PutObject and ListObjects forward the raw verbs, so a
 // BackendStore is itself a Backend: a server whose -store is a remote
 // corpus can still share it onward (proxy chains compose).
-func (s *BackendStore) GetObject(key Key) ([]byte, bool, error) { return s.b.GetObject(key) }
+func (s *BackendStore) GetObject(ctx context.Context, key Key) ([]byte, bool, error) {
+	return s.b.GetObject(ctx, key)
+}
 
 // PutObject forwards to the wrapped backend.
-func (s *BackendStore) PutObject(key Key, data []byte) error { return s.b.PutObject(key, data) }
+func (s *BackendStore) PutObject(ctx context.Context, key Key, data []byte) error {
+	return s.b.PutObject(ctx, key, data)
+}
 
 // ListObjects forwards to the wrapped backend.
-func (s *BackendStore) ListObjects() ([]Entry, error) { return s.b.ListObjects() }
+func (s *BackendStore) ListObjects(ctx context.Context) ([]Entry, error) {
+	return s.b.ListObjects(ctx)
+}

@@ -5,6 +5,7 @@ package store
 // envelope verification that makes any of them safe to trust.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -48,7 +49,7 @@ func backendFixtures(t *testing.T) map[string]Backend {
 		}
 		switch r.Method {
 		case http.MethodGet:
-			data, ok, err := origin.GetObject(key)
+			data, ok, err := origin.GetObject(r.Context(), key)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -61,7 +62,7 @@ func backendFixtures(t *testing.T) map[string]Backend {
 		case http.MethodPut:
 			buf := make([]byte, r.ContentLength)
 			r.Body.Read(buf)
-			if err := origin.PutObject(key, buf); err != nil {
+			if err := origin.PutObject(r.Context(), key, buf); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
@@ -106,7 +107,7 @@ func TestBackendRoundTrip(t *testing.T) {
 			if _, ok, err := st.Get(put); !ok || err != nil {
 				t.Fatalf("read-after-write: ok=%v err=%v", ok, err)
 			}
-			ls, err := b.ListObjects()
+			ls, err := b.ListObjects(t.Context())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,9 +144,9 @@ func TestBackendStoreRejectsCorruptBytes(t *testing.T) {
 
 type fakeBackend struct{ data []byte }
 
-func (f fakeBackend) GetObject(Key) ([]byte, bool, error) { return f.data, true, nil }
-func (f fakeBackend) PutObject(Key, []byte) error         { return nil }
-func (f fakeBackend) ListObjects() ([]Entry, error)       { return []Entry{}, nil }
+func (f fakeBackend) GetObject(context.Context, Key) ([]byte, bool, error) { return f.data, true, nil }
+func (f fakeBackend) PutObject(context.Context, Key, []byte) error         { return nil }
+func (f fakeBackend) ListObjects(context.Context) ([]Entry, error)         { return []Entry{}, nil }
 
 // TestHTTPBackendErrors: server failures surface as errors (which the
 // engine degrades to recomputes), never as false hits.
@@ -158,13 +159,13 @@ func TestHTTPBackendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := b.GetObject(Key{Hash: "ab", Seed: 1}); err == nil || ok {
+	if _, ok, err := b.GetObject(t.Context(), Key{Hash: "ab", Seed: 1}); err == nil || ok {
 		t.Fatalf("500 treated as ok=%v err=%v", ok, err)
 	}
-	if err := b.PutObject(Key{Hash: "ab", Seed: 1}, []byte("{}")); err == nil {
+	if err := b.PutObject(t.Context(), Key{Hash: "ab", Seed: 1}, []byte("{}")); err == nil {
 		t.Fatal("500 on put not surfaced")
 	}
-	if _, err := b.ListObjects(); err == nil {
+	if _, err := b.ListObjects(t.Context()); err == nil {
 		t.Fatal("500 on list not surfaced")
 	}
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -64,7 +65,7 @@ func Pack(dir string) (*PackReport, error) {
 		if dup {
 			rep.AlreadyPacked++
 		} else {
-			if err := packed.PutObject(e.key, data); err != nil {
+			if err := packed.PutObject(context.Background(), e.key, data); err != nil {
 				return nil, err
 			}
 			rep.Packed++

@@ -66,7 +66,7 @@ func TestPackMigratesCorpus(t *testing.T) {
 	}
 	defer p.Close()
 	for key, data := range want {
-		got, ok, err := p.GetObject(key)
+		got, ok, err := p.GetObject(t.Context(), key)
 		if !ok || err != nil {
 			t.Fatalf("migrated entry %s: ok=%v err=%v", key, ok, err)
 		}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -381,10 +382,10 @@ func (p *Packed) Get(key Key) (*scenario.Result, bool, error) {
 	return res, true, nil
 }
 
-// GetObject returns one entry's raw envelope bytes (the Backend seam).
-// Framing damage drops the entry like Get does; payload verification is
-// the consumer's job (BackendStore decodes).
-func (p *Packed) GetObject(key Key) ([]byte, bool, error) {
+// GetObject returns one entry's raw envelope bytes (the Backend seam;
+// disk reads ignore ctx). Framing damage drops the entry like Get does;
+// payload verification is the consumer's job (BackendStore decodes).
+func (p *Packed) GetObject(_ context.Context, key Key) ([]byte, bool, error) {
 	payload, ref, ok, err := p.getPayload(key)
 	if !ok {
 		return nil, false, nil
@@ -432,13 +433,14 @@ func (p *Packed) Put(key Key, res *scenario.Result) error {
 	if err != nil {
 		return err
 	}
-	return p.PutObject(key, env)
+	return p.PutObject(context.Background(), key, env)
 }
 
 // PutObject appends pre-encoded envelope bytes (the Backend seam; Put
-// and pack migration share it). The caller vouches that data is a valid
-// envelope for key — BackendStore and Pack decode before calling.
-func (p *Packed) PutObject(key Key, data []byte) error {
+// and pack migration share it; disk writes ignore ctx). The caller
+// vouches that data is a valid envelope for key — BackendStore and Pack
+// decode before calling.
+func (p *Packed) PutObject(_ context.Context, key Key, data []byte) error {
 	if len(data) == 0 || int64(len(data)) > maxRecordBytes {
 		return fmt.Errorf("store: put %s: envelope of %d bytes outside record bounds", key, len(data))
 	}
@@ -486,7 +488,7 @@ func (p *Packed) appendLocked(key Key, frame []byte, ts int64) error {
 }
 
 // ListObjects implements Backend.
-func (p *Packed) ListObjects() ([]Entry, error) { return p.List() }
+func (p *Packed) ListObjects(context.Context) ([]Entry, error) { return p.List() }
 
 // List returns every indexed entry sorted by key, sizes in envelope
 // bytes. The slice is non-nil even when empty, so `store ls -json`

@@ -72,13 +72,9 @@ func statusErr(code int, format string, args ...any) error {
 }
 
 // GetObject implements Backend: 404 is a clean miss, 200 returns the
-// envelope bytes, anything else is an error.
-func (b *HTTPBackend) GetObject(key Key) ([]byte, bool, error) {
-	return b.GetObjectContext(context.Background(), key)
-}
-
-// GetObjectContext is GetObject honoring ctx for the whole round-trip.
-func (b *HTTPBackend) GetObjectContext(ctx context.Context, key Key) ([]byte, bool, error) {
+// envelope bytes, anything else is an error. ctx bounds the whole
+// round-trip.
+func (b *HTTPBackend) GetObject(ctx context.Context, key Key) ([]byte, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.objectURL(key), nil)
 	if err != nil {
 		return nil, false, fmt.Errorf("store: remote get %s: %w", key, err)
@@ -106,13 +102,9 @@ func (b *HTTPBackend) GetObjectContext(ctx context.Context, key Key) ([]byte, bo
 }
 
 // PutObject implements Backend: PUT the envelope bytes; any 2xx is
-// success (the server deduplicates identical writes itself).
-func (b *HTTPBackend) PutObject(key Key, data []byte) error {
-	return b.PutObjectContext(context.Background(), key, data)
-}
-
-// PutObjectContext is PutObject honoring ctx for the whole round-trip.
-func (b *HTTPBackend) PutObjectContext(ctx context.Context, key Key, data []byte) error {
+// success (the server deduplicates identical writes itself). ctx
+// bounds the whole round-trip.
+func (b *HTTPBackend) PutObject(ctx context.Context, key Key, data []byte) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, b.objectURL(key), bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("store: remote put %s: %w", key, err)
@@ -131,12 +123,7 @@ func (b *HTTPBackend) PutObjectContext(ctx context.Context, key Key, data []byte
 }
 
 // ListObjects implements Backend: the server's sorted entry listing.
-func (b *HTTPBackend) ListObjects() ([]Entry, error) {
-	return b.ListObjectsContext(context.Background())
-}
-
-// ListObjectsContext is ListObjects honoring ctx.
-func (b *HTTPBackend) ListObjectsContext(ctx context.Context) ([]Entry, error) {
+func (b *HTTPBackend) ListObjects(ctx context.Context) ([]Entry, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+StorePathPrefix, nil)
 	if err != nil {
 		return nil, fmt.Errorf("store: remote list: %w", err)
@@ -192,7 +179,7 @@ func (r *Remote) TierStats() TierStats {
 }
 
 // List enumerates the remote corpus.
-func (r *Remote) List() ([]Entry, error) { return r.retry.ListObjects() }
+func (r *Remote) List() ([]Entry, error) { return r.retry.ListObjects(context.Background()) }
 
 // maxListBytes bounds a remote listing response; a byzantine server
 // must not balloon coordinator memory through the index route.

@@ -78,7 +78,7 @@ func OpenReplica(cacheDir string, remote Backend, opts ReplicaOptions) (*Replica
 func (r *ReplicaStore) flushLoop() {
 	defer r.wg.Done()
 	for item := range r.ch {
-		err := backendPut(context.Background(), r.remote, item.key, item.data)
+		err := r.remote.PutObject(context.Background(), item.key, item.data)
 		r.mu.Lock()
 		r.pending--
 		if err != nil {
@@ -108,7 +108,7 @@ func (r *ReplicaStore) GetContext(ctx context.Context, key Key) (*scenario.Resul
 	}
 	// Local miss or locally damaged entry (the packed layout self-heals
 	// damaged refs): consult the remote.
-	data, ok, err := backendGet(ctx, r.remote, key)
+	data, ok, err := r.remote.GetObject(ctx, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -123,7 +123,7 @@ func (r *ReplicaStore) GetContext(ctx context.Context, key Key) (*scenario.Resul
 		return nil, false, err
 	}
 	// Verified once; stored verbatim.
-	if perr := r.local.PutObject(key, data); perr == nil {
+	if perr := r.local.PutObject(ctx, key, data); perr == nil {
 		r.count(func(s *ReplicaStats) { s.RemoteFills++ })
 	}
 	return res, true, nil
@@ -141,13 +141,14 @@ func (r *ReplicaStore) PutContext(ctx context.Context, key Key, res *scenario.Re
 	if err != nil {
 		return err
 	}
-	return r.putBytes(key, data)
+	return r.PutObject(ctx, key, data)
 }
 
-// putBytes is the shared write path: persist locally, enqueue the
-// upstream flush.
-func (r *ReplicaStore) putBytes(key Key, data []byte) error {
-	if err := r.local.PutObject(key, data); err != nil {
+// PutObject implements Backend and is the shared write path:
+// local-first (the local write is the durable one), then the async
+// flush upstream.
+func (r *ReplicaStore) PutObject(ctx context.Context, key Key, data []byte) error {
+	if err := r.local.PutObject(ctx, key, data); err != nil {
 		return err
 	}
 	r.mu.Lock()
@@ -168,12 +169,12 @@ func (r *ReplicaStore) putBytes(key Key, data []byte) error {
 
 // GetObject implements Backend: the read-through in raw-bytes form, so
 // a serve process can share a replica onward (proxy chains compose).
-func (r *ReplicaStore) GetObject(key Key) ([]byte, bool, error) {
-	if data, ok, err := r.local.GetObject(key); err == nil && ok {
+func (r *ReplicaStore) GetObject(ctx context.Context, key Key) ([]byte, bool, error) {
+	if data, ok, err := r.local.GetObject(ctx, key); err == nil && ok {
 		r.count(func(s *ReplicaStats) { s.LocalHits++ })
 		return data, true, nil
 	}
-	data, ok, err := backendGet(context.Background(), r.remote, key)
+	data, ok, err := r.remote.GetObject(ctx, key)
 	if err != nil || !ok {
 		if err == nil {
 			r.count(func(s *ReplicaStats) { s.RemoteMisses++ })
@@ -184,26 +185,21 @@ func (r *ReplicaStore) GetObject(key Key) ([]byte, bool, error) {
 		r.count(func(s *ReplicaStats) { s.CorruptRemote++ })
 		return nil, false, derr
 	}
-	if perr := r.local.PutObject(key, data); perr == nil {
+	if perr := r.local.PutObject(ctx, key, data); perr == nil {
 		r.count(func(s *ReplicaStats) { s.RemoteFills++ })
 	}
 	return data, true, nil
 }
 
-// PutObject implements Backend: local-first plus the async flush.
-func (r *ReplicaStore) PutObject(key Key, data []byte) error {
-	return r.putBytes(key, data)
-}
-
 // ListObjects implements Backend: the union of both tiers, local
 // entries winning (identical bytes anyway). A dead remote degrades to
 // the local listing.
-func (r *ReplicaStore) ListObjects() ([]Entry, error) {
+func (r *ReplicaStore) ListObjects(ctx context.Context) ([]Entry, error) {
 	local, err := r.local.List()
 	if err != nil {
 		return nil, err
 	}
-	remote, err := backendList(context.Background(), r.remote)
+	remote, err := r.remote.ListObjects(ctx)
 	if err != nil {
 		return local, nil
 	}
@@ -287,7 +283,7 @@ func SyncDirToRemote(ctx context.Context, local *Packed, remote Backend) (*SyncR
 	if err != nil {
 		return nil, err
 	}
-	remotes, err := backendList(ctx, remote)
+	remotes, err := remote.ListObjects(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -303,12 +299,12 @@ func SyncDirToRemote(ctx context.Context, local *Packed, remote Backend) (*SyncR
 		if ctx.Err() != nil {
 			return rep, ctx.Err()
 		}
-		data, ok, gerr := local.GetObject(e.Key)
+		data, ok, gerr := local.GetObject(ctx, e.Key)
 		if gerr != nil || !ok {
 			rep.PushErrors++
 			continue
 		}
-		if perr := backendPut(ctx, remote, e.Key, data); perr != nil {
+		if perr := remote.PutObject(ctx, e.Key, data); perr != nil {
 			rep.PushErrors++
 			continue
 		}

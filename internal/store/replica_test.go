@@ -23,7 +23,7 @@ type memBackend struct {
 
 func newMemBackend() *memBackend { return &memBackend{objects: map[Key][]byte{}} }
 
-func (m *memBackend) GetObject(key Key) ([]byte, bool, error) {
+func (m *memBackend) GetObject(_ context.Context, key Key) ([]byte, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.gets++
@@ -34,7 +34,7 @@ func (m *memBackend) GetObject(key Key) ([]byte, bool, error) {
 	return data, ok, nil
 }
 
-func (m *memBackend) PutObject(key Key, data []byte) error {
+func (m *memBackend) PutObject(_ context.Context, key Key, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.puts++
@@ -45,7 +45,7 @@ func (m *memBackend) PutObject(key Key, data []byte) error {
 	return nil
 }
 
-func (m *memBackend) ListObjects() ([]Entry, error) {
+func (m *memBackend) ListObjects(context.Context) ([]Entry, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.lists++
@@ -151,7 +151,7 @@ func TestReplicaNeverCachesCorruptRemoteBytes(t *testing.T) {
 	if _, ok, err := r.Get(key); err == nil || ok {
 		t.Fatalf("corrupt remote bytes served: ok=%v err=%v", ok, err)
 	}
-	if _, ok, err := r.Local().GetObject(key); err != nil || ok {
+	if _, ok, err := r.Local().GetObject(t.Context(), key); err != nil || ok {
 		t.Fatalf("corrupt bytes reached the cache: ok=%v err=%v", ok, err)
 	}
 	s := r.Stats()
@@ -173,7 +173,7 @@ func TestReplicaWritesLocallyAndFlushesUpstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The local write is durable immediately.
-	if _, ok, err := r.Local().GetObject(key); err != nil || !ok {
+	if _, ok, err := r.Local().GetObject(t.Context(), key); err != nil || !ok {
 		t.Fatalf("local tier after put: ok=%v err=%v", ok, err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -242,7 +242,7 @@ func TestReplicaListUnionAndDeadRemoteDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ls, err := r.ListObjects()
+	ls, err := r.ListObjects(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestReplicaListUnionAndDeadRemoteDegrade(t *testing.T) {
 	mb.mu.Lock()
 	mb.listErr = errors.New("remote down")
 	mb.mu.Unlock()
-	ls, err = r.ListObjects()
+	ls, err = r.ListObjects(t.Context())
 	if err != nil {
 		t.Fatalf("listing with a dead remote must degrade, not fail: %v", err)
 	}

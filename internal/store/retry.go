@@ -53,9 +53,9 @@ type RetryOptions struct {
 	Disable bool
 }
 
-// RetryBackend wraps a context-aware Backend with retries and a
-// circuit breaker. It implements Backend and BackendContext, so it
-// slots under BackendStore exactly where the raw HTTP backend did.
+// RetryBackend wraps a Backend with retries and a circuit breaker. It
+// is itself a Backend, so it slots under BackendStore exactly where the
+// raw HTTP backend did.
 type RetryBackend struct {
 	b    Backend
 	opts RetryOptions
@@ -207,16 +207,11 @@ func (r *RetryBackend) do(ctx context.Context, op func(context.Context) error) e
 	return err
 }
 
-// GetObject implements Backend.
-func (r *RetryBackend) GetObject(key Key) ([]byte, bool, error) {
-	return r.GetObjectContext(context.Background(), key)
-}
-
-// GetObjectContext implements BackendContext with retries.
-func (r *RetryBackend) GetObjectContext(ctx context.Context, key Key) (data []byte, ok bool, err error) {
+// GetObject implements Backend with retries.
+func (r *RetryBackend) GetObject(ctx context.Context, key Key) (data []byte, ok bool, err error) {
 	err = r.do(ctx, func(actx context.Context) error {
 		var oerr error
-		data, ok, oerr = backendGet(actx, r.b, key)
+		data, ok, oerr = r.b.GetObject(actx, key)
 		return oerr
 	})
 	if err != nil {
@@ -225,28 +220,18 @@ func (r *RetryBackend) GetObjectContext(ctx context.Context, key Key) (data []by
 	return data, ok, nil
 }
 
-// PutObject implements Backend.
-func (r *RetryBackend) PutObject(key Key, data []byte) error {
-	return r.PutObjectContext(context.Background(), key, data)
-}
-
-// PutObjectContext implements BackendContext with retries.
-func (r *RetryBackend) PutObjectContext(ctx context.Context, key Key, data []byte) error {
+// PutObject implements Backend with retries.
+func (r *RetryBackend) PutObject(ctx context.Context, key Key, data []byte) error {
 	return r.do(ctx, func(actx context.Context) error {
-		return backendPut(actx, r.b, key, data)
+		return r.b.PutObject(actx, key, data)
 	})
 }
 
-// ListObjects implements Backend.
-func (r *RetryBackend) ListObjects() ([]Entry, error) {
-	return r.ListObjectsContext(context.Background())
-}
-
-// ListObjectsContext implements BackendContext with retries.
-func (r *RetryBackend) ListObjectsContext(ctx context.Context) (out []Entry, err error) {
+// ListObjects implements Backend with retries.
+func (r *RetryBackend) ListObjects(ctx context.Context) (out []Entry, err error) {
 	err = r.do(ctx, func(actx context.Context) error {
 		var oerr error
-		out, oerr = backendList(actx, r.b)
+		out, oerr = r.b.ListObjects(actx)
 		return oerr
 	})
 	if err != nil {

@@ -36,16 +36,16 @@ func (s *scriptBackend) callCount() int {
 	return s.calls
 }
 
-func (s *scriptBackend) GetObject(Key) ([]byte, bool, error) {
+func (s *scriptBackend) GetObject(context.Context, Key) ([]byte, bool, error) {
 	if err := s.next(); err != nil {
 		return nil, false, err
 	}
 	return s.data, true, nil
 }
 
-func (s *scriptBackend) PutObject(Key, []byte) error { return s.next() }
+func (s *scriptBackend) PutObject(context.Context, Key, []byte) error { return s.next() }
 
-func (s *scriptBackend) ListObjects() ([]Entry, error) {
+func (s *scriptBackend) ListObjects(context.Context) ([]Entry, error) {
 	if err := s.next(); err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func fastRetry(maxAttempts int) RetryOptions {
 func TestRetryRecoversFromTransient(t *testing.T) {
 	sb := &scriptBackend{errs: []error{errFlaky, errFlaky}, data: []byte("x")}
 	rb := NewRetryBackend(sb, fastRetry(3))
-	data, ok, err := rb.GetObject(Key{Hash: "h", Seed: 1})
+	data, ok, err := rb.GetObject(t.Context(), Key{Hash: "h", Seed: 1})
 	if err != nil || !ok || string(data) != "x" {
 		t.Fatalf("get after transient failures: data=%q ok=%v err=%v", data, ok, err)
 	}
@@ -82,7 +82,7 @@ func TestRetryRecoversFromTransient(t *testing.T) {
 func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
 	sb := &scriptBackend{errs: []error{errFlaky, errFlaky, errFlaky, errFlaky}}
 	rb := NewRetryBackend(sb, fastRetry(2))
-	if err := rb.PutObject(Key{Hash: "h", Seed: 1}, []byte("x")); !errors.Is(err, errFlaky) {
+	if err := rb.PutObject(t.Context(), Key{Hash: "h", Seed: 1}, []byte("x")); !errors.Is(err, errFlaky) {
 		t.Fatalf("put error %v, want the transport error", err)
 	}
 	if sb.callCount() != 2 {
@@ -94,7 +94,7 @@ func TestRetryPermanentErrorIsNotRetried(t *testing.T) {
 	bad := statusErr(400, "store: remote get: 400 Bad Request")
 	sb := &scriptBackend{errs: []error{bad, nil}}
 	rb := NewRetryBackend(sb, fastRetry(3))
-	_, _, err := rb.GetObject(Key{Hash: "h", Seed: 1})
+	_, _, err := rb.GetObject(t.Context(), Key{Hash: "h", Seed: 1})
 	if err == nil || !IsPermanentError(err) {
 		t.Fatalf("4xx must surface as permanent, got %v", err)
 	}
@@ -110,7 +110,7 @@ func TestRetryPermanentErrorIsNotRetried(t *testing.T) {
 // breakerBackend always fails with a transient error.
 type breakerBackend struct{ scriptBackend }
 
-func (b *breakerBackend) GetObject(Key) ([]byte, bool, error) {
+func (b *breakerBackend) GetObject(context.Context, Key) ([]byte, bool, error) {
 	b.mu.Lock()
 	b.calls++
 	b.mu.Unlock()
@@ -128,7 +128,7 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 
 	key := Key{Hash: "h", Seed: 1}
 	for i := 0; i < 2; i++ {
-		if _, _, err := rb.GetObject(key); !errors.Is(err, errFlaky) {
+		if _, _, err := rb.GetObject(t.Context(), key); !errors.Is(err, errFlaky) {
 			t.Fatalf("attempt %d: %v", i, err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 
 	// Open circuit: the remote is not contacted at all.
 	before := sb.callCount()
-	if _, _, err := rb.GetObject(key); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := rb.GetObject(t.Context(), key); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("open-circuit get: %v, want ErrUnavailable", err)
 	}
 	if sb.callCount() != before {
@@ -152,7 +152,7 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 	// the cooldown without a second breaker-open span.
 	clock = clock.Add(2 * time.Hour)
 	before = sb.callCount()
-	if _, _, err := rb.GetObject(key); !errors.Is(err, errFlaky) {
+	if _, _, err := rb.GetObject(t.Context(), key); !errors.Is(err, errFlaky) {
 		t.Fatalf("probe: %v", err)
 	}
 	if sb.callCount() != before+1 {
@@ -166,7 +166,7 @@ func TestBreakerOpensFastFailsAndProbes(t *testing.T) {
 	clock = clock.Add(2 * time.Hour)
 	good := &scriptBackend{data: []byte("x")}
 	rb.b = good
-	if _, _, err := rb.GetObject(key); err != nil {
+	if _, _, err := rb.GetObject(t.Context(), key); err != nil {
 		t.Fatalf("probe against healthy backend: %v", err)
 	}
 	if s := rb.Stats(); s.State != "closed" {
@@ -184,7 +184,7 @@ func TestRetryHonorsCallerContext(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := rb.GetObjectContext(ctx, Key{Hash: "h", Seed: 1})
+	_, _, err := rb.GetObject(ctx, Key{Hash: "h", Seed: 1})
 	if err == nil {
 		t.Fatal("cancelled get succeeded")
 	}
@@ -196,7 +196,7 @@ func TestRetryHonorsCallerContext(t *testing.T) {
 func TestRetryDisableIsSingleAttempt(t *testing.T) {
 	sb := &scriptBackend{errs: []error{errFlaky, nil}}
 	rb := NewRetryBackend(sb, RetryOptions{Disable: true})
-	if _, _, err := rb.GetObject(Key{Hash: "h", Seed: 1}); !errors.Is(err, errFlaky) {
+	if _, _, err := rb.GetObject(t.Context(), Key{Hash: "h", Seed: 1}); !errors.Is(err, errFlaky) {
 		t.Fatalf("disabled retry: %v, want the raw error", err)
 	}
 	if sb.callCount() != 1 {
