@@ -165,3 +165,78 @@ func TestGoldenFig14RefinedAggregate(t *testing.T) {
 	}{res.Aggregate, res.Refinement}
 	compareGolden(t, filepath.Join("testdata", "golden", "fig14_refined_aggregate.json"), indented(t, envelope))
 }
+
+// TestGoldenRoles pins the result bytes of the run paths the other
+// goldens leave uncovered: the baseline role for every baseline, the spy
+// role for both spy kinds, the channel role with every params override
+// for one kind of each channel family, mitigation-eval on a one-core
+// machine, the facade's EvaluateMitigation matrix (the one
+// examples/mitigations prints) and the table1 experiment report.
+func TestGoldenRoles(t *testing.T) {
+	ctx := context.Background()
+	run := func(specs ...string) []*ichannels.ScenarioResult {
+		t.Helper()
+		out := make([]*ichannels.ScenarioResult, len(specs))
+		for i, spec := range specs {
+			var s ichannels.Scenario
+			if err := json.Unmarshal([]byte(spec), &s); err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			res, err := ichannels.RunScenario(ctx, s)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+
+	type assessment struct {
+		Mitigation     string  `json:"mitigation"`
+		Channel        string  `json:"channel"`
+		Verdict        string  `json:"verdict"`
+		BER            float64 `json:"ber"`
+		CalibrationGap float64 `json:"calibration_gap"`
+		EffectiveBPS   float64 `json:"effective_bps"`
+	}
+	var matrix []assessment
+	proc := ichannels.CannonLake8121U()
+	for _, mk := range []ichannels.Mitigation{ichannels.NoMitigation, ichannels.PerCoreVR,
+		ichannels.ImprovedThrottling, ichannels.SecureMode} {
+		for _, ck := range []ichannels.ChannelKind{ichannels.SameThread, ichannels.SMT, ichannels.CrossCore} {
+			a, err := ichannels.EvaluateMitigation(mk, ck, proc, 96, 5)
+			if err != nil {
+				t.Fatalf("%v × %v: %v", mk, ck, err)
+			}
+			matrix = append(matrix, assessment{mk.String(), ck.String(), a.Verdict.String(),
+				a.BER, a.CalibrationGap, a.EffectiveBPS})
+		}
+	}
+
+	got := struct {
+		Baseline           []*ichannels.ScenarioResult `json:"baseline"`
+		Spy                []*ichannels.ScenarioResult `json:"spy"`
+		Channel            []*ichannels.ScenarioResult `json:"channel_params"`
+		Mitigation         []*ichannels.ScenarioResult `json:"mitigation_one_core"`
+		EvaluateMitigation []assessment                `json:"evaluate_mitigation"`
+		Table1             []*ichannels.ScenarioResult `json:"table1"`
+	}{
+		Baseline: run(
+			`{"role":"baseline","baseline":"netspectre","seed":3}`,
+			`{"role":"baseline","baseline":"turbocc","seed":3}`,
+			`{"role":"baseline","baseline":"dfscovert","seed":3}`,
+			`{"role":"baseline","baseline":"powert","seed":3}`),
+		Spy: run(
+			`{"role":"spy","kind":"smt","seed":3}`,
+			`{"role":"spy","kind":"cores","seed":3}`),
+		Channel: run(
+			`{"role":"channel","kind":"thread","bits":32,"seed":3,"params":{"slot_period_us":720,"sender_iters":72,"receiver_iters":70,"receiver_offset_us":1}}`,
+			`{"role":"channel","kind":"retire","bits":32,"seed":3,"params":{"slot_period_us":24,"sender_iters":12,"receiver_iters":60,"receiver_offset_us":2}}`,
+			`{"role":"channel","kind":"clockmod","bits":16,"seed":3,"params":{"slot_period_us":130,"receiver_iters":180,"receiver_offset_us":12}}`),
+		Mitigation: run(
+			`{"role":"mitigation-eval","kind":"thread","mitigation":"percore-vr","bits":16,"seed":3,"params":{"cores":1}}`),
+		EvaluateMitigation: matrix,
+		Table1:             run(`{"role":"experiment","experiment":"table1","seed":3}`),
+	}
+	compareGolden(t, filepath.Join("testdata", "golden", "roles_results.json"), indented(t, got))
+}
