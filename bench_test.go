@@ -125,11 +125,11 @@ func BenchmarkAblationSerializedVR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cal, err := ch.Calibrate(4)
+		gap, err := ch.Calibrate(4)
 		if err != nil {
 			return 0
 		}
-		return cal.Gap
+		return gap
 	}
 	var shared, perCore float64
 	for i := 0; i < b.N; i++ {
@@ -189,11 +189,11 @@ func BenchmarkAblationThrottleFactor(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cal, err := ch.Calibrate(4)
+		gap, err := ch.Calibrate(4)
 		if err != nil {
 			return 0
 		}
-		return cal.Gap
+		return gap
 	}
 	var quarter, eighth float64
 	for i := 0; i < b.N; i++ {

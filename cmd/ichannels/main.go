@@ -853,10 +853,10 @@ func demo(args []string) error {
 	if err != nil {
 		return err
 	}
-	cal, err := ch.Calibrate(8)
-	if err != nil {
+	if _, err := ch.Calibrate(8); err != nil {
 		return err
 	}
+	cal := ch.Calibration()
 	fmt.Printf("%v on %s: calibrated, level means %v cycles (gap %.0f)\n",
 		kind, proc.Name, cal.MeanCycles, cal.Gap)
 

@@ -28,12 +28,11 @@ func main() {
 	}
 
 	// The receiver first learns the four throttling-period ranges.
-	cal, err := ch.Calibrate(8)
-	if err != nil {
+	if _, err := ch.Calibrate(8); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("calibrated %s: per-level receiver readings %v cycles\n",
-		"IccCoresCovert", cal.MeanCycles)
+		"IccCoresCovert", ch.Calibration().MeanCycles)
 
 	// Send the secret byte 0xA5, two bits per transaction.
 	secret := byte(0xA5)

@@ -231,7 +231,8 @@ type MitigationAssessment = mitigate.Assessment
 
 // EvaluateMitigation attacks a mitigated machine and grades the outcome.
 func EvaluateMitigation(k Mitigation, ch ChannelKind, p Processor, nBits int, seed int64) (*MitigationAssessment, error) {
-	return mitigate.Evaluate(k, ch, p, nBits, seed)
+	return mitigate.Evaluate(context.Background(), nil, k, ch.String(), p, nBits, seed,
+		func(m *soc.Machine) (mitigate.Channel, error) { return core.New(m, core.DefaultParams(ch, p)) })
 }
 
 // MitigatedMachineOptions returns machine options with mitigation k
@@ -610,10 +611,6 @@ type WorkerPool = dist.Pool
 // attempts, backoff, local-fallback policy).
 type WorkerPoolOptions = dist.Options
 
-// WorkerPoolStats snapshots a pool's counters: verified remote cells,
-// redispatches, rejected (byzantine/stale) responses, local fallbacks.
-type WorkerPoolStats = dist.Stats
-
 // NewWorkerPool builds a coordinator over worker base URLs — what
 // `ichannels sweep run -workers URL,URL` constructs.
 func NewWorkerPool(workers []string, opts WorkerPoolOptions) (*WorkerPool, error) {
@@ -654,13 +651,6 @@ type APIServer = serve.Server
 func NewAPIServer(opts ServerOptions) *APIServer { return serve.New(opts) }
 
 // ---- Adaptive sweep refinement ----
-
-// SweepRefine is the optional refine block of a Sweep: run a coarse
-// strided pass first, then re-expand only the group_by regions whose
-// metric (BER or throughput) actually moves — the Fig. 14-style
-// noise/BER knee found with a fraction of the dense grid's cells. See
-// scenario.Refine for the pass model and determinism contract.
-type SweepRefine = scenario.Refine
 
 // SweepPassStats is one executed refinement pass's deterministic
 // header (pass number, cell count, budget truncation); streamed to

@@ -14,37 +14,65 @@
 //
 // Each baseline actually transmits bits through the simulated mechanism;
 // throughput differences against IChannels emerge from mechanism latency,
-// exactly as the paper argues.
+// exactly as the paper argues. Every baseline implements the one channel
+// contract (mitigate.Channel): Calibrate returns the mean one/zero
+// measurement gap and Transmit returns a core.TransmitResult.
 package baselines
 
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
 
-// Result reports one baseline transmission.
-type Result struct {
-	Name          string
-	SentBits      []int
-	DecodedBits   []int
-	BER           float64
-	ThroughputBPS float64
-	Elapsed       units.Duration
+// calibrationPairs builds the alternating 1,0 pattern every baseline
+// calibrates on.
+func calibrationPairs(pairs int) ([]int, error) {
+	if pairs <= 0 {
+		return nil, fmt.Errorf("baselines: pairs must be positive")
+	}
+	bits := make([]int, 0, 2*pairs)
+	for i := 0; i < pairs; i++ {
+		bits = append(bits, 1, 0)
+	}
+	return bits, nil
 }
 
-func finishResult(name string, sent, decoded []int, elapsed units.Duration) (*Result, error) {
+// bitMeans returns the mean calibration measurement over the slots that
+// sent a 1 and over those that sent a 0.
+func bitMeans[T int64 | float64](bits []int, measures []T) (ones, zeros float64) {
+	var n1, n0 int
+	for i, m := range measures {
+		if bits[i] == 1 {
+			ones += float64(m)
+			n1++
+		} else {
+			zeros += float64(m)
+			n0++
+		}
+	}
+	return ones / float64(n1), zeros / float64(n0)
+}
+
+// finishResult assembles a transmission's result (one bit per slot, so
+// SymbolErrors counts bit errors).
+func finishResult(name string, sent, decoded []int, elapsed units.Duration) (*core.TransmitResult, error) {
 	if len(decoded) != len(sent) {
 		return nil, fmt.Errorf("baselines: %s decoded %d of %d bits (simulation ended early?)",
 			name, len(decoded), len(sent))
 	}
-	r := &Result{
-		Name:        name,
+	r := &core.TransmitResult{
 		SentBits:    sent,
 		DecodedBits: decoded,
 		BER:         stats.BER(sent, decoded),
 		Elapsed:     elapsed,
+	}
+	for i := range sent {
+		if sent[i] != decoded[i] {
+			r.SymbolErrors++
+		}
 	}
 	if elapsed > 0 {
 		r.ThroughputBPS = float64(len(sent)) / elapsed.Seconds()

@@ -36,7 +36,7 @@ func TestNetSpectre(t *testing.T) {
 	if _, err := ns.Transmit([]int{1}); err == nil {
 		t.Fatal("uncalibrated transmit accepted")
 	}
-	if err := ns.Calibrate(5); err != nil {
+	if _, err := ns.Calibrate(5); err != nil {
 		t.Fatal(err)
 	}
 	res, err := ns.Transmit(randomBits(40, 2))
@@ -60,7 +60,7 @@ func TestTurboCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.Calibrate(3); err != nil {
+	if _, err := tc.Calibrate(3); err != nil {
 		t.Fatal(err)
 	}
 	res, err := tc.Transmit(randomBits(12, 3))
@@ -84,7 +84,7 @@ func TestTurboCCNeedsTurbo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.Calibrate(2); err == nil {
+	if _, err := tc.Calibrate(2); err == nil {
 		t.Fatal("TurboCC calibrated without a Turbo operating point")
 	}
 }
@@ -95,7 +95,7 @@ func TestDFScovert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Calibrate(3); err != nil {
+	if _, err := d.Calibrate(3); err != nil {
 		t.Fatal(err)
 	}
 	res, err := d.Transmit(randomBits(10, 4))
@@ -117,7 +117,7 @@ func TestPowerT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Calibrate(4); err != nil {
+	if _, err := p.Calibrate(4); err != nil {
 		t.Fatal(err)
 	}
 	res, err := p.Transmit(randomBits(24, 5))

@@ -3,9 +3,9 @@ package baselines
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
-	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
 
@@ -138,36 +138,25 @@ func (d *DFScovert) run(bits []int) ([]int64, error) {
 }
 
 // Calibrate learns the fast/slow decision threshold.
-func (d *DFScovert) Calibrate(pairs int) error {
-	if pairs <= 0 {
-		return fmt.Errorf("baselines: pairs must be positive")
-	}
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
+func (d *DFScovert) Calibrate(pairs int) (gap float64, err error) {
+	bits, err := calibrationPairs(pairs)
+	if err != nil {
+		return 0, err
 	}
 	measures, err := d.run(bits)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	var ones, zeros []float64
-	for i, m := range measures {
-		if bits[i] == 1 {
-			ones = append(ones, float64(m))
-		} else {
-			zeros = append(zeros, float64(m))
-		}
-	}
-	mo, mz := stats.Summarize(ones).Mean, stats.Summarize(zeros).Mean
+	mo, mz := bitMeans(bits, measures)
 	if mo <= mz {
-		return fmt.Errorf("baselines: dfscovert calibration found no frequency contrast")
+		return 0, fmt.Errorf("baselines: dfscovert calibration found no frequency contrast")
 	}
 	d.threshold = (mo + mz) / 2
-	return nil
+	return mo - mz, nil
 }
 
 // Transmit sends bits (1 bit per window) and decodes them.
-func (d *DFScovert) Transmit(bits []int) (*Result, error) {
+func (d *DFScovert) Transmit(bits []int) (*core.TransmitResult, error) {
 	if err := validBits(bits); err != nil {
 		return nil, err
 	}

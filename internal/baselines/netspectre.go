@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
@@ -103,37 +104,25 @@ func (n *NetSpectre) run(bits []int) ([]int64, error) {
 
 // Calibrate learns the warm/cold decision threshold from n known 1/0
 // transaction pairs.
-func (n *NetSpectre) Calibrate(pairs int) error {
-	if pairs <= 0 {
-		return fmt.Errorf("baselines: pairs must be positive")
-	}
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
+func (n *NetSpectre) Calibrate(pairs int) (gap float64, err error) {
+	bits, err := calibrationPairs(pairs)
+	if err != nil {
+		return 0, err
 	}
 	measures, err := n.run(bits)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	var warm, cold float64
-	for i, m := range measures {
-		if bits[i] == 1 {
-			warm += float64(m)
-		} else {
-			cold += float64(m)
-		}
-	}
-	warm /= float64(pairs)
-	cold /= float64(pairs)
+	warm, cold := bitMeans(bits, measures)
 	if cold <= warm {
-		return fmt.Errorf("baselines: netspectre calibration found no throttle contrast (warm=%g cold=%g)", warm, cold)
+		return 0, fmt.Errorf("baselines: netspectre calibration found no throttle contrast (warm=%g cold=%g)", warm, cold)
 	}
 	n.threshold = (warm + cold) / 2
-	return nil
+	return cold - warm, nil
 }
 
 // Transmit sends bits (1 bit per transaction) and decodes them.
-func (n *NetSpectre) Transmit(bits []int) (*Result, error) {
+func (n *NetSpectre) Transmit(bits []int) (*core.TransmitResult, error) {
 	if err := validBits(bits); err != nil {
 		return nil, err
 	}

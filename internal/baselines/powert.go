@@ -3,9 +3,9 @@ package baselines
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
-	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
 
@@ -146,36 +146,25 @@ func (p *PowerT) run(bits []int) ([]float64, error) {
 }
 
 // Calibrate learns the heat/no-heat decision threshold.
-func (p *PowerT) Calibrate(pairs int) error {
-	if pairs <= 0 {
-		return fmt.Errorf("baselines: pairs must be positive")
-	}
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
+func (p *PowerT) Calibrate(pairs int) (gap float64, err error) {
+	bits, err := calibrationPairs(pairs)
+	if err != nil {
+		return 0, err
 	}
 	deltas, err := p.run(bits)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	var ones, zeros []float64
-	for i, d := range deltas {
-		if bits[i] == 1 {
-			ones = append(ones, d)
-		} else {
-			zeros = append(zeros, d)
-		}
-	}
-	mo, mz := stats.Summarize(ones).Mean, stats.Summarize(zeros).Mean
+	mo, mz := bitMeans(bits, deltas)
 	if mo <= mz {
-		return fmt.Errorf("baselines: powert calibration found no thermal contrast (1→%g°C, 0→%g°C)", mo, mz)
+		return 0, fmt.Errorf("baselines: powert calibration found no thermal contrast (1→%g°C, 0→%g°C)", mo, mz)
 	}
 	p.threshold = (mo + mz) / 2
-	return nil
+	return mo - mz, nil
 }
 
 // Transmit sends bits (1 bit per window) and decodes them.
-func (p *PowerT) Transmit(bits []int) (*Result, error) {
+func (p *PowerT) Transmit(bits []int) (*core.TransmitResult, error) {
 	if err := validBits(bits); err != nil {
 		return nil, err
 	}

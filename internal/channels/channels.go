@@ -1,5 +1,7 @@
 // Package channels implements covert channels beyond the paper's
-// current-management family. Each channel here is registered as a
+// current-management family. Each channel here implements the one
+// channel contract (mitigate.Channel: Calibrate returns the signal gap,
+// Transmit returns a core.TransmitResult) and is registered as a
 // first-class scenario kind in internal/scenario, so it is reachable from
 // every surface (CLI, HTTP, sweeps, refinement, store, distributed tier)
 // without surface-specific code.
@@ -22,24 +24,10 @@ package channels
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
-
-// Result reports one covert transmission over a channel in this package.
-type Result struct {
-	SentBits    []int
-	DecodedBits []int
-	// BER is the bit error rate.
-	BER float64
-	// ThroughputBPS is raw bits transmitted per second of channel time.
-	ThroughputBPS float64
-	// SymbolErrors counts wrongly decoded slots (1 bit per slot here, so
-	// this equals the number of bit errors).
-	SymbolErrors int
-	// Elapsed is the wall time of the whole transmission.
-	Elapsed units.Duration
-}
 
 // validBits rejects empty streams and non-binary values.
 func validBits(bits []int) error {
@@ -82,15 +70,16 @@ func learnThreshold(bits []int, measures []float64, what string) (threshold, gap
 	return (mo + mz) / 2, mo - mz, nil
 }
 
-// finish decodes measures against threshold and assembles the Result.
-func finish(sent []int, measures []float64, threshold float64, elapsed units.Duration) *Result {
+// finish decodes measures against threshold and assembles the result
+// (one bit per slot, so SymbolErrors counts bit errors).
+func finish(sent []int, measures []float64, threshold float64, elapsed units.Duration) *core.TransmitResult {
 	decoded := make([]int, len(measures))
 	for i, m := range measures {
 		if m > threshold {
 			decoded[i] = 1
 		}
 	}
-	res := &Result{
+	res := &core.TransmitResult{
 		SentBits:    sent,
 		DecodedBits: decoded,
 		BER:         stats.BER(sent, decoded),

@@ -3,6 +3,7 @@ package channels
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
@@ -167,7 +168,7 @@ func (c *ClockMod) Calibrate(pairs int) (float64, error) {
 
 // Transmit sends bits (1 bit per window) and decodes them against the
 // calibrated threshold.
-func (c *ClockMod) Transmit(bits []int) (*Result, error) {
+func (c *ClockMod) Transmit(bits []int) (*core.TransmitResult, error) {
 	if err := validBits(bits); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package channels
 import (
 	"fmt"
 
+	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
@@ -188,7 +189,7 @@ func (r *Retire) Calibrate(pairs int) (float64, error) {
 
 // Transmit sends bits (1 bit per slot) and decodes them against the
 // calibrated threshold.
-func (r *Retire) Transmit(bits []int) (*Result, error) {
+func (r *Retire) Transmit(bits []int) (*core.TransmitResult, error) {
 	if err := validBits(bits); err != nil {
 		return nil, err
 	}

@@ -212,10 +212,11 @@ func (c *Channel) RunSymbols(schedule []Symbol) ([]int64, error) {
 
 // Calibrate learns the decision thresholds by transmitting a known
 // round-robin symbol pattern perSymbol times each and clustering the
-// receiver's measurements.
-func (c *Channel) Calibrate(perSymbol int) (*Calibration, error) {
+// receiver's measurements. It returns the calibration's cluster gap in
+// cycles; Calibration exposes the full decision rule.
+func (c *Channel) Calibrate(perSymbol int) (gap float64, err error) {
 	if perSymbol <= 0 {
-		return nil, fmt.Errorf("core: perSymbol must be positive")
+		return 0, fmt.Errorf("core: perSymbol must be positive")
 	}
 	schedule := make([]Symbol, 0, NumSymbols*perSymbol)
 	for i := 0; i < perSymbol; i++ {
@@ -225,7 +226,7 @@ func (c *Channel) Calibrate(perSymbol int) (*Calibration, error) {
 	}
 	measures, err := c.RunSymbols(schedule)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	var groups [NumSymbols][]float64
 	for s := range groups {
@@ -237,17 +238,21 @@ func (c *Channel) Calibrate(perSymbol int) (*Calibration, error) {
 	}
 	cal, err := NewCalibration(groups)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	c.cal = cal
-	return cal, nil
+	return cal.Gap, nil
 }
 
-// TransmitResult reports one covert transmission.
+// TransmitResult reports one covert transmission. It is the result type
+// of every channel family: the paper's variants here, the
+// internal/channels families and the internal/baselines channels.
 type TransmitResult struct {
-	Sent    []Symbol
-	Decoded []Symbol
-	// Measures holds the receiver's raw per-slot measurement (cycles).
+	// Sent/Decoded are the 2-bit symbol streams and Measures the
+	// receiver's raw per-slot measurement in cycles (set by Channel
+	// only; the other families decode one bit per slot).
+	Sent     []Symbol
+	Decoded  []Symbol
 	Measures []int64
 	// SentBits/DecodedBits are the flattened bit streams.
 	SentBits, DecodedBits []int
@@ -257,7 +262,8 @@ type TransmitResult struct {
 	ThroughputBPS float64
 	// BER is the bit error rate.
 	BER float64
-	// SymbolErrors counts wrongly decoded symbols.
+	// SymbolErrors counts wrongly decoded symbols (bits, for the
+	// one-bit-per-slot families).
 	SymbolErrors int
 }
 

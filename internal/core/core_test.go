@@ -223,10 +223,10 @@ func TestChannelEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cal, err := ch.Calibrate(6)
-			if err != nil {
+			if _, err := ch.Calibrate(6); err != nil {
 				t.Fatal(err)
 			}
+			cal := ch.Calibration()
 			// Fig. 13 property: levels separated by > 2000 cycles.
 			if !cal.Separable(2000) {
 				t.Fatalf("levels not separable by 2K cycles (gap %.0f)", cal.Gap)
@@ -258,10 +258,10 @@ func TestSameThreadMeasureDescending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal, err := ch.Calibrate(4)
-	if err != nil {
+	if _, err := ch.Calibrate(4); err != nil {
 		t.Fatal(err)
 	}
+	cal := ch.Calibration()
 	// Multi-Throttling-Thread: the more intense the sent symbol, the
 	// *less* voltage remains for the receiver's 512b_Heavy loop.
 	for s := 1; s < NumSymbols; s++ {
@@ -279,10 +279,10 @@ func TestSMTAndCrossCoreMeasureAscending(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cal, err := ch.Calibrate(4)
-		if err != nil {
+		if _, err := ch.Calibrate(4); err != nil {
 			t.Fatal(err)
 		}
+		cal := ch.Calibration()
 		for s := 1; s < NumSymbols; s++ {
 			if cal.MeanCycles[s] <= cal.MeanCycles[s-1] {
 				t.Fatalf("%v means not ascending: %v", kind, cal.MeanCycles)

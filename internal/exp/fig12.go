@@ -52,7 +52,7 @@ func Fig12a(seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ns.Calibrate(6); err != nil {
+	if _, err := ns.Calibrate(6); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed + 7))
@@ -99,7 +99,7 @@ func Fig12b(seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := dfs.Calibrate(3); err != nil {
+	if _, err := dfs.Calibrate(3); err != nil {
 		return nil, err
 	}
 	dres, err := dfs.Transmit(randomBits(10, rng))
@@ -115,7 +115,7 @@ func Fig12b(seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tc.Calibrate(3); err != nil {
+	if _, err := tc.Calibrate(3); err != nil {
 		return nil, err
 	}
 	tres, err := tc.Transmit(randomBits(12, rng))
@@ -131,7 +131,7 @@ func Fig12b(seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := pt.Calibrate(4); err != nil {
+	if _, err := pt.Calibrate(4); err != nil {
 		return nil, err
 	}
 	pres, err := pt.Transmit(randomBits(24, rng))

@@ -39,7 +39,7 @@ func Server(seed int64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cal, err := ch.Calibrate(5)
+		gap, err := ch.Calibrate(5)
 		if err != nil {
 			return nil, err
 		}
@@ -47,8 +47,8 @@ func Server(seed int64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(kind.String(), f0(cal.Gap), f3(res.BER), f0(res.ThroughputBPS))
-		rep.Metric("gap_"+kind.String(), cal.Gap)
+		tab.AddRow(kind.String(), f0(gap), f3(res.BER), f0(res.ThroughputBPS))
+		rep.Metric("gap_"+kind.String(), gap)
 		rep.Metric("ber_"+kind.String(), res.BER)
 		rep.Metric("bps_"+kind.String(), res.ThroughputBPS)
 	}

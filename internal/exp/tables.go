@@ -30,7 +30,7 @@ func Table1(seed int64) (*Report, error) {
 	tab := rep.Table("verdicts by (mitigation × channel)",
 		"mitigation", "channel", "BER", "cal gap (cycles)", "verdict", "overhead")
 	for _, a := range assessments {
-		tab.AddRow(a.Mitigation.String(), a.Channel.String(), f3(a.BER), f0(a.CalibrationGap),
+		tab.AddRow(a.Mitigation.String(), a.Channel, f3(a.BER), f0(a.CalibrationGap),
 			a.Verdict.String(), a.Mitigation.Overhead())
 		rep.Metric(fmt.Sprintf("ber_%s_%s", a.Mitigation, a.Channel), a.BER)
 		rep.Metric(fmt.Sprintf("verdict_%s_%s", a.Mitigation, a.Channel), float64(a.Verdict))

@@ -11,11 +11,14 @@
 //     guardband, so PHI execution never triggers a transition at all.
 //
 // Evaluation builds a machine with the mitigation applied, attempts to
-// calibrate and run each IChannels variant under realistic measurement
-// noise, and grades the outcome.
+// calibrate and run a channel under realistic measurement noise, and
+// grades the outcome. Channel is the one calibrate-then-transmit contract
+// every channel family implements, so Evaluate grades the paper's
+// variants, the internal/channels families and the baselines alike.
 package mitigate
 
 import (
+	"context"
 	"fmt"
 
 	"ichannels/internal/core"
@@ -120,14 +123,15 @@ func MachineOptions(k Kind, p model.Processor, seed int64) soc.Options {
 	return opts
 }
 
-// Channel is the mitigation evaluator's view of a covert channel:
-// calibrate a decision threshold (returning the observed signal gap in
-// cycles), then transmit a bit stream. *core.Channel is adapted to it
-// below; the channels package's families implement it via small wrappers
-// in internal/scenario.
+// Channel is the contract every covert-channel family implements: the
+// paper's variants (*core.Channel), the internal/channels families and
+// the internal/baselines channels. Calibrate learns a decision rule from
+// reps known repetitions and returns the observed signal gap (in the
+// family's measurement unit: cycles for the timing channels); Transmit
+// sends a bit stream and decodes it with that rule.
 type Channel interface {
 	Calibrate(reps int) (gap float64, err error)
-	Transmit(bits []int) (ber, bps float64, err error)
+	Transmit(bits []int) (*core.TransmitResult, error)
 }
 
 // Factory builds a channel on an already-mitigated machine.
@@ -136,11 +140,10 @@ type Factory func(m *soc.Machine) (Channel, error)
 // Assessment is the outcome of one (mitigation, channel) cell of Table 1.
 type Assessment struct {
 	Mitigation Kind
-	Channel    core.Kind
-	// ChannelName names the channel family (core.Kind strings for the
-	// paper's variants, the scenario kind for registry channels).
-	ChannelName string
-	Verdict     Verdict
+	// Channel names the graded channel (the core.Kind string for the
+	// paper's variants, the scenario kind name for the other families).
+	Channel string
+	Verdict Verdict
 	// BER is the measured bit error rate (0.5 ≈ chance when the channel
 	// is dead; reported even when calibration failed, as 0.5).
 	BER float64
@@ -152,66 +155,43 @@ type Assessment struct {
 	EffectiveBPS float64
 }
 
-// berPartial and berDead grade assessment outcomes.
+// berPartial and berDead are the verdict rule's cutoffs (see grade).
 const (
 	berPartial = 0.03
 	berDead    = 0.35
 )
 
-// Evaluate grades one channel against one mitigation, transmitting a
-// pseudo-random payload of nBits bits.
-func Evaluate(k Kind, chKind core.Kind, proc model.Processor, nBits int, seed int64) (*Assessment, error) {
-	return EvaluatePooled(nil, k, chKind, proc, nBits, seed)
-}
+// calibReps is the calibration depth of every evaluation, whatever the
+// channel family.
+const calibReps = 8
 
-// EvaluatePooled is Evaluate drawing its machine from a pool (nil
-// constructs one, exactly like Evaluate). The assessment is identical
-// either way — recycled machines replay byte-identically — so the pool
-// only changes wall-clock.
-func EvaluatePooled(pool *soc.Pool, k Kind, chKind core.Kind, proc model.Processor, nBits int, seed int64) (*Assessment, error) {
-	a, err := EvaluateChannelPooled(pool, k, chKind.String(), proc, nBits, 8, seed,
-		func(m *soc.Machine) (Channel, error) {
-			ch, err := core.New(m, core.DefaultParams(chKind, proc))
-			if err != nil {
-				return nil, err
-			}
-			return coreChannel{ch}, nil
-		})
-	if err != nil {
-		return nil, err
+// grade is the verdict rule: it maps one evaluation's transmission to a
+// verdict, the reported BER and the goodput estimate. A nil tr means
+// calibration found no usable signal.
+func grade(tr *core.TransmitResult) (v Verdict, ber, effectiveBPS float64) {
+	switch {
+	case tr == nil:
+		return Mitigated, 0.5, 0
+	case tr.BER >= berDead:
+		return Mitigated, tr.BER, 0
+	case tr.BER > berPartial:
+		v = Partial
+	default:
+		v = Unaffected
 	}
-	a.Channel = chKind
-	return a, nil
+	return v, tr.BER, tr.ThroughputBPS * (1 - tr.BER)
 }
 
-// coreChannel adapts *core.Channel (the paper's multi-level channel) to
-// the evaluator's Channel interface.
-type coreChannel struct{ ch *core.Channel }
-
-func (c coreChannel) Calibrate(reps int) (float64, error) {
-	cal, err := c.ch.Calibrate(reps)
-	if err != nil {
-		return 0, err
-	}
-	return cal.Gap, nil
-}
-
-func (c coreChannel) Transmit(bits []int) (float64, float64, error) {
-	res, err := c.ch.Transmit(bits)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.BER, res.ThroughputBPS, nil
-}
-
-// EvaluateChannelPooled grades an arbitrary channel family against a
-// mitigation: build the mitigated machine, construct the channel on it,
-// calibrate (failure means the mitigation killed the signal), transmit a
-// pseudo-random payload, and grade the error rate. The operation order —
-// acquire, construct, calibrate, then draw payload bits from the machine's
-// RNG — is part of the determinism contract: recycled machines replay it
-// byte-identically.
-func EvaluateChannelPooled(pool *soc.Pool, k Kind, name string, proc model.Processor, nBits, calibReps int, seed int64, f Factory) (*Assessment, error) {
+// Evaluate grades one channel against mitigation k: acquire the
+// mitigated machine from pool (nil constructs one; recycled machines
+// replay byte-identically, so the pool only changes wall-clock), open
+// the channel on it, calibrate (failure means the mitigation killed the
+// signal), transmit nBits pseudo-random bits and grade the error rate.
+// name labels the assessment. The operation order — acquire, open,
+// calibrate, then draw payload bits from the machine's RNG — is part of
+// the determinism contract. ctx is checked between calibration and
+// transmission.
+func Evaluate(ctx context.Context, pool *soc.Pool, k Kind, name string, proc model.Processor, nBits int, seed int64, open Factory) (*Assessment, error) {
 	if nBits <= 0 || nBits%2 != 0 {
 		return nil, fmt.Errorf("mitigate: nBits must be positive and even, got %d", nBits)
 	}
@@ -220,41 +200,27 @@ func EvaluateChannelPooled(pool *soc.Pool, k Kind, name string, proc model.Proce
 		return nil, err
 	}
 	defer pool.Release(m)
-	ch, err := f(m)
+	ch, err := open(m)
 	if err != nil {
 		return nil, err
 	}
-	a := &Assessment{Mitigation: k, ChannelName: name}
-
-	gap, err := ch.Calibrate(calibReps)
-	if err != nil {
-		// No usable signal at all.
-		a.Verdict = Mitigated
-		a.BER = 0.5
-		return a, nil
+	a := &Assessment{Mitigation: k, Channel: name}
+	var tr *core.TransmitResult
+	if gap, err := ch.Calibrate(calibReps); err == nil {
+		a.CalibrationGap = gap
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		bits := make([]int, nBits)
+		rng := m.Rand()
+		for i := range bits {
+			bits[i] = rng.Intn(2)
+		}
+		if tr, err = ch.Transmit(bits); err != nil {
+			return nil, err
+		}
 	}
-	a.CalibrationGap = gap
-
-	bits := make([]int, nBits)
-	rng := m.Rand()
-	for i := range bits {
-		bits[i] = rng.Intn(2)
-	}
-	ber, bps, err := ch.Transmit(bits)
-	if err != nil {
-		return nil, err
-	}
-	a.BER = ber
-	switch {
-	case ber >= berDead:
-		a.Verdict = Mitigated
-	case ber > berPartial:
-		a.Verdict = Partial
-		a.EffectiveBPS = bps * (1 - ber)
-	default:
-		a.Verdict = Unaffected
-		a.EffectiveBPS = bps * (1 - ber)
-	}
+	a.Verdict, a.BER, a.EffectiveBPS = grade(tr)
 	return a, nil
 }
 
@@ -275,7 +241,8 @@ func EvaluateAll(proc model.Processor, nBits int, seed int64) ([]*Assessment, er
 			if ck == core.CrossCore && proc.Cores < 2 {
 				continue
 			}
-			a, err := EvaluatePooled(pool, mk, ck, proc, nBits, seed+int64(mk)*17+int64(ck)*3)
+			a, err := Evaluate(context.Background(), pool, mk, ck.String(), proc, nBits, seed+int64(mk)*17+int64(ck)*3,
+				func(m *soc.Machine) (Channel, error) { return core.New(m, core.DefaultParams(ck, proc)) })
 			if err != nil {
 				return nil, fmt.Errorf("mitigate: %v × %v: %w", mk, ck, err)
 			}

@@ -1,10 +1,13 @@
 package mitigate
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"ichannels/internal/core"
 	"ichannels/internal/model"
+	"ichannels/internal/soc"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -56,11 +59,35 @@ func TestMachineOptionsApplyMitigations(t *testing.T) {
 
 func TestEvaluateValidation(t *testing.T) {
 	p := model.CannonLake8121U()
-	if _, err := Evaluate(None, core.SameThread, p, 0, 1); err == nil {
+	open := func(m *soc.Machine) (Channel, error) { return core.New(m, core.DefaultParams(core.SameThread, p)) }
+	if _, err := Evaluate(context.Background(), nil, None, "thread", p, 0, 1, open); err == nil {
 		t.Fatal("zero bits accepted")
 	}
-	if _, err := Evaluate(None, core.SameThread, p, 3, 1); err == nil {
+	if _, err := Evaluate(context.Background(), nil, None, "thread", p, 3, 1, open); err == nil {
 		t.Fatal("odd bits accepted")
+	}
+}
+
+// TestGradeEdges pins the verdict rule at its cutoffs: BER up to 0.03 is
+// unaffected, above it partial, from 0.35 mitigated with no goodput, and
+// a failed calibration is mitigated at chance BER.
+func TestGradeEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		tr      *core.TransmitResult
+		verdict Verdict
+		ber     float64
+		bps     float64
+	}{
+		{"unaffected at 0.03", &core.TransmitResult{BER: 0.03, ThroughputBPS: 1000}, Unaffected, 0.03, 970},
+		{"partial above 0.03", &core.TransmitResult{BER: 0.0301, ThroughputBPS: 1000}, Partial, 0.0301, 969.9},
+		{"mitigated at 0.35", &core.TransmitResult{BER: 0.35, ThroughputBPS: 1000}, Mitigated, 0.35, 0},
+		{"calibration failed", nil, Mitigated, 0.5, 0},
+	} {
+		v, ber, bps := grade(tc.tr)
+		if v != tc.verdict || ber != tc.ber || math.Abs(bps-tc.bps) > 1e-9 {
+			t.Errorf("%s: grade = (%v, %g, %g), want (%v, %g, %g)", tc.name, v, ber, bps, tc.verdict, tc.ber, tc.bps)
+		}
 	}
 }
 
@@ -74,7 +101,7 @@ func TestTable1Matrix(t *testing.T) {
 	}
 	got := map[[2]string]Verdict{}
 	for _, a := range assessments {
-		got[[2]string{a.Mitigation.String(), a.Channel.String()}] = a.Verdict
+		got[[2]string{a.Mitigation.String(), a.Channel}] = a.Verdict
 	}
 	want := map[[2]string]Verdict{
 		{"None", "IccThreadCovert"}:                Unaffected,
@@ -105,7 +132,7 @@ func TestSMTSkippedOnNonSMTPart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range assessments {
-		if a.Channel == core.SMT {
+		if a.Channel == core.SMT.String() {
 			t.Fatal("SMT channel evaluated on a part without SMT")
 		}
 	}

@@ -1,15 +1,15 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"ichannels/internal/baselines"
+	"ichannels/internal/channels"
 	"ichannels/internal/core"
 	"ichannels/internal/mitigate"
-	"ichannels/internal/model"
 	"ichannels/internal/soc"
+	"ichannels/internal/units"
 )
 
 // This file is the single registry for every enum the Scenario spec
@@ -21,7 +21,7 @@ import (
 // schema enums, the validate acceptance set, and these keys agree).
 
 // kindSpec is one registered channel kind: its preconditions, defaults,
-// and the two executors (role channel, and role mitigation-eval).
+// and its constructor, which every role that runs the kind goes through.
 type kindSpec struct {
 	name string
 	// describe is a one-line description for docs and CLI help; source
@@ -46,10 +46,9 @@ type kindSpec struct {
 	// core.Channel (hasCore false for the channels-package families).
 	hasCore  bool
 	coreKind core.Kind
-	// run executes role channel for this kind.
-	run func(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.Pool) error
-	// evalMitigation grades the kind under one defense.
-	evalMitigation func(pool *soc.Pool, mk mitigate.Kind, proc model.Processor, nBits int, seed int64) (*mitigate.Assessment, error)
+	// open builds the kind's channel on a machine, applying the spec's
+	// params overrides.
+	open opener
 }
 
 // New channel-family kind names (the paper's three are declared in
@@ -70,8 +69,7 @@ var kindRegistry = []*kindSpec{
 		defaultCalibReps: 6,
 		hasCore:          true,
 		coreKind:         core.SameThread,
-		run:              runCoreKind(core.SameThread),
-		evalMitigation:   evalCoreKind(core.SameThread),
+		open:             openCore(core.SameThread),
 	},
 	{
 		name:             KindSMT,
@@ -83,8 +81,7 @@ var kindRegistry = []*kindSpec{
 		defaultCalibReps: 6,
 		hasCore:          true,
 		coreKind:         core.SMT,
-		run:              runCoreKind(core.SMT),
-		evalMitigation:   evalCoreKind(core.SMT),
+		open:             openCore(core.SMT),
 	},
 	{
 		name:             KindCores,
@@ -96,8 +93,7 @@ var kindRegistry = []*kindSpec{
 		defaultCalibReps: 6,
 		hasCore:          true,
 		coreKind:         core.CrossCore,
-		run:              runCoreKind(core.CrossCore),
-		evalMitigation:   evalCoreKind(core.CrossCore),
+		open:             openCore(core.CrossCore),
 	},
 	{
 		name:             KindRetire,
@@ -106,8 +102,7 @@ var kindRegistry = []*kindSpec{
 		requiresSMT:      true,
 		defaultBits:      64,
 		defaultCalibReps: 6,
-		run:              runRetire,
-		evalMitigation:   evalRetireMitigation,
+		open:             openRetire,
 	},
 	{
 		name:             KindClockMod,
@@ -117,8 +112,7 @@ var kindRegistry = []*kindSpec{
 		defaultBits:      32,
 		defaultCalibReps: 4,
 		noSenderIters:    true,
-		run:              runClockMod,
-		evalMitigation:   evalClockModMitigation,
+		open:             openClockMod,
 	},
 }
 
@@ -128,18 +122,99 @@ type baselineSpec struct {
 	defaultBits      int
 	defaultCalibReps int
 	minCores         int
-	construct        func(m *soc.Machine) (baselineChannel, error)
+	open             opener
 }
 
 var baselineRegistry = []*baselineSpec{
-	{BaselineNetSpectre, 64, 6, 0,
-		func(m *soc.Machine) (baselineChannel, error) { return baselines.NewNetSpectre(m) }},
-	{BaselineTurboCC, 12, 3, 2,
-		func(m *soc.Machine) (baselineChannel, error) { return baselines.NewTurboCC(m) }},
-	{BaselineDFScovert, 10, 3, 2,
-		func(m *soc.Machine) (baselineChannel, error) { return baselines.NewDFScovert(m) }},
-	{BaselinePowerT, 24, 4, 2,
-		func(m *soc.Machine) (baselineChannel, error) { return baselines.NewPowerT(m) }},
+	{BaselineNetSpectre, 64, 6, 0, openBaseline(baselines.NewNetSpectre)},
+	{BaselineTurboCC, 12, 3, 2, openBaseline(baselines.NewTurboCC)},
+	{BaselineDFScovert, 10, 3, 2, openBaseline(baselines.NewDFScovert)},
+	{BaselinePowerT, 24, 4, 2, openBaseline(baselines.NewPowerT)},
+}
+
+// opener builds a channel on a provisioned machine, applying the spec's
+// params overrides (nil = none), and reports the channel's raw rate in
+// bits per second.
+type opener func(m *soc.Machine, p *Params) (ch mitigate.Channel, rawBPS float64, err error)
+
+// openCore builds the opener of one of the paper's multi-level variants.
+func openCore(kind core.Kind) opener {
+	return func(m *soc.Machine, p *Params) (mitigate.Channel, float64, error) {
+		params := core.DefaultParams(kind, m.Proc)
+		if p != nil {
+			if p.SlotPeriodUS > 0 {
+				params.SlotPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
+			}
+			if p.SenderIters > 0 {
+				params.SenderIters = p.SenderIters
+			}
+			if p.ReceiverIters > 0 {
+				params.ReceiverIters = p.ReceiverIters
+			}
+			if p.ReceiverOffsetUS > 0 {
+				params.ReceiverOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
+			}
+		}
+		ch, err := core.New(m, params)
+		return ch, params.RawThroughputBPS(), err
+	}
+}
+
+// openRetire opens the retirement-contention family.
+func openRetire(m *soc.Machine, p *Params) (mitigate.Channel, float64, error) {
+	ch, err := channels.NewRetire(m)
+	if err != nil {
+		return nil, 0, err
+	}
+	if p != nil {
+		if p.SlotPeriodUS > 0 {
+			ch.SlotPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
+		}
+		if p.SenderIters > 0 {
+			ch.SenderIters = p.SenderIters
+		}
+		if p.ReceiverIters > 0 {
+			ch.ReceiverIters = p.ReceiverIters
+		}
+		if p.ReceiverOffsetUS > 0 {
+			ch.ReceiverOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
+		}
+	}
+	return ch, ch.RawThroughputBPS(), nil
+}
+
+// openClockMod opens the clock-modulation family. The generic slot and
+// receiver knobs map onto its window vocabulary (slot_period_us → bit
+// window, receiver_iters → measurement loop, receiver_offset_us →
+// in-window measurement offset); sender_iters is rejected by validation
+// since the sender is a single MSR write.
+func openClockMod(m *soc.Machine, p *Params) (mitigate.Channel, float64, error) {
+	ch, err := channels.NewClockMod(m)
+	if err != nil {
+		return nil, 0, err
+	}
+	if p != nil {
+		if p.SlotPeriodUS > 0 {
+			ch.BitPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
+		}
+		if p.ReceiverIters > 0 {
+			ch.MeasureIters = p.ReceiverIters
+		}
+		if p.ReceiverOffsetUS > 0 {
+			ch.MeasureOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
+		}
+	}
+	return ch, ch.RawThroughputBPS(), nil
+}
+
+// openBaseline adapts a baseline constructor to the opener shape. The
+// baselines take no params overrides (validation rejects them) and
+// report no raw rate.
+func openBaseline[C mitigate.Channel](newChannel func(*soc.Machine) (C, error)) opener {
+	return func(m *soc.Machine, _ *Params) (mitigate.Channel, float64, error) {
+		ch, err := newChannel(m)
+		return ch, 0, err
+	}
 }
 
 // mitigationSpec maps a canonical mitigation name (plus accepted alias

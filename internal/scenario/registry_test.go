@@ -23,12 +23,12 @@ func TestRegistryComplete(t *testing.T) {
 		if ks.defaultCalibReps <= 0 {
 			t.Errorf("kind %s: default calib reps %d", ks.name, ks.defaultCalibReps)
 		}
-		if ks.run == nil || ks.evalMitigation == nil {
-			t.Errorf("kind %s: missing executor", ks.name)
+		if ks.open == nil {
+			t.Errorf("kind %s: missing constructor", ks.name)
 		}
 	}
 	for _, bs := range baselineRegistry {
-		if bs.construct == nil || bs.defaultBits <= 0 || bs.defaultCalibReps <= 0 {
+		if bs.open == nil || bs.defaultBits <= 0 || bs.defaultCalibReps <= 0 {
 			t.Errorf("baseline %s: incomplete entry", bs.name)
 		}
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -276,5 +277,37 @@ func TestContextCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, Scenario{Role: RoleChannel, Bits: 8}); err == nil {
 		t.Error("cancelled context did not abort the run")
+	}
+}
+
+// cancelAfterFirstCheck is a context whose Err is nil on the first call
+// and context.Canceled on every later one: it is cancelled after a run's
+// up-front check, while the run is calibrating.
+type cancelAfterFirstCheck struct {
+	context.Context
+	checks int
+}
+
+func (c *cancelAfterFirstCheck) Err() error {
+	c.checks++
+	if c.checks == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestCancelledBetweenCalibrationAndTransmit: a context cancelled while
+// a run calibrates stops it before it transmits, in every role that
+// calibrates and then transmits.
+func TestCancelledBetweenCalibrationAndTransmit(t *testing.T) {
+	for _, s := range []Scenario{
+		{Role: RoleChannel, Bits: 8},
+		{Role: RoleBaseline, Baseline: BaselineNetSpectre, Bits: 8},
+		{Role: RoleMitigation, Bits: 8},
+	} {
+		ctx := &cancelAfterFirstCheck{Context: context.Background()}
+		if _, err := Run(ctx, s); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", s.Describe(), err)
+		}
 	}
 }
