@@ -275,6 +275,34 @@ func TestChaosDeadShareServer(t *testing.T) {
 	}
 }
 
+// TestScenarioRunReportsDegradedStore: `scenario run` against a -store
+// URL on a closed port still exits 0 with the bytes a store-less run
+// prints, and reports the degradation on stderr through the same store
+// lines `sweep run` prints: the breaker's activity on the remote leg,
+// and one transient error for the failed read and one for the failed
+// write of the single scenario.
+func TestScenarioRunReportsDegradedStore(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + ln.Addr().String()
+	ln.Close()
+
+	const spec = "examples/scenarios/specs/quickstart.json"
+	want := runCLI(t, "scenario", "run", spec)
+	got, stderr := runCLIStderr(t, "scenario", "run", spec, "-store", deadURL, "-resume")
+	if !bytes.Equal(bytes.Join(got, []byte("\n")), bytes.Join(want, []byte("\n"))) {
+		t.Errorf("degraded store changed the output:\nwant %s\ngot  %s", bytes.Join(want, []byte("\n")), bytes.Join(got, []byte("\n")))
+	}
+	if se := parseStoreErrors(t, stderr); se.transient != 2 || se.permanent != 0 {
+		t.Errorf("store errors %+v: want 2 transient (one failed get, one failed put), 0 permanent", se)
+	}
+	if rt := parseRemoteTier(t, stderr); rt.attempts == 0 || rt.transient == 0 || rt.permanent != 0 {
+		t.Errorf("a dead server must show as transient remote attempts: %+v", rt)
+	}
+}
+
 // TestChaosReplicaCacheColdRestart is the replica-cache acceptance
 // path: run once against a share server with -cache, restart the
 // server cold (empty corpus, new port), and run again. Every cell is

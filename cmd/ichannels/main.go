@@ -296,6 +296,7 @@ func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(pos
 		return err
 	}
 	batch.WriteTiming(os.Stderr)
+	writeStoreLines(os.Stderr, st, batch.StoreTransient, batch.StorePermanent)
 	if failed := batch.Failed(); len(failed) > 0 {
 		return fmt.Errorf("%s: %d of %d scenarios failed (first: %s: %v)",
 			cmd, len(failed), len(batch.Results), failed[0].Scenario.Describe(), failed[0].Err)
@@ -390,9 +391,9 @@ func sweepRun(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals...)
 	defer stop()
 	opts := ichannels.SweepOptions{BaseSeed: *seed, Parallel: *parallel}.WithStore(st)
+	var pool *ichannels.WorkerPool
 	if *workers != "" {
-		pool, err := ichannels.NewWorkerPool(strings.Split(*workers, ","), ichannels.WorkerPoolOptions{})
-		if err != nil {
+		if pool, err = ichannels.NewWorkerPool(strings.Split(*workers, ","), ichannels.WorkerPoolOptions{}); err != nil {
 			return fmt.Errorf("sweep run: %w", err)
 		}
 		opts.Runner = pool
@@ -423,34 +424,44 @@ func sweepRun(args []string) error {
 		return err
 	}
 	res.WriteTiming(os.Stderr)
-	if *workers != "" {
-		// Store tallies ride the dist line: hits are cells the corpus
-		// served, misses the cells that had to compute, errors the
-		// degraded store operations split by class — transient is the
-		// network's fault, permanent the bytes' fault (all wall-clock
-		// metadata — the aggregate bytes never depend on them).
+	if pool != nil {
+		// The fleet counters come from the pool that owns them. Store
+		// tallies ride the dist line: hits are cells the corpus served,
+		// misses the cells that had to compute, errors the degraded
+		// store operations split by class — transient is the network's
+		// fault, permanent the bytes' fault (all wall-clock metadata —
+		// the aggregate bytes never depend on them).
 		storeHits, storeMisses := 0, 0
 		if *storeDir != "" {
 			storeHits = res.Cached
 			storeMisses = len(res.Cells) - res.Cached
 		}
+		ds := pool.Stats()
 		fmt.Fprintf(os.Stderr, "dist: %d remote, %d redispatched, %d corrupt, %d local fallback; store: %d hits, %d misses, %d transient, %d permanent\n",
-			res.RemoteDispatched, res.RemoteRedispatched, res.RemoteCorrupt, res.RemoteLocal,
+			ds.Dispatched, ds.Redispatched, ds.Corrupt, ds.LocalFallback,
 			storeHits, storeMisses, res.StoreTransient, res.StorePermanent)
 	}
-	writeStoreTierLine(os.Stderr, res.StoreTier, res.StoreTransient, res.StorePermanent)
+	writeStoreLines(os.Stderr, st, res.StoreTransient, res.StorePermanent)
 	if res.Failed > 0 {
 		return fmt.Errorf("sweep run: %d of %d cells failed", res.Failed, len(res.Cells))
 	}
 	return nil
 }
 
-// writeStoreTierLine reports the resilient store path's counters when
-// a run had a remote corpus behind it: retry/breaker activity on the
-// remote leg, cache activity on the replica leg. Wall-clock metadata
-// only — the aggregate bytes never depend on it.
-func writeStoreTierLine(w io.Writer, t *ichannels.StoreTierStats, transient, permanent int) {
-	if t == nil {
+// writeStoreLines reports the resilient store path's counters when a
+// run had a remote corpus behind it: retry/breaker activity on the
+// remote leg and cache activity on the replica leg, read from the store
+// that owns them, then the run's split of degraded store operations.
+// Wall-clock metadata only — the result bytes never depend on it.
+func writeStoreLines(w io.Writer, st ichannels.ResultStore, transient, permanent int) {
+	ts, ok := st.(interface {
+		TierStats() ichannels.StoreTierStats
+	})
+	if !ok {
+		return
+	}
+	t := ts.TierStats()
+	if t.Remote == nil && t.Replica == nil {
 		return
 	}
 	if r := t.Remote; r != nil {

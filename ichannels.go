@@ -458,9 +458,10 @@ func OpenPackedStore(dir string) (*PackedResultStore, error) { return store.Open
 type StoreSyncReport = store.SyncReport
 
 // Tier counters the resilient store path exposes: retry/breaker
-// activity on the remote leg, cache activity on the replica leg.
-// Engine stream stats, sweep results, and GET /v1/stats all carry a
-// StoreTierStats snapshot when the store has a remote behind it.
+// activity on the remote leg, cache activity on the replica leg. The
+// store owns them: a store with a remote behind it reports a
+// StoreTierStats snapshot from its TierStats method, which GET
+// /v1/stats and the CLI's store lines read.
 type (
 	StoreTierStats    = store.TierStats
 	StoreRemoteStats  = store.RemoteStats
@@ -537,7 +538,7 @@ type SweepFilter = scenario.SweepFilter
 type SweepCell = scenario.Cell
 
 // SweepOptions configures a sweep run (seed, parallelism, streaming
-// hook, executor override).
+// hook, and the Runner compute seam).
 type SweepOptions = sweep.Options
 
 // SweepCellOutcome is one completed cell streamed to
@@ -590,12 +591,13 @@ func WriteSweepAggregateLine(w io.Writer, t *SweepTable) error {
 
 // ---- Distributed execution ----
 
-// CellRunner is the hash-aware compute seam of the streaming engine:
-// set one on ScenarioBatchOptions/ScenarioStreamOptions/SweepOptions
-// (the Runner field) to delegate each cell's compute — the distributed
-// tier's WorkerPool is the remote implementation. Implementations must
-// honor the determinism contract: for a fixed (spec, seed) the returned
-// result's JSON encoding is byte-identical to a local run's.
+// CellRunner is the one compute seam of the streaming engine: set one
+// on ScenarioBatchOptions/ScenarioStreamOptions/SweepOptions (the
+// Runner field; nil computes in-process) to delegate each cell's
+// compute — the distributed tier's WorkerPool is the remote
+// implementation. Implementations must honor the determinism contract:
+// for a fixed (spec, seed) the returned result's JSON encoding is
+// byte-identical to a local run's.
 type CellRunner = engine.CellRunner
 
 // WorkerPool is the distributed sweep coordinator: a CellRunner that
@@ -608,7 +610,7 @@ type CellRunner = engine.CellRunner
 type WorkerPool = dist.Pool
 
 // WorkerPoolOptions configures a WorkerPool (HTTP client, retry
-// attempts, backoff, local-fallback policy).
+// attempts, backoff, local executor).
 type WorkerPoolOptions = dist.Options
 
 // NewWorkerPool builds a coordinator over worker base URLs — what

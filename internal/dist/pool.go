@@ -34,11 +34,6 @@ type Options struct {
 	// MaxAttempts bounds how many workers one cell is offered to before
 	// it degrades to local compute. Zero means DefaultMaxAttempts.
 	MaxAttempts int
-	// DisableLocalFallback makes an undispatchable cell an error
-	// instead of a local recompute. The default (fallback on) preserves
-	// the determinism contract under any fleet failure: output bytes
-	// never depend on which machines were alive.
-	DisableLocalFallback bool
 	// BackoffBase/BackoffMax shape the per-worker quarantine after a
 	// failed dispatch: base doubles per consecutive failure, capped at
 	// max. Zeroes mean the defaults.
@@ -87,7 +82,6 @@ type worker struct {
 type Pool struct {
 	client      *http.Client
 	maxAttempts int
-	localOK     bool
 	backoffBase time.Duration
 	backoffMax  time.Duration
 	maxResp     int64
@@ -108,7 +102,6 @@ func New(workers []string, opts Options) (*Pool, error) {
 	p := &Pool{
 		client:      opts.Client,
 		maxAttempts: opts.MaxAttempts,
-		localOK:     !opts.DisableLocalFallback,
 		backoffBase: opts.BackoffBase,
 		backoffMax:  opts.BackoffMax,
 		maxResp:     opts.MaxResponseBytes,
@@ -169,13 +162,6 @@ func (p *Pool) Stats() Stats {
 	return p.stats
 }
 
-// RemoteCellStats implements engine.RemoteCellStats so StreamScenarios
-// surfaces the pool's counters in its StreamStats.
-func (p *Pool) RemoteCellStats() (dispatched, redispatched, corrupt, localFallback int) {
-	s := p.Stats()
-	return s.Dispatched, s.Redispatched, s.Corrupt, s.LocalFallback
-}
-
 // pick returns the least-loaded worker not in quarantine (ties to the
 // lowest index), reserving an in-flight slot, or nil when the whole
 // fleet is quarantined.
@@ -222,9 +208,10 @@ func (p *Pool) count(fn func(*Stats)) {
 	fn(&p.stats)
 }
 
-// dispatchErr classifies one failed dispatch attempt.
+// dispatchErr classifies one failed dispatch attempt. Every failure
+// ends in a redispatch or the local fallback, so only the class is
+// kept — it feeds the Stats counters.
 type dispatchErr struct {
-	err     error
 	corrupt bool // envelope verification rejected the response
 	// runFailed marks a worker-reported deterministic scenario failure
 	// — not a worker fault; the cell recomputes locally so its error
@@ -244,7 +231,6 @@ func (p *Pool) RunCell(ctx context.Context, s scenario.Scenario, hash string, se
 		return nil, fmt.Errorf("dist: framing cell %s-%d: %w", hash, seed, err)
 	}
 	key := store.Key{Hash: hash, Seed: seed}
-	var last error
 	for attempt := 0; attempt < p.maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -273,13 +259,6 @@ func (p *Pool) RunCell(ctx context.Context, s scenario.Scenario, hash string, se
 				st.Corrupt++
 			}
 		})
-		last = derr.err
-	}
-	if !p.localOK {
-		if last == nil {
-			last = fmt.Errorf("all workers quarantined")
-		}
-		return nil, fmt.Errorf("dist: cell %s: dispatch exhausted: %w", key, last)
 	}
 	return p.fallback(ctx, s, seed)
 }
@@ -302,33 +281,32 @@ type workerError struct {
 func (p *Pool) dispatch(ctx context.Context, w *worker, key store.Key, frame []byte) (*scenario.Result, *dispatchErr) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+DispatchPath, bytes.NewReader(frame))
 	if err != nil {
-		return nil, &dispatchErr{err: fmt.Errorf("dist: %s: %w", w.url, err)}
+		return nil, &dispatchErr{}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := p.client.Do(req)
 	if err != nil {
-		return nil, &dispatchErr{err: fmt.Errorf("dist: %s: %w", w.url, err)}
+		return nil, &dispatchErr{}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, p.maxResp+1))
 	if err != nil {
-		return nil, &dispatchErr{err: fmt.Errorf("dist: %s: reading response: %w", w.url, err)}
+		return nil, &dispatchErr{}
 	}
 	if int64(len(data)) > p.maxResp {
-		return nil, &dispatchErr{err: fmt.Errorf("dist: %s: response exceeds %d bytes", w.url, p.maxResp), corrupt: true}
+		return nil, &dispatchErr{corrupt: true}
 	}
 	if resp.StatusCode != http.StatusOK {
 		var we workerError
 		_ = json.Unmarshal(data, &we)
-		err := fmt.Errorf("dist: %s: status %d (%s: %s)", w.url, resp.StatusCode, we.Code, we.Message)
 		// 5xx with the run_failed code is the scenario failing
 		// deterministically, not the worker failing; everything else
 		// (version skew, hash mismatch, overload) is a worker problem.
-		return nil, &dispatchErr{err: err, runFailed: we.Code == "run_failed"}
+		return nil, &dispatchErr{runFailed: we.Code == "run_failed"}
 	}
 	res, err := store.DecodeEnvelope(key, data)
 	if err != nil {
-		return nil, &dispatchErr{err: fmt.Errorf("dist: %s: rejected response: %w", w.url, err), corrupt: true}
+		return nil, &dispatchErr{corrupt: true}
 	}
 	return res, nil
 }

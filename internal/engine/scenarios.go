@@ -31,13 +31,8 @@ import (
 	"time"
 
 	"ichannels/internal/scenario"
-	"ichannels/internal/soc"
 	"ichannels/internal/store"
 )
-
-// ScenarioRunFunc executes one scenario with an explicit seed. The
-// default wraps scenario.Runner; tests inject fakes.
-type ScenarioRunFunc func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error)
 
 // ScenarioOptions configures a scenario batch run.
 type ScenarioOptions struct {
@@ -50,17 +45,12 @@ type ScenarioOptions struct {
 	BaseSeed int64
 	// Parallel is the worker-pool size. Values below 1 mean serial.
 	Parallel int
-	// Run overrides the scenario executor (nil means scenario.Run).
-	Run ScenarioRunFunc
-	// Runner, when set, takes precedence over Run — the hash-aware
-	// delegation seam (see StreamOptions.Runner).
+	// Runner executes each scenario (nil means scenario.Runner{}) —
+	// see StreamOptions.Runner.
 	Runner CellRunner
 	// Store, when set, serves scenarios whose (hash, seed) result it
 	// already holds and persists the rest — see StreamOptions.Store.
 	Store store.Store
-	// Machines, when set, recycles simulated machines through the
-	// default executor — see StreamOptions.Machines.
-	Machines *soc.Pool
 	// OnResult, when set, is called with each scenario's batch index as
 	// its outcome is emitted, in batch order (from the calling
 	// goroutine). The result slot is fully populated before the call.
@@ -95,11 +85,12 @@ type ScenarioOutcome struct {
 // in request order regardless of completion order.
 type ScenarioBatch struct {
 	BaseSeed int64
-	Parallel int
 	Results  []ScenarioOutcome
-	// Elapsed is the batch wall-clock time (nondeterministic; kept out
-	// of the per-result bytes).
-	Elapsed time.Duration
+	// StreamStats is the batch stream's own tally: Parallel, Elapsed
+	// (batch wall-clock, kept out of the per-result bytes), and the
+	// store error split. Its Failed field is shadowed by the Failed
+	// method, which also counts cancelled slots.
+	StreamStats
 }
 
 // DeriveScenarioSeed maps a batch base seed and a scenario to the seed
@@ -160,7 +151,6 @@ func RunScenarios(ctx context.Context, opts ScenarioOptions) (*ScenarioBatch, er
 	b := &ScenarioBatch{
 		BaseSeed: opts.BaseSeed,
 		Results:  make([]ScenarioOutcome, len(opts.Scenarios)),
-		Parallel: poolSize(opts.Parallel, len(opts.Scenarios)),
 	}
 	next := 0
 	emitted := 0
@@ -174,11 +164,9 @@ func RunScenarios(ctx context.Context, opts ScenarioOptions) (*ScenarioBatch, er
 			return s, true
 		},
 		BaseSeed: opts.BaseSeed,
-		Parallel: b.Parallel,
-		Run:      opts.Run,
+		Parallel: poolSize(opts.Parallel, len(opts.Scenarios)),
 		Runner:   opts.Runner,
 		Store:    opts.Store,
-		Machines: opts.Machines,
 		Emit: func(o ScenarioOutcome) error {
 			b.Results[emitted] = o
 			if opts.OnResult != nil {
@@ -213,7 +201,7 @@ func RunScenarios(ctx context.Context, opts ScenarioOptions) (*ScenarioBatch, er
 			return nil, err
 		}
 	}
-	b.Elapsed = stats.Elapsed
+	b.StreamStats = *stats
 	return b, nil
 }
 

@@ -94,13 +94,13 @@ func TestScenarioSeedDerivation(t *testing.T) {
 		return &scenario.Result{Role: s.Role, Hash: s.Hash(), Seed: seed}, nil
 	}
 	fwd, err := RunScenarios(context.Background(), ScenarioOptions{
-		Scenarios: []scenario.Scenario{a, c, pinned}, BaseSeed: 5, Run: fake,
+		Scenarios: []scenario.Scenario{a, c, pinned}, BaseSeed: 5, Runner: ScenarioRunFunc(fake),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rev, err := RunScenarios(context.Background(), ScenarioOptions{
-		Scenarios: []scenario.Scenario{pinned, c, a}, BaseSeed: 5, Run: fake,
+		Scenarios: []scenario.Scenario{pinned, c, a}, BaseSeed: 5, Runner: ScenarioRunFunc(fake),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestScenarioSeedDerivation(t *testing.T) {
 		t.Error("batch seed does not match DeriveScenarioSeed")
 	}
 	other, err := RunScenarios(context.Background(), ScenarioOptions{
-		Scenarios: []scenario.Scenario{a}, BaseSeed: 6, Run: fake,
+		Scenarios: []scenario.Scenario{a}, BaseSeed: 6, Runner: ScenarioRunFunc(fake),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,12 +156,12 @@ func TestScenarioPanicIsolationAndOnResult(t *testing.T) {
 	b, err := RunScenarios(context.Background(), ScenarioOptions{
 		Scenarios: specs,
 		Parallel:  2,
-		Run: func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
 			if s.Bits == 10 {
 				panic("boom")
 			}
 			return &scenario.Result{Role: s.Role, Seed: seed}, nil
-		},
+		}),
 		OnResult: func(i int) {
 			atomic.AddInt64(&fired, 1)
 		},
@@ -319,7 +319,7 @@ func TestParallelIsFaster(t *testing.T) {
 		return &scenario.Result{Role: s.Role, Seed: seed}, nil
 	}
 	run := func(par int) *ScenarioBatch {
-		b, err := RunScenarios(context.Background(), ScenarioOptions{Scenarios: channelSpecs(4), Parallel: par, Run: slow})
+		b, err := RunScenarios(context.Background(), ScenarioOptions{Scenarios: channelSpecs(4), Parallel: par, Runner: ScenarioRunFunc(slow)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestCancellation(t *testing.T) {
 		return &scenario.Result{Role: s.Role, Seed: seed}, nil
 	}
 	specs := channelSpecs(6)
-	b, err := RunScenarios(ctx, ScenarioOptions{Scenarios: specs, Parallel: 1, Run: run})
+	b, err := RunScenarios(ctx, ScenarioOptions{Scenarios: specs, Parallel: 1, Runner: ScenarioRunFunc(run)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,10 +376,10 @@ func TestUnknownIDRejectedUpfront(t *testing.T) {
 	var calls int64
 	_, err := RunScenarios(context.Background(), ScenarioOptions{
 		Scenarios: []scenario.Scenario{scenario.FromExperiment("fig13"), scenario.FromExperiment("nope")},
-		Run: func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
 			atomic.AddInt64(&calls, 1)
 			return &scenario.Result{Role: s.Role, Seed: seed}, nil
-		},
+		}),
 	})
 	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) {
 		t.Errorf("unknown experiment not rejected: %v", err)
@@ -427,7 +427,7 @@ func TestWriteTextSkipsFailures(t *testing.T) {
 		return &scenario.Result{Role: s.Role, Experiment: s.Experiment, Seed: seed, Report: rep}, nil
 	}
 	specs := []scenario.Scenario{scenario.FromExperiment("fig6a"), scenario.FromExperiment("fig6b"), scenario.FromExperiment("fig13")}
-	b, err := RunScenarios(context.Background(), ScenarioOptions{Scenarios: specs, Parallel: 1, Run: run})
+	b, err := RunScenarios(context.Background(), ScenarioOptions{Scenarios: specs, Parallel: 1, Runner: ScenarioRunFunc(run)})
 	if err != nil {
 		t.Fatal(err)
 	}

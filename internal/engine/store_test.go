@@ -106,11 +106,11 @@ func TestStreamStoreFetchOrCompute(t *testing.T) {
 
 		stats, cold := collectBytes(t, StreamOptions{
 			Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
-			Run: countingStoreRun(&calls), Store: st,
+			Runner: countingStoreRun(&calls), Store: st,
 		})
-		if calls.Load() != n || stats.Cached != 0 || stats.StoreErrors != 0 {
+		if storeErrs := stats.StoreTransient + stats.StorePermanent; calls.Load() != n || stats.Cached != 0 || storeErrs != 0 {
 			t.Fatalf("cold run: %d computes, %d cached, %d store errors; want %d/0/0",
-				calls.Load(), stats.Cached, stats.StoreErrors, n)
+				calls.Load(), stats.Cached, storeErrs, n)
 		}
 		if entries, err := st.List(); err != nil || len(entries) != n {
 			t.Fatalf("store holds %d entries (%v), want %d", len(entries), err, n)
@@ -119,7 +119,7 @@ func TestStreamStoreFetchOrCompute(t *testing.T) {
 		calls.Store(0)
 		stats, warm := collectBytes(t, StreamOptions{
 			Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
-			Run: countingStoreRun(&calls), Store: st,
+			Runner: countingStoreRun(&calls), Store: st,
 		})
 		if calls.Load() != 0 || stats.Cached != n {
 			t.Fatalf("warm run: %d computes, %d cached; want 0/%d", calls.Load(), stats.Cached, n)
@@ -136,11 +136,11 @@ func TestStreamStoreFetchOrCompute(t *testing.T) {
 		calls.Store(0)
 		stats, repaired := collectBytes(t, StreamOptions{
 			Next: storeGrid(n), BaseSeed: 9, Parallel: 3,
-			Run: countingStoreRun(&calls), Store: st,
+			Runner: countingStoreRun(&calls), Store: st,
 		})
-		if calls.Load() != 1 || stats.Cached != n-1 || stats.StoreErrors != 1 {
+		if storeErrs := stats.StoreTransient + stats.StorePermanent; calls.Load() != 1 || stats.Cached != n-1 || storeErrs != 1 {
 			t.Fatalf("corrupt-entry run: %d computes, %d cached, %d store errors; want 1/%d/1",
-				calls.Load(), stats.Cached, stats.StoreErrors, n-1)
+				calls.Load(), stats.Cached, storeErrs, n-1)
 		}
 		for i := range cold {
 			if !bytes.Equal(cold[i], repaired[i]) {
@@ -164,7 +164,7 @@ func TestRunScenariosWithStore(t *testing.T) {
 		{Role: scenario.RoleChannel, Kind: scenario.KindCores, Bits: 6},
 	}
 	var calls atomic.Int64
-	opts := ScenarioOptions{Scenarios: specs, BaseSeed: 2, Run: countingStoreRun(&calls)}.WithStore(st)
+	opts := ScenarioOptions{Scenarios: specs, BaseSeed: 2, Runner: countingStoreRun(&calls)}.WithStore(st)
 	if _, err := RunScenarios(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ichannels/internal/scenario"
-	"ichannels/internal/soc"
 	"ichannels/internal/store"
 )
 
@@ -36,21 +34,13 @@ type StreamOptions struct {
 	// DefaultStreamWindowFactor × workers; values below the worker
 	// count are raised to it (a smaller window would idle workers).
 	Window int
-	// Run overrides the scenario executor (nil means scenario.Run).
-	Run ScenarioRunFunc
-	// Machines, when set, is the machine pool the default executor
-	// recycles simulated SoCs through (scenario.Runner.Machines). It is
-	// ignored when Run or Runner overrides the executor — those bring
-	// their own compute path. Pool reuse changes wall-clock only; the
-	// emitted bytes are identical with or without it.
-	Machines *soc.Pool
-	// Runner, when set, takes precedence over Run: it receives each
-	// cell's precomputed content hash alongside the spec and seed — the
-	// delegation seam the distributed tier plugs into (a coordinator
-	// dispatches the cell to a remote worker and verifies the returned
-	// envelope against that hash). The store fetch-or-compute wrapping
-	// still applies: a stored cell is never delegated, and a delegated
-	// success is persisted like a local one.
+	// Runner executes each cell (nil means scenario.Runner{}). It
+	// receives the cell's precomputed content hash alongside the spec
+	// and seed — the delegation seam the distributed tier plugs into (a
+	// coordinator dispatches the cell to a remote worker and verifies
+	// the returned envelope against that hash). The store
+	// fetch-or-compute wrapping still applies: a stored cell is never
+	// delegated, and a delegated success is persisted like a local one.
 	Runner CellRunner
 	// Store, when set, is consulted before computing each scenario and
 	// persisted to after: a stored (hash, seed) result is emitted with
@@ -58,8 +48,9 @@ type StreamOptions struct {
 	// success is written back. Because stored results are byte-identical
 	// to recomputed ones (the determinism contract), the emitted bytes
 	// do not depend on which cells hit — only wall-clock does. An
-	// unreadable entry counts as a miss (StreamStats.StoreErrors) and
-	// the cell recomputes; store errors never fail a scenario.
+	// unreadable entry counts as a miss (StreamStats.StoreTransient or
+	// StorePermanent) and the cell recomputes; store errors never fail
+	// a scenario.
 	Store store.Store
 	// Emit receives each outcome in stream order, from the caller's
 	// goroutine. A non-nil error stops the stream (in-flight work is
@@ -68,30 +59,33 @@ type StreamOptions struct {
 }
 
 // CellRunner executes one scenario cell identified by its content hash
-// and effective seed — the compute seam StreamScenarios delegates
-// through when StreamOptions.Runner is set. The hash is the same value
+// and effective seed — the one compute seam StreamScenarios runs every
+// cell through (StreamOptions.Runner). The hash is the same value
 // the store keys on and the wire frames carry, computed once per cell
 // by the stream dispatcher. Implementations must honor the determinism
 // contract: for a fixed (spec, seed) the returned result's JSON
 // encoding is byte-identical to scenario.Run's, no matter where or how
-// the cell was computed. The in-process default wraps scenario.Runner;
-// the distributed coordinator (internal/dist) is the remote one.
+// the cell was computed. The in-process default is scenario.Runner
+// (through ScenarioRunFunc); the distributed coordinator
+// (internal/dist) is the remote one.
 type CellRunner interface {
 	RunCell(ctx context.Context, s scenario.Scenario, hash string, seed int64) (*scenario.Result, error)
 }
 
-// RemoteCellStats is optionally implemented by a CellRunner that
-// delegates cells to remote workers (the dist coordinator).
-// StreamScenarios snapshots the counters into StreamStats after the
-// stream drains, so corruption and redispatch surface in the same
-// place cache and store activity does. Counters are cumulative over
-// the runner's lifetime — a multi-pass refined sweep reuses one
-// runner, so the final pass's snapshot is the run's total.
-type RemoteCellStats interface {
-	RemoteCellStats() (dispatched, redispatched, corrupt, localFallback int)
+// ScenarioRunFunc adapts an ordinary executor function to a CellRunner
+// that ignores the cell hash — the http.HandlerFunc pattern. The method
+// value scenario.Runner{Machines: pool}.RunSeeded is one; tests wrap
+// fakes in it.
+type ScenarioRunFunc func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error)
+
+// RunCell implements CellRunner by calling f(ctx, s, seed).
+func (f ScenarioRunFunc) RunCell(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
+	return f(ctx, s, seed)
 }
 
-// StreamStats summarizes a completed (or stopped) stream.
+// StreamStats summarizes a completed (or stopped) stream: only what the
+// stream counts itself. Counters owned elsewhere — the runner's, the
+// store's tier, a machine pool's — are read from their owners.
 type StreamStats struct {
 	// Emitted counts outcomes handed to Emit.
 	Emitted int
@@ -100,36 +94,14 @@ type StreamStats struct {
 	// Cached counts emitted outcomes served from the result store
 	// instead of computed.
 	Cached int
-	// StoreErrors counts store operations (get or put) that failed;
-	// each was degraded to a miss or a skipped write, never a failed
-	// scenario. StoreTransient and StorePermanent split the count:
-	// transient failures (network blips, timeouts, 5xx, an open
-	// breaker) point at infrastructure, permanent ones (corrupt
-	// envelopes) at a damaged or byzantine store.
-	StoreErrors    int
+	// StoreTransient and StorePermanent count store operations (get or
+	// put) that failed, by class (store.ErrorTally); each was degraded
+	// to a miss or a skipped write, never a failed scenario. Transient
+	// failures (network blips, timeouts, 5xx, an open breaker) point at
+	// infrastructure, permanent ones (corrupt envelopes) at a damaged
+	// or byzantine store.
 	StoreTransient int
 	StorePermanent int
-	// StoreTier snapshots the store's remote-path counters (retry
-	// attempts, breaker state, replica cache activity) after the stream
-	// drains, when the store exposes them. Nil for purely local stores.
-	StoreTier *store.TierStats
-	// RemoteDispatched, RemoteRedispatched, RemoteCorrupt and
-	// RemoteLocal snapshot a delegating Runner's counters (see
-	// RemoteCellStats): cells served by a worker, dispatch attempts
-	// retried on another worker, worker results rejected by envelope
-	// verification (byzantine or stale workers), and cells that
-	// degraded to local compute. All zero for in-process runs.
-	RemoteDispatched   int
-	RemoteRedispatched int
-	RemoteCorrupt      int
-	RemoteLocal        int
-	// MachinesConstructed and MachinesReused snapshot the machine pool's
-	// counters (StreamOptions.Machines) after the stream drains. Like the
-	// Remote* counters they are cumulative over the pool's lifetime — a
-	// multi-pass sweep sharing one pool sees the run's total in its last
-	// pass's snapshot. Zero when no pool is set.
-	MachinesConstructed int
-	MachinesReused      int
 	// Parallel is the effective worker count.
 	Parallel int
 	// Elapsed is the stream wall-clock time.
@@ -169,21 +141,9 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 	if opts.Next == nil {
 		return nil, fmt.Errorf("engine: stream needs a Next source")
 	}
-	runFn := opts.Run
-	if runFn == nil {
-		runner := scenario.Runner{Machines: opts.Machines}
-		runFn = func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
-			return runner.RunSeeded(ctx, s, seed)
-		}
-	}
-	// The hash-aware compute seam: a delegating Runner wins, otherwise
-	// the ScenarioRunFunc path (which predates the hash plumbing and
-	// derives nothing from it).
-	cellRun := func(ctx context.Context, s scenario.Scenario, hash string, seed int64) (*scenario.Result, error) {
-		return runFn(ctx, s, seed)
-	}
-	if opts.Runner != nil {
-		cellRun = opts.Runner.RunCell
+	runner := opts.Runner
+	if runner == nil {
+		runner = ScenarioRunFunc(scenario.Runner{}.RunSeeded)
 	}
 	workers := opts.Parallel
 	if workers < 1 {
@@ -205,7 +165,7 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 		srcErr  error // invalid-spec or cancellation error, owned by the dispatcher
 	)
 
-	var storeErrs storeErrCounters
+	var storeErrs store.ErrorTally
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -217,7 +177,7 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 					o.Err = err
 				} else {
 					t0 := time.Now()
-					runSlot(ctx, cellRun, opts.Store, o, &storeErrs)
+					runSlot(ctx, runner, opts.Store, o, &storeErrs)
 					o.Elapsed = time.Since(t0)
 				}
 				close(sl.ready)
@@ -290,21 +250,8 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 		}
 	}
 	wg.Wait()
-	stats.StoreTransient = int(storeErrs.transient.Load())
-	stats.StorePermanent = int(storeErrs.permanent.Load())
-	stats.StoreErrors = stats.StoreTransient + stats.StorePermanent
-	if ts, ok := opts.Store.(store.TierStatter); ok {
-		if t := ts.TierStats(); t.Remote != nil || t.Replica != nil {
-			stats.StoreTier = &t
-		}
-	}
-	if rs, ok := opts.Runner.(RemoteCellStats); ok {
-		stats.RemoteDispatched, stats.RemoteRedispatched, stats.RemoteCorrupt, stats.RemoteLocal = rs.RemoteCellStats()
-	}
-	if opts.Machines != nil {
-		ps := opts.Machines.Stats()
-		stats.MachinesConstructed, stats.MachinesReused = int(ps.Constructed), int(ps.Reused)
-	}
+	transient, permanent := storeErrs.Counts()
+	stats.StoreTransient, stats.StorePermanent = int(transient), int(permanent)
 	stats.Elapsed = time.Since(start)
 	if emitErr != nil {
 		return stats, emitErr
@@ -321,13 +268,13 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 // deterministic too, but pinning them to disk would make a transient
 // environmental failure (out of memory, a panic from a since-fixed bug)
 // permanent.
-func runSlot(ctx context.Context, run cellRunFunc, st store.Store, o *ScenarioOutcome, storeErrs *storeErrCounters) {
+func runSlot(ctx context.Context, run CellRunner, st store.Store, o *ScenarioOutcome, storeErrs *store.ErrorTally) {
 	var key store.Key
 	if st != nil {
 		key = store.Key{Hash: o.Hash, Seed: o.Seed}
 		res, ok, err := store.GetContext(ctx, st, key)
 		if err != nil {
-			storeErrs.count(err) // unreadable entry: recompute it
+			storeErrs.Count(err) // unreadable entry: recompute it
 		} else if ok {
 			o.Result, o.Cached = res, true
 			return
@@ -336,39 +283,18 @@ func runSlot(ctx context.Context, run cellRunFunc, st store.Store, o *ScenarioOu
 	o.Result, o.Err = runCellIsolated(ctx, run, o.Scenario, o.Hash, o.Seed)
 	if st != nil && o.Err == nil {
 		if err := store.PutContext(ctx, st, key, o.Result); err != nil {
-			storeErrs.count(err)
+			storeErrs.Count(err)
 		}
 	}
 }
 
-// storeErrCounters splits degraded store operations by class: a
-// transient failure is the network's fault, a permanent one is the
-// bytes' fault. Both degrade identically (recompute or skip the
-// write); only the diagnosis differs.
-type storeErrCounters struct {
-	transient atomic.Int64
-	permanent atomic.Int64
-}
-
-func (c *storeErrCounters) count(err error) {
-	if store.IsPermanentError(err) {
-		c.permanent.Add(1)
-	} else {
-		c.transient.Add(1)
-	}
-}
-
-// cellRunFunc is the hash-aware internal compute signature runSlot
-// executes through — CellRunner.RunCell's shape, whatever fills it.
-type cellRunFunc func(ctx context.Context, s scenario.Scenario, hash string, seed int64) (*scenario.Result, error)
-
 // runCellIsolated converts a runner panic into an error so one broken
 // cell (or a panicking delegation layer) cannot take down a stream.
-func runCellIsolated(ctx context.Context, run cellRunFunc, s scenario.Scenario, hash string, seed int64) (res *scenario.Result, err error) {
+func runCellIsolated(ctx context.Context, run CellRunner, s scenario.Scenario, hash string, seed int64) (res *scenario.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("engine: scenario %s panicked: %v", hash, p)
 		}
 	}()
-	return run(ctx, s, hash, seed)
+	return run.RunCell(ctx, s, hash, seed)
 }

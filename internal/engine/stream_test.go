@@ -62,7 +62,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 		},
 		Parallel: workers,
 		Window:   window,
-		Run:      fakeStreamRun,
+		Runner:   ScenarioRunFunc(fakeStreamRun),
 		Emit: func(o ScenarioOutcome) error {
 			mu.Lock()
 			emitted++
@@ -96,7 +96,7 @@ func TestStreamParallelMatchesSerial(t *testing.T) {
 			BaseSeed: 7,
 			Parallel: parallel,
 			Window:   window,
-			Run:      fakeStreamRun,
+			Runner:   ScenarioRunFunc(fakeStreamRun),
 			Emit: func(o ScenarioOutcome) error {
 				return enc.Encode(struct {
 					Hash string           `json:"hash"`
@@ -132,7 +132,7 @@ func TestStreamInvalidSpecStopsWithPosition(t *testing.T) {
 			return scenario.Scenario{Role: scenario.RoleChannel, Kind: scenario.KindCores, Bits: 2 * i}, true
 		},
 		Parallel: 2,
-		Run:      fakeStreamRun,
+		Runner:   ScenarioRunFunc(fakeStreamRun),
 		Emit:     func(o ScenarioOutcome) error { emitted++; return nil },
 	})
 	if err == nil || !strings.Contains(err.Error(), "stream scenario 2") {
@@ -156,7 +156,7 @@ func TestStreamEmitErrorStops(t *testing.T) {
 		},
 		Parallel: 2,
 		Window:   4,
-		Run:      fakeStreamRun,
+		Runner:   ScenarioRunFunc(fakeStreamRun),
 		Emit:     func(o ScenarioOutcome) error { return boom },
 	})
 	if err != boom {
@@ -187,7 +187,7 @@ func TestStreamCancellationStopsUnboundedSource(t *testing.T) {
 			},
 			Parallel: 2,
 			Window:   4,
-			Run:      fakeStreamRun,
+			Runner:   ScenarioRunFunc(fakeStreamRun),
 		})
 		if err != context.Canceled {
 			t.Errorf("err = %v, want context.Canceled", err)
@@ -209,7 +209,7 @@ func TestStreamRunFailuresDoNotStop(t *testing.T) {
 	stats, err := StreamScenarios(context.Background(), StreamOptions{
 		Next:     streamSource(10),
 		Parallel: 3,
-		Run: func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
 			if s.Bits%4 == 0 {
 				return nil, fmt.Errorf("synthetic failure")
 			}
@@ -217,7 +217,7 @@ func TestStreamRunFailuresDoNotStop(t *testing.T) {
 				panic("boom")
 			}
 			return fakeStreamRun(ctx, s, seed)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

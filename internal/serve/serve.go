@@ -166,8 +166,7 @@ type Server struct {
 	misses      int64
 	storeHits   int64
 	storeMisses int64
-	storeTrans  int64 // transient store failures (network-class)
-	storePerm   int64 // permanent store failures (corrupt envelopes)
+	storeErrs   store.ErrorTally // degraded store operations, by class
 	gcRuns      int64
 	lastGC      *store.GCReport
 	lastGCErr   string
@@ -393,7 +392,7 @@ func (s *Server) compute(key cacheKey, ent *cacheEntry, fn func() (*scenario.Res
 			res, ok, err := s.store.Get(store.Key(key))
 			switch {
 			case err != nil:
-				s.countStoreErr(err) // unreadable entry: recompute
+				s.storeErrs.Count(err) // unreadable entry: recompute
 			case ok:
 				ent.result, ent.fromStore = res, true
 				ent.elapsed = time.Since(t0)
@@ -414,7 +413,7 @@ func (s *Server) compute(key cacheKey, ent *cacheEntry, fn func() (*scenario.Res
 		ent.elapsed = time.Since(t0)
 		if s.store != nil && ent.err == nil {
 			if err := s.store.Put(store.Key(key), ent.result); err != nil {
-				s.countStoreErr(err)
+				s.storeErrs.Count(err)
 			}
 		}
 	})
@@ -443,37 +442,23 @@ func (s *Server) countStore(t storeTally) {
 	}
 }
 
-// countStoreErr tallies one degraded store operation, split by failure
-// class: transient (network blip — retrying or recomputing covers it)
-// vs permanent (corrupt envelope — the bytes are wrong at the source).
-func (s *Server) countStoreErr(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if store.IsPermanentError(err) {
-		s.storePerm++
-	} else {
-		s.storeTrans++
-	}
-}
-
 // StoreCounters reports the durable tier's full tally: hits (reads
 // served from the corpus), misses (clean absences that led to a
 // compute), and errors (unreadable entries and failed writes, of
 // either class — see StoreErrorCounters). Zeroes when no store is
 // configured.
 func (s *Server) StoreCounters() (hits, misses, errors int64) {
+	transient, permanent := s.storeErrs.Counts()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.storeHits, s.storeMisses, s.storeTrans + s.storePerm
+	return s.storeHits, s.storeMisses, transient + permanent
 }
 
 // StoreErrorCounters splits the error tally by failure class:
 // transient (network-class, degraded and recovered) vs permanent
 // (corrupt envelopes — a damaged or byzantine upstream).
 func (s *Server) StoreErrorCounters() (transient, permanent int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storeTrans, s.storePerm
+	return s.storeErrs.Counts()
 }
 
 // ---- wire envelopes ----

@@ -130,7 +130,7 @@ func (s *Server) v1StoreIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	ls, err := b.ListObjects(r.Context())
 	if err != nil {
-		s.countStoreErr(err)
+		s.storeErrs.Count(err)
 		writeError(w, http.StatusInternalServerError, CodeStoreError, "list store: %v", err)
 		return
 	}
@@ -155,7 +155,7 @@ func (s *Server) v1StoreEntry(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		data, ok, err := b.GetObject(r.Context(), key)
 		if err != nil {
-			s.countStoreErr(err)
+			s.storeErrs.Count(err)
 			writeError(w, http.StatusInternalServerError, CodeStoreError,
 				"read %s: %v", key, err)
 			return
@@ -198,7 +198,7 @@ func (s *Server) v1StoreEntry(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := b.PutObject(r.Context(), key, data); err != nil {
-			s.countStoreErr(err)
+			s.storeErrs.Count(err)
 			writeError(w, http.StatusInternalServerError, CodeStoreError,
 				"write %s: %v", key, err)
 			return

@@ -8,7 +8,10 @@ package store
 // points at infrastructure, a permanent count points at a corrupt or
 // byzantine server, and the sweep counters report them separately.
 
-import "errors"
+import (
+	"errors"
+	"sync/atomic"
+)
 
 // ErrCorrupt marks an envelope that failed verification: malformed
 // JSON, wrong version, wrong identity, or a checksum mismatch. Matched
@@ -67,4 +70,28 @@ func IsPermanentError(err error) bool {
 		return se.code >= 400 && se.code < 500
 	}
 	return false
+}
+
+// ErrorTally counts degraded store operations by failure class: a
+// transient failure is the network's fault, a permanent one the bytes'
+// fault. Both degrade identically (recompute or skip the write); only
+// the diagnosis differs. The zero value is ready and safe for
+// concurrent use — the engine stream and the server each keep one.
+type ErrorTally struct {
+	transient atomic.Int64
+	permanent atomic.Int64
+}
+
+// Count tallies one failed store operation under its class.
+func (t *ErrorTally) Count(err error) {
+	if IsPermanentError(err) {
+		t.permanent.Add(1)
+	} else {
+		t.transient.Add(1)
+	}
+}
+
+// Counts snapshots the tally.
+func (t *ErrorTally) Counts() (transient, permanent int64) {
+	return t.transient.Load(), t.permanent.Load()
 }

@@ -224,4 +224,29 @@ func TestIsPermanentErrorClassification(t *testing.T) {
 			t.Errorf("case %d (%v): IsPermanentError=%v, want %v", i, c.err, got, c.want)
 		}
 	}
+
+	// ErrorTally counts by the same classification, from many
+	// goroutines at once. Callers count only real failures, so the nil
+	// case is skipped.
+	var (
+		tally                ErrorTally
+		wg                   sync.WaitGroup
+		wantTrans, wantPerms int64
+	)
+	for _, c := range cases[1:] {
+		if c.want {
+			wantPerms++
+		} else {
+			wantTrans++
+		}
+		wg.Add(1)
+		go func(err error) {
+			defer wg.Done()
+			tally.Count(err)
+		}(c.err)
+	}
+	wg.Wait()
+	if trans, perms := tally.Counts(); trans != wantTrans || perms != wantPerms {
+		t.Errorf("ErrorTally = %d transient, %d permanent; want %d, %d", trans, perms, wantTrans, wantPerms)
+	}
 }

@@ -61,8 +61,8 @@ type TierStats struct {
 }
 
 // TierStatter is implemented by stores with a remote path worth
-// reporting on (Remote, ReplicaStore, RetryBackend). The engine
-// snapshots it after a stream drains; serve includes it in /v1/stats.
+// reporting on (Remote, ReplicaStore, RetryBackend). The CLI's run
+// commands read it after a run; serve includes it in /v1/stats.
 type TierStatter interface {
 	TierStats() TierStats
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"ichannels/internal/engine"
 	"ichannels/internal/scenario"
 	"ichannels/internal/store"
 )
@@ -50,7 +51,7 @@ func kneeSweep() scenario.Sweep {
 // computed) while the flat regions stay at coarse resolution, well
 // under half the dense grid.
 func TestRefinedComputesOnlyMovingRegions(t *testing.T) {
-	res, err := Run(context.Background(), kneeSweep(), Options{BaseSeed: 1, Parallel: 4, Run: kneeRun})
+	res, err := Run(context.Background(), kneeSweep(), Options{BaseSeed: 1, Parallel: 4, Runner: engine.ScenarioRunFunc(kneeRun)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestRefinedComputesOnlyMovingRegions(t *testing.T) {
 // byte-identical at any pool size.
 func TestRefinedDeterministicAcrossParallelism(t *testing.T) {
 	marshal := func(parallel int) []byte {
-		res, err := Run(context.Background(), kneeSweep(), Options{BaseSeed: 7, Parallel: parallel, Run: kneeRun})
+		res, err := Run(context.Background(), kneeSweep(), Options{BaseSeed: 7, Parallel: parallel, Runner: engine.ScenarioRunFunc(kneeRun)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestRefinedBudgetTruncation(t *testing.T) {
 	sw.Refine.MaxCellsPerPass = 3
 	sw.Refine.MaxPasses = scenario.MaxRefinePasses
 	run := func(parallel int) *Result {
-		res, err := Run(context.Background(), sw, Options{BaseSeed: 1, Parallel: parallel, Run: kneeRun})
+		res, err := Run(context.Background(), sw, Options{BaseSeed: 1, Parallel: parallel, Runner: engine.ScenarioRunFunc(kneeRun)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestRefinedBudgetNeverStrandsGroupCells(t *testing.T) {
 			MaxCellsPerPass: 4, MaxPasses: scenario.MaxRefinePasses,
 		},
 	}
-	res, err := Run(context.Background(), sw, Options{BaseSeed: 1, Parallel: 4, Run: kneeRun})
+	res, err := Run(context.Background(), sw, Options{BaseSeed: 1, Parallel: 4, Runner: engine.ScenarioRunFunc(kneeRun)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestRefinedKilledAndResumed(t *testing.T) {
 	sw := kneeSweep()
 
 	// Reference: one uninterrupted run, no store.
-	want, err := Run(context.Background(), sw, Options{BaseSeed: 5, Parallel: 1, Run: kneeRun})
+	want, err := Run(context.Background(), sw, Options{BaseSeed: 5, Parallel: 1, Runner: engine.ScenarioRunFunc(kneeRun)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestRefinedKilledAndResumed(t *testing.T) {
 	kill := errKill{}
 	n := 0
 	_, err = Run(context.Background(), sw, Options{
-		BaseSeed: 5, Parallel: 1, Run: kneeRun, Store: st,
+		BaseSeed: 5, Parallel: 1, Runner: engine.ScenarioRunFunc(kneeRun), Store: st,
 		OnCell: func(CellOutcome) error {
 			n++
 			if n >= 4 {
@@ -231,7 +232,7 @@ func TestRefinedKilledAndResumed(t *testing.T) {
 	}
 
 	// Resume: the surviving cells come back from the store.
-	res, err := Run(context.Background(), sw, Options{BaseSeed: 5, Parallel: 4, Run: kneeRun, Store: st})
+	res, err := Run(context.Background(), sw, Options{BaseSeed: 5, Parallel: 4, Runner: engine.ScenarioRunFunc(kneeRun), Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestRefinedPassMarkers(t *testing.T) {
 	var markers []PassStats
 	var cellPasses []int
 	res, err := Run(context.Background(), kneeSweep(), Options{
-		BaseSeed: 1, Parallel: 4, Run: kneeRun,
+		BaseSeed: 1, Parallel: 4, Runner: engine.ScenarioRunFunc(kneeRun),
 		OnPass: func(p PassStats) error {
 			markers = append(markers, p)
 			return nil

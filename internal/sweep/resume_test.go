@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ichannels/internal/engine"
 	"ichannels/internal/scenario"
 	"ichannels/internal/store"
 )
@@ -44,7 +45,7 @@ func testSweepResume(t *testing.T) {
 		calls.Add(1)
 		return fakeRun(ctx, s, seed)
 	}
-	opts := func() Options { return Options{BaseSeed: 3, Parallel: 2, Run: run} }
+	opts := func() Options { return Options{BaseSeed: 3, Parallel: 2, Runner: engine.ScenarioRunFunc(run)} }
 
 	// Reference: one uninterrupted run, no store.
 	ref, err := Run(context.Background(), sw, opts())
@@ -62,7 +63,7 @@ func testSweepResume(t *testing.T) {
 	killed := 0
 	// A serial, window-1 pipeline keeps the number of drained in-flight
 	// cells strictly below the grid, so the re-run has real work left.
-	kopts := Options{BaseSeed: 3, Parallel: 1, Window: 1, Run: run}.WithStore(st)
+	kopts := Options{BaseSeed: 3, Parallel: 1, Window: 1, Runner: engine.ScenarioRunFunc(run)}.WithStore(st)
 	kopts.OnCell = func(CellOutcome) error {
 		killed++
 		if killed >= 3 {
@@ -129,7 +130,7 @@ func TestSweepWriteOnlyStoreRecomputes(t *testing.T) {
 	}
 	for round := 1; round <= 2; round++ {
 		calls.Store(0)
-		res, err := Run(context.Background(), sw, Options{BaseSeed: 3, Parallel: 2, Run: run}.WithStore(store.WriteOnly(st)))
+		res, err := Run(context.Background(), sw, Options{BaseSeed: 3, Parallel: 2, Runner: engine.ScenarioRunFunc(run)}.WithStore(store.WriteOnly(st)))
 		if err != nil {
 			t.Fatal(err)
 		}

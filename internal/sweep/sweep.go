@@ -45,14 +45,15 @@ type Options struct {
 	Parallel int
 	// Window bounds the engine's reorder buffer (0 = engine default).
 	Window int
-	// Run overrides the scenario executor (nil means scenario.Run).
-	Run engine.ScenarioRunFunc
-	// Runner, when set, takes precedence over Run — the hash-aware
-	// compute seam (engine.StreamOptions.Runner). Setting it to a
-	// dist.Pool makes the sweep distributed: cells are dispatched to
-	// remote workers and verified, with byte-identical output. The
-	// store wrapping still applies, so -resume and the shared corpus
-	// work unchanged, and refinement passes inherit the same runner.
+	// Runner executes each cell — the hash-aware compute seam
+	// (engine.StreamOptions.Runner). Nil gets scenario.Runner over a
+	// fresh machine pool per Run (most grid cells share a few machine
+	// shapes, so reuse is the normal case; one pool spans every
+	// refinement pass). Setting it to a dist.Pool makes the sweep
+	// distributed: cells are dispatched to remote workers and verified,
+	// with byte-identical output. The store wrapping still applies, so
+	// -resume and the shared corpus work unchanged, and refinement
+	// passes inherit the same runner.
 	Runner engine.CellRunner
 	// Store, when set, serves cells whose (hash, seed) result it
 	// already holds (marked Cached) and persists freshly computed ones
@@ -69,13 +70,6 @@ type Options struct {
 	// behind the NDJSON pass markers. Never called for dense sweeps. A
 	// non-nil error stops the sweep.
 	OnPass func(PassStats) error
-	// Machines is the machine pool cells recycle simulated SoCs
-	// through. Nil gets a fresh pool per Run when the default executor
-	// is in use (most grid cells share a few machine shapes, so reuse
-	// is the normal case); it is ignored when Run or Runner overrides
-	// the executor. Reuse changes wall-clock only — recycled machines
-	// replay byte-identically — so aggregate bytes never depend on it.
-	Machines *soc.Pool
 }
 
 // WithStore returns the options with the result store set — the fluent
@@ -143,33 +137,17 @@ type Result struct {
 	Refinement *RefinementStats `json:"refinement,omitempty"`
 	// Elapsed is the sweep wall-clock time (nondeterministic).
 	Elapsed time.Duration `json:"-"`
-	// RemoteDispatched, RemoteRedispatched, RemoteCorrupt and
-	// RemoteLocal snapshot a delegating Runner's counters (see
-	// engine.RemoteCellStats): cells served by workers, retried
-	// dispatches, rejected (byzantine/stale) worker responses, and
-	// local-fallback cells. Kept out of the JSON envelope — they are
-	// fleet wall-clock metadata, and the aggregate bytes must not
-	// depend on where cells were computed.
-	RemoteDispatched   int `json:"-"`
-	RemoteRedispatched int `json:"-"`
-	RemoteCorrupt      int `json:"-"`
-	RemoteLocal        int `json:"-"`
-	// StoreErrors counts failed store operations across the run
-	// (unreadable entries recomputed, failed writes). Wall-clock
-	// metadata like the Remote* counters — a degraded store changes
-	// timing, never bytes. StoreTransient/StorePermanent split the
-	// count by failure class (network blip vs corrupt envelope).
-	StoreErrors    int `json:"-"`
+	// StoreTransient and StorePermanent count failed store operations
+	// across the run (unreadable entries recomputed, failed writes) by
+	// failure class: network blip vs corrupt envelope. Wall-clock
+	// metadata — a degraded store changes timing, never bytes.
 	StoreTransient int `json:"-"`
 	StorePermanent int `json:"-"`
-	// StoreTier snapshots the store's remote-path counters (retry
-	// attempts, breaker state, replica cache) after the last pass; nil
-	// for purely local stores. Wall-clock metadata.
-	StoreTier *store.TierStats `json:"-"`
 	// MachinesConstructed and MachinesReused count how many simulated
-	// machines the run built from scratch vs recycled from the pool.
-	// Wall-clock metadata like the Remote* counters: reuse never
-	// changes the cell bytes.
+	// machines the default executor's pool built from scratch vs
+	// recycled, over every pass. Zero when Options.Runner overrides
+	// the executor. Wall-clock metadata: reuse never changes the cell
+	// bytes.
 	MachinesConstructed int `json:"-"`
 	MachinesReused      int `json:"-"`
 }
@@ -207,24 +185,27 @@ func Run(ctx context.Context, sw scenario.Sweep, opts Options) (*Result, error) 
 // execState accumulates one sweep run across its execution passes (one
 // for a dense grid, several for a refined one).
 type execState struct {
-	opts Options
-	agg  *Aggregator
-	res  *Result
+	opts     Options
+	machines *soc.Pool // the default executor's pool; nil under a Runner override
+	agg      *Aggregator
+	res      *Result
 }
 
 func newExecState(nsw scenario.Sweep, opts Options) *execState {
-	// Machine reuse is on by default: one pool spans every execution
-	// pass, so a refined sweep's later passes run almost entirely on
-	// recycled machines. Executor overrides bring their own compute
-	// path and get no pool.
-	if opts.Machines == nil && opts.Run == nil && opts.Runner == nil {
-		opts.Machines = soc.NewPool()
-	}
-	return &execState{
+	st := &execState{
 		opts: opts,
 		agg:  NewAggregator(nsw.EffectiveGroupBy()),
 		res:  &Result{Hash: nsw.Hash(), BaseSeed: opts.BaseSeed},
 	}
+	// Machine reuse is on by default: one pool spans every execution
+	// pass, so a refined sweep's later passes run almost entirely on
+	// recycled machines. A Runner override brings its own compute path
+	// and gets no pool.
+	if opts.Runner == nil {
+		st.machines = soc.NewPool()
+		st.opts.Runner = engine.ScenarioRunFunc(scenario.Runner{Machines: st.machines}.RunSeeded)
+	}
+	return st
 }
 
 // execute streams the cells yielded by next through the engine worker
@@ -260,10 +241,8 @@ func (st *execState) execute(ctx context.Context, next func() (scenario.Cell, bo
 		BaseSeed: opts.BaseSeed,
 		Parallel: opts.Parallel,
 		Window:   opts.Window,
-		Run:      opts.Run,
 		Runner:   opts.Runner,
 		Store:    opts.Store,
-		Machines: opts.Machines,
 		Emit: func(o engine.ScenarioOutcome) error {
 			queueMu.Lock()
 			cell := cellQueue[0]
@@ -300,30 +279,21 @@ func (st *execState) execute(ctx context.Context, next func() (scenario.Cell, bo
 	st.res.Parallel = stats.Parallel
 	st.res.Failed += stats.Failed
 	st.res.Cached += stats.Cached
-	st.res.StoreErrors += stats.StoreErrors
 	st.res.StoreTransient += stats.StoreTransient
 	st.res.StorePermanent += stats.StorePermanent
-	if stats.StoreTier != nil {
-		// Tier counters are cumulative over the store's lifetime, like
-		// the Remote* counters: keep the latest snapshot.
-		st.res.StoreTier = stats.StoreTier
-	}
 	st.res.Elapsed += stats.Elapsed
-	// Cumulative over the runner's (and pool's) lifetime: the last
-	// pass's snapshot is the whole run's total, so overwrite rather
-	// than accumulate.
-	st.res.RemoteDispatched = stats.RemoteDispatched
-	st.res.RemoteRedispatched = stats.RemoteRedispatched
-	st.res.RemoteCorrupt = stats.RemoteCorrupt
-	st.res.RemoteLocal = stats.RemoteLocal
-	st.res.MachinesConstructed = stats.MachinesConstructed
-	st.res.MachinesReused = stats.MachinesReused
 	return nil
 }
 
-// finish renders the run's aggregate and returns the result.
+// finish renders the run's aggregate, reads the machine pool's
+// lifetime counters (the whole run's total across passes), and returns
+// the result.
 func (st *execState) finish() *Result {
 	st.res.Aggregate = st.agg.Table(st.res.Hash, st.opts.BaseSeed)
+	if st.machines != nil {
+		ps := st.machines.Stats()
+		st.res.MachinesConstructed, st.res.MachinesReused = int(ps.Constructed), int(ps.Reused)
+	}
 	return st.res
 }
 

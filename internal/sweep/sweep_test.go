@@ -42,7 +42,7 @@ func testSweep() scenario.Sweep {
 // TestRunAggregatesByAxisSubset: grouping by mitigation collapses
 // processor and bits; metrics come out of the stats toolkit.
 func TestRunAggregatesByAxisSubset(t *testing.T) {
-	res, err := Run(context.Background(), testSweep(), Options{BaseSeed: 3, Parallel: 4, Run: fakeRun})
+	res, err := Run(context.Background(), testSweep(), Options{BaseSeed: 3, Parallel: 4, Runner: engine.ScenarioRunFunc(fakeRun)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	render := func(parallel int) string {
 		var order []int
 		res, err := Run(context.Background(), testSweep(), Options{
-			BaseSeed: 9, Parallel: parallel, Window: 2, Run: fakeRun,
+			BaseSeed: 9, Parallel: parallel, Window: 2, Runner: engine.ScenarioRunFunc(fakeRun),
 			OnCell: func(o CellOutcome) error { order = append(order, o.Cell.Index); return nil },
 		})
 		if err != nil {
@@ -110,12 +110,12 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 func TestRunCellFailuresCounted(t *testing.T) {
 	res, err := Run(context.Background(), testSweep(), Options{
 		BaseSeed: 1, Parallel: 2,
-		Run: func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Runner: engine.ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
 			if s.Processor == "Haswell" {
 				return nil, fmt.Errorf("synthetic")
 			}
 			return fakeRun(ctx, s, seed)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestRunCellFailuresCounted(t *testing.T) {
 // here we check the sweep keeps only compact summaries: no result
 // envelope reachable from Result.)
 func TestRunStreamsBoundedQueue(t *testing.T) {
-	res, err := Run(context.Background(), testSweep(), Options{BaseSeed: 2, Window: 1, Run: fakeRun})
+	res, err := Run(context.Background(), testSweep(), Options{BaseSeed: 2, Window: 1, Runner: engine.ScenarioRunFunc(fakeRun)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRunStreamsBoundedQueue(t *testing.T) {
 // HTTP layer shares.
 func TestAggregateLineFraming(t *testing.T) {
 	run := func() string {
-		res, err := Run(context.Background(), testSweep(), Options{BaseSeed: 5, Parallel: 3, Run: fakeRun})
+		res, err := Run(context.Background(), testSweep(), Options{BaseSeed: 5, Parallel: 3, Runner: engine.ScenarioRunFunc(fakeRun)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestAggregateLineFraming(t *testing.T) {
 func TestOnCellErrorStopsSweep(t *testing.T) {
 	boom := fmt.Errorf("sink closed")
 	_, err := Run(context.Background(), testSweep(), Options{
-		Run:    fakeRun,
+		Runner: engine.ScenarioRunFunc(fakeRun),
 		OnCell: func(CellOutcome) error { return boom },
 	})
 	if err != boom {
@@ -238,7 +238,7 @@ func TestRunRealScenarios(t *testing.T) {
 
 // TestTableWriteText: the text table lists one aligned row per group.
 func TestTableWriteText(t *testing.T) {
-	res, err := Run(context.Background(), testSweep(), Options{BaseSeed: 1, Run: fakeRun})
+	res, err := Run(context.Background(), testSweep(), Options{BaseSeed: 1, Runner: engine.ScenarioRunFunc(fakeRun)})
 	if err != nil {
 		t.Fatal(err)
 	}
