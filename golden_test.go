@@ -240,3 +240,76 @@ func TestGoldenRoles(t *testing.T) {
 	}
 	compareGolden(t, filepath.Join("testdata", "golden", "roles_results.json"), indented(t, got))
 }
+
+// TestGoldenSlotChannels pins the one-bit-per-slot baselines: the fig12a,
+// fig12b and table2 experiment reports at seed 3, and for each of the four
+// baselines, built through the facade on the machines Fig. 12 uses, the gap
+// Calibrate returns, the result of transmitting a fixed bit string and
+// whether a Transmit before calibration is refused. NetSpectre's inverted
+// polarity (a 1 reads faster) is the easiest thing here to break.
+func TestGoldenSlotChannels(t *testing.T) {
+	ctx := context.Background()
+	var experiments []*ichannels.ScenarioResult
+	for _, id := range []string{"fig12a", "fig12b", "table2"} {
+		res, err := ichannels.RunScenario(ctx, ichannels.Scenario{Role: "experiment", Experiment: id, Seed: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		experiments = append(experiments, res)
+	}
+
+	type slotChannel interface {
+		Calibrate(pairs int) (float64, error)
+		Transmit(bits []int) (*ichannels.TransmitResult, error)
+	}
+	type baselineRun struct {
+		Baseline            string                    `json:"baseline"`
+		UncalibratedRefused bool                      `json:"uncalibrated_refused"`
+		CalibrationGap      float64                   `json:"calibration_gap"`
+		Result              *ichannels.TransmitResult `json:"result"`
+	}
+	machine := func(p ichannels.Processor, freq ichannels.Hertz, cores int, seed int64) *ichannels.Machine {
+		t.Helper()
+		m, err := ichannels.NewMachine(ichannels.MachineOptions{Processor: p, RequestedFreq: freq, Cores: cores, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	bits := []int{1, 0, 0, 1, 1, 1, 0, 1, 0, 0}
+	cnl := ichannels.CannonLake8121U()
+	var baselines []baselineRun
+	for _, b := range []struct {
+		name  string
+		pairs int
+		build func() (slotChannel, error)
+	}{
+		{"netspectre", 6, func() (slotChannel, error) {
+			return ichannels.NewNetSpectre(machine(ichannels.CoffeeLake9700K(), 3.6*ichannels.GHz, 1, 4))
+		}},
+		{"turbocc", 3, func() (slotChannel, error) { return ichannels.NewTurboCC(machine(cnl, 3.1*ichannels.GHz, 2, 6)) }},
+		{"dfscovert", 3, func() (slotChannel, error) { return ichannels.NewDFScovert(machine(cnl, 2.2*ichannels.GHz, 2, 5)) }},
+		{"powert", 4, func() (slotChannel, error) { return ichannels.NewPowerT(machine(cnl, 2.2*ichannels.GHz, 2, 7)) }},
+	} {
+		ch, err := b.build()
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		_, uncalErr := ch.Transmit(bits)
+		gap, err := ch.Calibrate(b.pairs)
+		if err != nil {
+			t.Fatalf("%s: calibrate: %v", b.name, err)
+		}
+		res, err := ch.Transmit(bits)
+		if err != nil {
+			t.Fatalf("%s: transmit: %v", b.name, err)
+		}
+		baselines = append(baselines, baselineRun{b.name, uncalErr != nil, gap, res})
+	}
+
+	got := struct {
+		Experiments []*ichannels.ScenarioResult `json:"experiments"`
+		Baselines   []baselineRun               `json:"baselines"`
+	}{experiments, baselines}
+	compareGolden(t, filepath.Join("testdata", "golden", "slot_channels.json"), indented(t, got))
+}
