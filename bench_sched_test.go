@@ -42,7 +42,7 @@ func benchScheduler(b *testing.B, mk func() sched.Scheduler) {
 			rng := uint64(i)
 			for j := 0; j < benchEvents; j++ {
 				d := units.Duration(1 + benchRNG(&rng)%uint64(900*units.Microsecond))
-				q.After(d, "dense", nop)
+				q.After(d, nop)
 			}
 			q.Run(benchEvents)
 		}
@@ -58,7 +58,7 @@ func benchScheduler(b *testing.B, mk func() sched.Scheduler) {
 			rng := uint64(i)
 			for j := 0; j < benchEvents; j++ {
 				d := units.Duration(1 + benchRNG(&rng)%uint64(100*units.Millisecond))
-				q.After(d, "sparse", nop)
+				q.After(d, nop)
 			}
 			q.Run(benchEvents)
 		}
@@ -75,7 +75,7 @@ func benchScheduler(b *testing.B, mk func() sched.Scheduler) {
 			rng := uint64(i)
 			for j := 0; j < benchEvents; j++ {
 				d := units.Duration(1 + benchRNG(&rng)%uint64(900*units.Microsecond))
-				refs[j] = q.After(d, "cancel", nop)
+				refs[j] = q.After(d, nop)
 			}
 			fire := benchEvents
 			for j, r := range refs {

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"ichannels"
+	"ichannels/internal/scenario"
 )
 
 // shutdownSignals end a run or the server gracefully: the context
@@ -253,7 +254,7 @@ func scenarioRun(args []string) error {
 // -parallel); per-scenario timing goes to stderr.
 func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(positional []string) ([]ichannels.Scenario, error)) error {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size")
-	seed := fs.Int64("seed", 1, "base seed (scenarios that pin no seed derive theirs from it)")
+	seed := fs.Int64("seed", 1, "base seed; 0 means the default, 1 (scenarios that pin no seed derive theirs from it)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON batch instead of the comparison table")
 	ndjsonOut := fs.Bool("ndjson", false, "emit one JSON outcome per line (the HTTP v1 batch framing)")
 	storeDir := fs.String("store", "", "persist results to this store directory")
@@ -265,6 +266,9 @@ func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(pos
 	}
 	if *jsonOut && *ndjsonOut {
 		return fmt.Errorf("%s: give either -json or -ndjson, not both", cmd)
+	}
+	if *seed, err = scenario.ResolveSeed(*seed); err != nil {
+		return fmt.Errorf("%s: -%w", cmd, err)
 	}
 	specs, err := load(positional)
 	if err != nil {
@@ -364,7 +368,7 @@ func loadSweep(cmd string, args []string, fs *flag.FlagSet) (ichannels.Sweep, er
 func sweepRun(args []string) error {
 	fs := flag.NewFlagSet("sweep run", flag.ContinueOnError)
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size")
-	seed := fs.Int64("seed", 1, "base seed (cells that pin no seed derive theirs from it)")
+	seed := fs.Int64("seed", 1, "base seed; 0 means the default, 1 (cells that pin no seed derive theirs from it)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable summary (cells + aggregate) instead of text")
 	ndjsonOut := fs.Bool("ndjson", false, "stream one JSON outcome per cell plus a final aggregate line (the HTTP v1 framing)")
 	storeDir := fs.String("store", "", "persist cell results to this store directory")
@@ -378,6 +382,9 @@ func sweepRun(args []string) error {
 	}
 	if *jsonOut && *ndjsonOut {
 		return errors.New("sweep run: give either -json or -ndjson, not both")
+	}
+	if *seed, err = scenario.ResolveSeed(*seed); err != nil {
+		return fmt.Errorf("sweep run: -%w", err)
 	}
 	if *refine && sw.Refine == nil {
 		return errors.New("sweep run: -refine given but the spec has no refine block (see 'ichannels sweep schema')")

@@ -435,3 +435,41 @@ func TestConformanceServeSIGTERMSealsStore(t *testing.T) {
 		}
 	}
 }
+
+// TestConformanceSeedRule: every surface's base seed follows one rule —
+// 0 means the default seed and a negative seed is an error. CLI -seed 0
+// prints the -seed 1 aggregate, which is also what POST /v1/sweeps?seed=0
+// streams, and a negative -seed makes run, scenario run and sweep run
+// exit non-zero.
+func TestConformanceSeedRule(t *testing.T) {
+	f := filepath.Join("examples", "sweeps", "specs", "crossfamily_kind_mitigation.json")
+	data, err := os.ReadFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := func(lines [][]byte) []byte {
+		t.Helper()
+		if len(lines) == 0 {
+			t.Fatal("no output lines")
+		}
+		return lines[len(lines)-1]
+	}
+	want := last(runCLI(t, "sweep", "run", f, "-ndjson", "-parallel", "2", "-seed", "1"))
+	if got := last(runCLI(t, "sweep", "run", f, "-ndjson", "-parallel", "2", "-seed", "0")); !bytes.Equal(got, want) {
+		t.Errorf("CLI -seed 0 aggregate differs from -seed 1:\n%s\nwant:\n%s", got, want)
+	}
+	srv := httptest.NewServer(ichannels.NewAPIServer(ichannels.ServerOptions{}).Handler())
+	defer srv.Close()
+	if got := last(postNDJSON(t, srv, "/v1/sweeps?seed=0", data)); !bytes.Equal(got, want) {
+		t.Errorf("HTTP ?seed=0 aggregate differs from CLI -seed 1:\n%s\nwant:\n%s", got, want)
+	}
+	for _, args := range [][]string{
+		{"sweep", "run", f, "-seed", "-1"},
+		{"scenario", "run", filepath.Join("examples", "scenarios", "specs", "quickstart.json"), "-seed", "-1"},
+		{"run", "table2", "-seed", "-1"},
+	} {
+		if err := exec.Command(buildCLI(t), args...).Run(); err == nil {
+			t.Errorf("ichannels %s exited 0; want a negative-seed error", strings.Join(args, " "))
+		}
+	}
+}

@@ -75,7 +75,7 @@ func FuzzRemoteResponses(f *testing.F) {
 		_ = remote.Put(key, result)
 		_, _ = rb.ListObjects(t.Context())
 
-		rep, rerr := store.OpenReplica(t.TempDir(), rb, store.ReplicaOptions{})
+		rep, rerr := store.OpenReplica(t.TempDir(), rb)
 		if rerr != nil {
 			t.Fatal(rerr)
 		}

@@ -3,8 +3,8 @@ package baselines
 import (
 	"fmt"
 
+	"ichannels/internal/channels"
 	"ichannels/internal/core"
-	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
 )
@@ -29,7 +29,7 @@ type DFScovert struct {
 	// MeasureOffset places the measurement inside the bit window.
 	MeasureOffset units.Duration
 
-	threshold float64
+	decoder channels.SlotDecoder
 }
 
 // NewDFScovert builds the channel: sender actuation is software-only (no
@@ -50,6 +50,7 @@ func NewDFScovert(m *soc.Machine) (*DFScovert, error) {
 		HighFreq:        base,
 		MeasureIters:    2000,
 		MeasureOffset:   35 * units.Millisecond,
+		decoder:         channels.NewSlotDecoder("baselines: dfscovert", "frequency contrast", false),
 	}, nil
 }
 
@@ -72,7 +73,7 @@ func (a *dfsSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 		if bit == 1 {
 			target = a.d.LowFreq
 		}
-		env.M.Q.After(a.d.GovernorLatency, "dfscovert.governor.apply", func(units.Time) {
+		env.M.Q.After(a.d.GovernorLatency, func(units.Time) {
 			env.M.PMU.SetRequestedFrequency(target)
 		})
 	}
@@ -82,44 +83,12 @@ func (a *dfsSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.d.BitPeriod))
 }
 
-// dfsReceiver times a scalar loop at the measurement offset of each
-// window.
-type dfsReceiver struct {
-	d        *DFScovert
-	base     units.Time
-	windows  int
-	idx      int
-	phase    int
-	measures []int64
-}
-
-func (a *dfsReceiver) Name() string { return "dfscovert.receiver" }
-
-func (a *dfsReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			a.measures = append(a.measures, prev.ElapsedTSC())
-		}
-		if a.idx >= a.windows {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx)*a.d.BitPeriod + a.d.MeasureOffset))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(isa.Loop64b, a.d.MeasureIters)
-	default:
-		panic("baselines: dfscovert receiver in invalid phase")
-	}
-}
-
-func (d *DFScovert) run(bits []int) ([]int64, error) {
+func (d *DFScovert) run(bits []int) ([]float64, error) {
 	base := d.m.Now().Add(50 * units.Microsecond)
 	snd := &dfsSender{d: d, base: base, bits: bits}
-	rcv := &dfsReceiver{d: d, base: base, windows: len(bits),
-		measures: make([]int64, 0, len(bits))}
+	rcv := &channels.TimingReceiver{Label: "dfscovert.receiver", Base: base, Period: d.BitPeriod,
+		Offset: d.MeasureOffset, Iters: d.MeasureIters, Windows: len(bits),
+		Measures: make([]float64, 0, len(bits))}
 	if _, err := d.m.Bind(0, 0, snd); err != nil {
 		return nil, err
 	}
@@ -131,47 +100,13 @@ func (d *DFScovert) run(bits []int) ([]int64, error) {
 	// Restore the nominal operating point for whatever runs next.
 	d.m.PMU.SetRequestedFrequency(d.HighFreq)
 	d.m.RunFor(2 * units.Millisecond)
-	if len(rcv.measures) != len(bits) {
-		return nil, fmt.Errorf("baselines: dfscovert measured %d of %d bits", len(rcv.measures), len(bits))
-	}
-	return rcv.measures, nil
+	return rcv.Measures, nil
 }
 
 // Calibrate learns the fast/slow decision threshold.
-func (d *DFScovert) Calibrate(pairs int) (gap float64, err error) {
-	bits, err := calibrationPairs(pairs)
-	if err != nil {
-		return 0, err
-	}
-	measures, err := d.run(bits)
-	if err != nil {
-		return 0, err
-	}
-	mo, mz := bitMeans(bits, measures)
-	if mo <= mz {
-		return 0, fmt.Errorf("baselines: dfscovert calibration found no frequency contrast")
-	}
-	d.threshold = (mo + mz) / 2
-	return mo - mz, nil
-}
+func (d *DFScovert) Calibrate(pairs int) (float64, error) { return d.decoder.Calibrate(pairs, d.run) }
 
 // Transmit sends bits (1 bit per window) and decodes them.
 func (d *DFScovert) Transmit(bits []int) (*core.TransmitResult, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if d.threshold == 0 {
-		return nil, fmt.Errorf("baselines: dfscovert not calibrated")
-	}
-	measures, err := d.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([]int, len(measures))
-	for i, m := range measures {
-		if float64(m) > d.threshold {
-			decoded[i] = 1
-		}
-	}
-	return finishResult("DFScovert", bits, decoded, units.Duration(len(bits))*d.BitPeriod)
+	return d.decoder.Transmit(bits, d.run, d.BitPeriod)
 }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"ichannels/internal/channels"
 	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
@@ -26,9 +27,9 @@ type NetSpectre struct {
 	// MeasureIters sizes the timed AVX2 loop.
 	MeasureIters int64
 
-	threshold float64
-	core      int
-	slot      int
+	decoder channels.SlotDecoder
+	core    int
+	slot    int
 }
 
 // NewNetSpectre builds the gadget on core 0 of m.
@@ -41,6 +42,8 @@ func NewNetSpectre(m *soc.Machine) (*NetSpectre, error) {
 		SlotPeriod:   m.Proc.LicenseHysteresis + 40*units.Microsecond,
 		TriggerIters: 64,
 		MeasureIters: 48,
+		// A set bit leaves the voltage pre-ramped, so a 1 reads faster.
+		decoder: channels.NewSlotDecoder("baselines: netspectre", "throttle contrast", true),
 	}, nil
 }
 
@@ -51,7 +54,7 @@ type nsAgent struct {
 	bits     []int
 	idx      int
 	phase    int // 0 wait, 1 send, 2 awaiting-trigger, 3 awaiting-measure
-	measures []int64
+	measures []float64
 }
 
 func (a *nsAgent) Name() string { return "netspectre" }
@@ -78,7 +81,7 @@ func (a *nsAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 		a.phase = 3
 		return soc.Exec(isa.Loop256Heavy, a.ns.MeasureIters)
 	case 3: // measurement finished: record and wait for the next slot
-		a.measures = append(a.measures, prev.ElapsedTSC())
+		a.measures = append(a.measures, float64(prev.ElapsedTSC()))
 		a.phase = 0
 		return a.Next(env, nil)
 	default:
@@ -87,57 +90,23 @@ func (a *nsAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
 }
 
 // run transmits raw bits and returns per-bit measurement cycles.
-func (n *NetSpectre) run(bits []int) ([]int64, error) {
+func (n *NetSpectre) run(bits []int) ([]float64, error) {
 	base := n.m.Now().Add(20 * units.Microsecond)
 	agent := &nsAgent{ns: n, base: base, bits: bits,
-		measures: make([]int64, 0, len(bits))}
+		measures: make([]float64, 0, len(bits))}
 	if _, err := n.m.Bind(n.core, n.slot, agent); err != nil {
 		return nil, err
 	}
 	end := base.Add(units.Duration(len(bits)) * n.SlotPeriod).Add(100 * units.Microsecond)
 	n.m.RunUntil(end)
-	if len(agent.measures) != len(bits) {
-		return nil, fmt.Errorf("baselines: netspectre measured %d of %d bits", len(agent.measures), len(bits))
-	}
 	return agent.measures, nil
 }
 
 // Calibrate learns the warm/cold decision threshold from n known 1/0
 // transaction pairs.
-func (n *NetSpectre) Calibrate(pairs int) (gap float64, err error) {
-	bits, err := calibrationPairs(pairs)
-	if err != nil {
-		return 0, err
-	}
-	measures, err := n.run(bits)
-	if err != nil {
-		return 0, err
-	}
-	warm, cold := bitMeans(bits, measures)
-	if cold <= warm {
-		return 0, fmt.Errorf("baselines: netspectre calibration found no throttle contrast (warm=%g cold=%g)", warm, cold)
-	}
-	n.threshold = (warm + cold) / 2
-	return cold - warm, nil
-}
+func (n *NetSpectre) Calibrate(pairs int) (float64, error) { return n.decoder.Calibrate(pairs, n.run) }
 
 // Transmit sends bits (1 bit per transaction) and decodes them.
 func (n *NetSpectre) Transmit(bits []int) (*core.TransmitResult, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if n.threshold == 0 {
-		return nil, fmt.Errorf("baselines: netspectre not calibrated")
-	}
-	measures, err := n.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([]int, len(measures))
-	for i, m := range measures {
-		if float64(m) < n.threshold {
-			decoded[i] = 1 // warm → AVX was executed → bit 1
-		}
-	}
-	return finishResult("NetSpectre", bits, decoded, units.Duration(len(bits))*n.SlotPeriod)
+	return n.decoder.Transmit(bits, n.run, n.SlotPeriod)
 }

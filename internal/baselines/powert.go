@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"ichannels/internal/channels"
 	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
@@ -24,7 +25,7 @@ type PowerT struct {
 	// PollInterval is the receiver's thermal-sensor polling period.
 	PollInterval units.Duration
 
-	threshold float64
+	decoder channels.SlotDecoder
 }
 
 // NewPowerT builds the channel with sender on core 0 and receiver polling
@@ -41,6 +42,7 @@ func NewPowerT(m *soc.Machine) (*PowerT, error) {
 		BitPeriod:    8200 * units.Microsecond, // ≈122 b/s
 		HeatFraction: 0.6,
 		PollInterval: 500 * units.Microsecond,
+		decoder:      channels.NewSlotDecoder("baselines: powert", "thermal contrast", false),
 	}, nil
 }
 
@@ -139,47 +141,13 @@ func (p *PowerT) run(bits []int) ([]float64, error) {
 	}
 	end := base.Add(units.Duration(len(bits)) * p.BitPeriod).Add(time500us)
 	p.m.RunUntil(end)
-	if len(rcv.deltas) != len(bits) {
-		return nil, fmt.Errorf("baselines: powert measured %d of %d bits", len(rcv.deltas), len(bits))
-	}
 	return rcv.deltas, nil
 }
 
 // Calibrate learns the heat/no-heat decision threshold.
-func (p *PowerT) Calibrate(pairs int) (gap float64, err error) {
-	bits, err := calibrationPairs(pairs)
-	if err != nil {
-		return 0, err
-	}
-	deltas, err := p.run(bits)
-	if err != nil {
-		return 0, err
-	}
-	mo, mz := bitMeans(bits, deltas)
-	if mo <= mz {
-		return 0, fmt.Errorf("baselines: powert calibration found no thermal contrast (1→%g°C, 0→%g°C)", mo, mz)
-	}
-	p.threshold = (mo + mz) / 2
-	return mo - mz, nil
-}
+func (p *PowerT) Calibrate(pairs int) (float64, error) { return p.decoder.Calibrate(pairs, p.run) }
 
 // Transmit sends bits (1 bit per window) and decodes them.
 func (p *PowerT) Transmit(bits []int) (*core.TransmitResult, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if p.threshold == 0 {
-		return nil, fmt.Errorf("baselines: powert not calibrated")
-	}
-	deltas, err := p.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([]int, len(deltas))
-	for i, d := range deltas {
-		if d > p.threshold {
-			decoded[i] = 1
-		}
-	}
-	return finishResult("PowerT", bits, decoded, units.Duration(len(bits))*p.BitPeriod)
+	return p.decoder.Transmit(bits, p.run, p.BitPeriod)
 }

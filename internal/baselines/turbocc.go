@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"ichannels/internal/channels"
 	"ichannels/internal/core"
 	"ichannels/internal/isa"
 	"ichannels/internal/soc"
@@ -32,7 +33,7 @@ type TurboCC struct {
 	// the downshift has surely happened but before restoration.
 	MeasureOffset units.Duration
 
-	threshold float64
+	decoder channels.SlotDecoder
 }
 
 // NewTurboCC builds the channel with sender on core 0 and receiver on
@@ -51,6 +52,8 @@ func NewTurboCC(m *soc.Machine) (*TurboCC, error) {
 		SenderIters:   12000, // ≈1.7 ms of 512b_Heavy at ~1 UPC / 2.9 GHz
 		MeasureIters:  2000,  // ≈130 µs scalar timing loop
 		MeasureOffset: 4 * units.Millisecond,
+		decoder: channels.NewSlotDecoder("baselines: turbocc",
+			"frequency contrast; is the machine at a Turbo operating point?", false),
 	}, nil
 }
 
@@ -87,45 +90,12 @@ func (a *tcSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	return a.Next(env, nil)
 }
 
-// tcReceiver times a scalar loop mid-window; it spins (stays busy)
-// between measurements so the package's active-core count — and with it
-// the current budget — stays constant.
-type tcReceiver struct {
-	tc       *TurboCC
-	base     units.Time
-	windows  int
-	idx      int
-	phase    int // 0 spin to offset, 1 measuring
-	measures []int64
-}
-
-func (a *tcReceiver) Name() string { return "turbocc.receiver" }
-
-func (a *tcReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			a.measures = append(a.measures, prev.ElapsedTSC())
-		}
-		if a.idx >= a.windows {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx)*a.tc.BitPeriod + a.tc.MeasureOffset))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(isa.Loop64b, a.tc.MeasureIters)
-	default:
-		panic("baselines: turbocc receiver in invalid phase")
-	}
-}
-
-func (t *TurboCC) run(bits []int) ([]int64, error) {
+func (t *TurboCC) run(bits []int) ([]float64, error) {
 	base := t.m.Now().Add(50 * units.Microsecond)
 	snd := &tcSender{tc: t, base: base, bits: bits}
-	rcv := &tcReceiver{tc: t, base: base, windows: len(bits),
-		measures: make([]int64, 0, len(bits))}
+	rcv := &channels.TimingReceiver{Label: "turbocc.receiver", Base: base, Period: t.BitPeriod,
+		Offset: t.MeasureOffset, Iters: t.MeasureIters, Windows: len(bits),
+		Measures: make([]float64, 0, len(bits))}
 	if _, err := t.m.Bind(0, 0, snd); err != nil {
 		return nil, err
 	}
@@ -134,49 +104,14 @@ func (t *TurboCC) run(bits []int) ([]int64, error) {
 	}
 	end := base.Add(units.Duration(len(bits)) * t.BitPeriod).Add(time500us)
 	t.m.RunUntil(end)
-	if len(rcv.measures) != len(bits) {
-		return nil, fmt.Errorf("baselines: turbocc measured %d of %d bits", len(rcv.measures), len(bits))
-	}
-	return rcv.measures, nil
+	return rcv.Measures, nil
 }
-
-const time500us = 500 * units.Microsecond
 
 // Calibrate learns the fast/slow decision threshold.
-func (t *TurboCC) Calibrate(pairs int) (gap float64, err error) {
-	bits, err := calibrationPairs(pairs)
-	if err != nil {
-		return 0, err
-	}
-	measures, err := t.run(bits)
-	if err != nil {
-		return 0, err
-	}
-	mo, mz := bitMeans(bits, measures)
-	if mo <= mz {
-		return 0, fmt.Errorf("baselines: turbocc calibration found no frequency contrast (1→%g, 0→%g); is the machine at a Turbo operating point?", mo, mz)
-	}
-	t.threshold = (mo + mz) / 2
-	return mo - mz, nil
-}
+func (t *TurboCC) Calibrate(pairs int) (float64, error) { return t.decoder.Calibrate(pairs, t.run) }
 
-// Transmit sends bits (1 bit per window) and decodes them.
+// Transmit sends bits (1 bit per window) and decodes them; a slower loop
+// means a lower frequency, i.e. a PHI burst, i.e. a 1.
 func (t *TurboCC) Transmit(bits []int) (*core.TransmitResult, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if t.threshold == 0 {
-		return nil, fmt.Errorf("baselines: turbocc not calibrated")
-	}
-	measures, err := t.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([]int, len(measures))
-	for i, m := range measures {
-		if float64(m) > t.threshold {
-			decoded[i] = 1 // slower loop → lower frequency → PHI burst
-		}
-	}
-	return finishResult("TurboCC", bits, decoded, units.Duration(len(bits))*t.BitPeriod)
+	return t.decoder.Transmit(bits, t.run, t.BitPeriod)
 }

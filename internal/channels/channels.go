@@ -17,20 +17,123 @@
 //   - ClockMod: duty-cycle throttling as the carrier
 //     (arXiv 2404.05823). The sender programs the package T-states
 //     (IA32_CLOCK_MODULATION); the receiver times a fixed scalar loop in
-//     each bit window, the windowed decode shared with the TurboCC and
-//     DFScovert frequency baselines.
+//     each bit window (TimingReceiver, shared with the TurboCC and
+//     DFScovert frequency baselines).
+//
+// Both families, and the four single-level baselines in
+// internal/baselines, send one bit per slot; SlotDecoder is the one
+// calibration, threshold and decode rule they all share.
 package channels
 
 import (
 	"fmt"
 
 	"ichannels/internal/core"
+	"ichannels/internal/isa"
+	"ichannels/internal/soc"
 	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
 
-// validBits rejects empty streams and non-binary values.
-func validBits(bits []int) error {
+// SlotDecoder is the one-bit-per-slot rule every single-level family
+// shares: calibrate on alternating 1,0 pairs, set the threshold midway
+// between the mean 1-slot and 0-slot measurements, and decode each slot
+// against it. A family supplies run, which transmits raw bits and returns
+// one measurement per slot; the family's agents and timing stay its own.
+type SlotDecoder struct {
+	family        string // prefixes errors, e.g. "baselines: turbocc"
+	contrast      string // what calibration looks for, e.g. "thermal contrast"
+	oneReadsLower bool   // a 1-slot measures below a 0-slot (NetSpectre)
+	threshold     float64
+	calibrated    bool
+}
+
+// NewSlotDecoder returns an uncalibrated decoder. family and contrast
+// name the channel and its physical signal in errors; oneReadsLower is
+// the family's fixed polarity.
+func NewSlotDecoder(family, contrast string, oneReadsLower bool) SlotDecoder {
+	return SlotDecoder{family: family, contrast: contrast, oneReadsLower: oneReadsLower}
+}
+
+// Calibrate runs pairs of 1,0 slots, learns the midpoint threshold and
+// returns the mean gap between the two classes (oriented so a usable
+// channel's gap is positive).
+func (d *SlotDecoder) Calibrate(pairs int, run func([]int) ([]float64, error)) (float64, error) {
+	if pairs <= 0 {
+		return 0, fmt.Errorf("%s: pairs must be positive", d.family)
+	}
+	bits := make([]int, 0, 2*pairs)
+	for i := 0; i < pairs; i++ {
+		bits = append(bits, 1, 0)
+	}
+	measures, err := d.measure(bits, run)
+	if err != nil {
+		return 0, err
+	}
+	var ones, zeros float64
+	for i := 0; i < len(measures); i += 2 {
+		ones += measures[i]
+		zeros += measures[i+1]
+	}
+	ones /= float64(pairs)
+	zeros /= float64(pairs)
+	gap := ones - zeros
+	if d.oneReadsLower {
+		gap = zeros - ones
+	}
+	if gap <= 0 {
+		return 0, fmt.Errorf("%s calibration (1→%g, 0→%g) found no %s", d.family, ones, zeros, d.contrast)
+	}
+	d.threshold = (ones + zeros) / 2
+	d.calibrated = true
+	return gap, nil
+}
+
+// Transmit sends bits, one per slot of period, and decodes them against
+// the calibrated threshold.
+func (d *SlotDecoder) Transmit(bits []int, run func([]int) ([]float64, error), period units.Duration) (*core.TransmitResult, error) {
+	if err := ValidBits(bits); err != nil {
+		return nil, err
+	}
+	if !d.calibrated {
+		return nil, fmt.Errorf("%s not calibrated", d.family)
+	}
+	measures, err := d.measure(bits, run)
+	if err != nil {
+		return nil, err
+	}
+	decoded := make([]int, len(measures))
+	res := &core.TransmitResult{SentBits: bits, DecodedBits: decoded, Elapsed: units.Duration(len(bits)) * period}
+	for i, m := range measures {
+		if (!d.oneReadsLower && m > d.threshold) || (d.oneReadsLower && m < d.threshold) {
+			decoded[i] = 1
+		}
+		if decoded[i] != bits[i] {
+			res.SymbolErrors++
+		}
+	}
+	res.BER = stats.BER(bits, decoded)
+	if res.Elapsed > 0 {
+		res.ThroughputBPS = float64(len(bits)) / res.Elapsed.Seconds()
+	}
+	return res, nil
+}
+
+// measure runs bits and checks that every slot was measured.
+func (d *SlotDecoder) measure(bits []int, run func([]int) ([]float64, error)) ([]float64, error) {
+	measures, err := run(bits)
+	if err != nil {
+		return nil, err
+	}
+	if len(measures) != len(bits) {
+		return nil, fmt.Errorf("%s measured %d of %d bits (simulation ended early?)",
+			d.family, len(measures), len(bits))
+	}
+	return measures, nil
+}
+
+// ValidBits rejects empty streams and non-binary values.
+func ValidBits(bits []int) error {
 	if len(bits) == 0 {
 		return fmt.Errorf("channels: empty bit stream")
 	}
@@ -42,56 +145,38 @@ func validBits(bits []int) error {
 	return nil
 }
 
-// alternating builds the 1,0 calibration pattern used by both families.
-func alternating(pairs int) []int {
-	bits := make([]int, 0, 2*pairs)
-	for i := 0; i < pairs; i++ {
-		bits = append(bits, 1, 0)
-	}
-	return bits
+// TimingReceiver is the windowed timing receiver the frequency- and
+// duty-modulated families share. In each of Windows windows of Period
+// from Base it spins to Offset, times Iters of a scalar loop and records
+// the loop's TSC cycles. It spins (stays busy) between measurements, so
+// the package's active-core count, and with it the current budget, stays
+// constant.
+type TimingReceiver struct {
+	Label          string
+	Base           units.Time
+	Period, Offset units.Duration
+	Iters          int64
+	Windows        int
+	Measures       []float64
+
+	idx       int
+	measuring bool
 }
 
-// learnThreshold splits the calibration measurements by the known sent bit
-// and returns the midpoint threshold and the one/zero mean gap. what names
-// the physical contrast for the error message.
-func learnThreshold(bits []int, measures []float64, what string) (threshold, gap float64, err error) {
-	var ones, zeros []float64
-	for i, m := range measures {
-		if bits[i] == 1 {
-			ones = append(ones, m)
-		} else {
-			zeros = append(zeros, m)
-		}
-	}
-	mo, mz := stats.Summarize(ones).Mean, stats.Summarize(zeros).Mean
-	if mo <= mz {
-		return 0, 0, fmt.Errorf("channels: calibration found no %s contrast", what)
-	}
-	return (mo + mz) / 2, mo - mz, nil
-}
+func (a *TimingReceiver) Name() string { return a.Label }
 
-// finish decodes measures against threshold and assembles the result
-// (one bit per slot, so SymbolErrors counts bit errors).
-func finish(sent []int, measures []float64, threshold float64, elapsed units.Duration) *core.TransmitResult {
-	decoded := make([]int, len(measures))
-	for i, m := range measures {
-		if m > threshold {
-			decoded[i] = 1
-		}
+func (a *TimingReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
+	if a.measuring {
+		a.idx++
+		a.measuring = false
+		return soc.Exec(isa.Loop64b, a.Iters)
 	}
-	res := &core.TransmitResult{
-		SentBits:    sent,
-		DecodedBits: decoded,
-		BER:         stats.BER(sent, decoded),
-		Elapsed:     elapsed,
+	if prev != nil && prev.Action.Kind == soc.ActExec {
+		a.Measures = append(a.Measures, float64(prev.ElapsedTSC()))
 	}
-	for i := range sent {
-		if sent[i] != decoded[i] {
-			res.SymbolErrors++
-		}
+	if a.idx >= a.Windows {
+		return soc.Stop()
 	}
-	if elapsed > 0 {
-		res.ThroughputBPS = float64(len(sent)) / elapsed.Seconds()
-	}
-	return res
+	a.measuring = true
+	return soc.SpinUntil(a.Base.Add(units.Duration(a.idx)*a.Period + a.Offset))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ichannels/internal/core"
-	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
 )
@@ -35,7 +34,7 @@ type ClockMod struct {
 	SenderCore, SenderSlot     int
 	ReceiverCore, ReceiverSlot int
 
-	threshold float64
+	decoder SlotDecoder
 }
 
 // NewClockMod builds the channel: sender on core 0, receiver timing on
@@ -56,6 +55,7 @@ func NewClockMod(m *soc.Machine) (*ClockMod, error) {
 		MeasureOffset:    10 * units.Microsecond,
 		SenderCore:       0, SenderSlot: 0,
 		ReceiverCore: 1, ReceiverSlot: 0,
+		decoder: NewSlotDecoder("channels: clockmod", "duty-cycle contrast", false),
 	}, nil
 }
 
@@ -78,7 +78,7 @@ func (a *cmSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 		if bit == 1 {
 			target = a.c.DutyLow
 		}
-		env.M.Q.After(a.c.ActuationLatency, "clockmod.duty.apply", func(units.Time) {
+		env.M.Q.After(a.c.ActuationLatency, func(units.Time) {
 			env.M.PMU.SetClockDuty(target)
 		})
 	}
@@ -88,98 +88,34 @@ func (a *cmSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.c.BitPeriod))
 }
 
-// cmReceiver times a scalar loop at the measurement offset of each window.
-type cmReceiver struct {
-	c        *ClockMod
-	base     units.Time
-	windows  int
-	idx      int
-	phase    int // 0 wait, 1 measure
-	measures []float64
-}
-
-func (a *cmReceiver) Name() string { return "clockmod.receiver" }
-
-func (a *cmReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			a.measures = append(a.measures, float64(prev.ElapsedTSC()))
-		}
-		if a.idx >= a.windows {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx)*a.c.BitPeriod + a.c.MeasureOffset))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(isa.Loop64b, a.c.MeasureIters)
-	default:
-		panic("channels: clockmod receiver in invalid phase")
-	}
-}
-
 func (c *ClockMod) run(bits []int) ([]float64, error) {
 	base := c.m.Now().Add(50 * units.Microsecond)
 	snd := &cmSender{c: c, base: base, bits: bits}
-	rcv := &cmReceiver{c: c, base: base, windows: len(bits),
-		measures: make([]float64, 0, len(bits))}
+	rcv := &TimingReceiver{Label: "clockmod.receiver", Base: base, Period: c.BitPeriod,
+		Offset: c.MeasureOffset, Iters: c.MeasureIters, Windows: len(bits),
+		Measures: make([]float64, 0, len(bits))}
 	if _, err := c.m.Bind(c.SenderCore, c.SenderSlot, snd); err != nil {
 		return nil, err
 	}
 	if _, err := c.m.Bind(c.ReceiverCore, c.ReceiverSlot, rcv); err != nil {
 		return nil, err
 	}
-	end := c.windowStart(base, len(bits)).Add(100 * units.Microsecond)
+	end := base.Add(units.Duration(len(bits)) * c.BitPeriod).Add(100 * units.Microsecond)
 	c.m.RunUntil(end)
 	// Restore full duty for whatever runs next on this machine.
 	c.m.PMU.SetClockDuty(1)
 	c.m.RunFor(100 * units.Microsecond)
-	if len(rcv.measures) != len(bits) {
-		return nil, fmt.Errorf("channels: clockmod measured %d of %d bits (simulation ended early?)",
-			len(rcv.measures), len(bits))
-	}
-	return rcv.measures, nil
-}
-
-func (c *ClockMod) windowStart(base units.Time, k int) units.Time {
-	return base.Add(units.Duration(k) * c.BitPeriod)
+	return rcv.Measures, nil
 }
 
 // Calibrate learns the modulated/unmodulated decision threshold from
 // alternating 1,0 pairs and returns the mean TSC-cycle gap between them.
-func (c *ClockMod) Calibrate(pairs int) (float64, error) {
-	if pairs <= 0 {
-		return 0, fmt.Errorf("channels: pairs must be positive")
-	}
-	bits := alternating(pairs)
-	measures, err := c.run(bits)
-	if err != nil {
-		return 0, err
-	}
-	threshold, gap, err := learnThreshold(bits, measures, "duty-cycle")
-	if err != nil {
-		return 0, err
-	}
-	c.threshold = threshold
-	return gap, nil
-}
+func (c *ClockMod) Calibrate(pairs int) (float64, error) { return c.decoder.Calibrate(pairs, c.run) }
 
 // Transmit sends bits (1 bit per window) and decodes them against the
 // calibrated threshold.
 func (c *ClockMod) Transmit(bits []int) (*core.TransmitResult, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if c.threshold == 0 {
-		return nil, fmt.Errorf("channels: clockmod channel not calibrated")
-	}
-	measures, err := c.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	return finish(bits, measures, c.threshold, units.Duration(len(bits))*c.BitPeriod), nil
+	return c.decoder.Transmit(bits, c.run, c.BitPeriod)
 }
 
 // RawThroughputBPS is the window-rate bound on throughput.

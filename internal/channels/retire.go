@@ -35,7 +35,7 @@ type Retire struct {
 	SenderCore, SenderSlot     int
 	ReceiverCore, ReceiverSlot int
 
-	threshold float64
+	decoder SlotDecoder
 }
 
 // spinLead is how long before a slot boundary a parked sender resumes
@@ -64,6 +64,7 @@ func NewRetire(m *soc.Machine) (*Retire, error) {
 		ReceiverOffset: units.Microsecond,
 		SenderCore:     0, SenderSlot: 0,
 		ReceiverCore: 0, ReceiverSlot: 1,
+		decoder: NewSlotDecoder("channels: retire", "retirement contention contrast", false),
 	}, nil
 }
 
@@ -161,46 +162,17 @@ func (r *Retire) run(bits []int) ([]float64, error) {
 		return nil, err
 	}
 	r.m.RunUntil(r.slotStart(base, len(bits)).Add(50 * units.Microsecond))
-	if len(rcv.measures) != len(bits) {
-		return nil, fmt.Errorf("channels: retire measured %d of %d bits (simulation ended early?)",
-			len(rcv.measures), len(bits))
-	}
 	return rcv.measures, nil
 }
 
 // Calibrate learns the contended/uncontended decision threshold from
 // alternating 1,0 pairs and returns the mean cycle gap between them.
-func (r *Retire) Calibrate(pairs int) (float64, error) {
-	if pairs <= 0 {
-		return 0, fmt.Errorf("channels: pairs must be positive")
-	}
-	bits := alternating(pairs)
-	measures, err := r.run(bits)
-	if err != nil {
-		return 0, err
-	}
-	threshold, gap, err := learnThreshold(bits, measures, "retirement contention")
-	if err != nil {
-		return 0, err
-	}
-	r.threshold = threshold
-	return gap, nil
-}
+func (r *Retire) Calibrate(pairs int) (float64, error) { return r.decoder.Calibrate(pairs, r.run) }
 
 // Transmit sends bits (1 bit per slot) and decodes them against the
 // calibrated threshold.
 func (r *Retire) Transmit(bits []int) (*core.TransmitResult, error) {
-	if err := validBits(bits); err != nil {
-		return nil, err
-	}
-	if r.threshold == 0 {
-		return nil, fmt.Errorf("channels: retire channel not calibrated")
-	}
-	measures, err := r.run(bits)
-	if err != nil {
-		return nil, err
-	}
-	return finish(bits, measures, r.threshold, units.Duration(len(bits))*r.SlotPeriod), nil
+	return r.decoder.Transmit(bits, r.run, r.SlotPeriod)
 }
 
 // RawThroughputBPS is the slot-rate bound on throughput.

@@ -27,9 +27,9 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"strings"
 	"time"
 
+	"ichannels/internal/exp"
 	"ichannels/internal/scenario"
 	"ichannels/internal/store"
 )
@@ -292,11 +292,11 @@ func (b *ScenarioBatch) WriteNDJSON(w io.Writer) error {
 // full report renderings for any experiment-role scenarios. The output
 // depends only on (BaseSeed, Scenarios).
 func (b *ScenarioBatch) WriteText(w io.Writer) error {
-	rows := [][]string{{"scenario", "role", "seed", "bits", "throughput (b/s)", "BER", "verdict/extra"}}
+	tab := exp.Table{Header: []string{"scenario", "role", "seed", "bits", "throughput (b/s)", "BER", "verdict/extra"}}
 	for i := range b.Results {
 		r := &b.Results[i]
 		if r.Err != nil {
-			rows = append(rows, []string{r.Scenario.Describe(), r.Scenario.Role, fmt.Sprint(r.Seed), "-", "-", "-", "ERROR: " + r.Err.Error()})
+			tab.AddRow(r.Scenario.Describe(), r.Scenario.Role, fmt.Sprint(r.Seed), "-", "-", "-", "ERROR: "+r.Err.Error())
 			continue
 		}
 		res := r.Result
@@ -308,43 +308,12 @@ func (b *ScenarioBatch) WriteText(w io.Writer) error {
 				last = fmt.Sprintf("payload %q", res.DecodedPayload)
 			}
 		}
-		rows = append(rows, []string{
-			r.Scenario.Describe(), res.Role, fmt.Sprint(r.Seed),
+		tab.AddRow(r.Scenario.Describe(), res.Role, fmt.Sprint(r.Seed),
 			fmt.Sprint(res.Bits), fmt.Sprintf("%.0f", res.ThroughputBPS),
-			fmt.Sprintf("%.3f", res.BER), last,
-		})
+			fmt.Sprintf("%.3f", res.BER), last)
 	}
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for ri, row := range rows {
-		for i, c := range row {
-			if i > 0 {
-				if _, err := fmt.Fprint(w, "  "); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%-*s", widths[i], c); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		if ri == 0 {
-			for i := range row {
-				if i > 0 {
-					fmt.Fprint(w, "  ")
-				}
-				fmt.Fprint(w, strings.Repeat("-", widths[i]))
-			}
-			fmt.Fprintln(w)
-		}
+	if err := tab.WriteText(w); err != nil {
+		return err
 	}
 	for i := range b.Results {
 		r := &b.Results[i]

@@ -14,6 +14,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 )
@@ -27,6 +28,16 @@ type Table struct {
 
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+
+// WriteText writes the table as aligned plain text: the title, if any,
+// then the header, a dash rule and the rows, each cell padded to its
+// column's width and cells joined by two spaces.
+func (t *Table) WriteText(w io.Writer) error {
+	var b strings.Builder
+	t.render(&b)
+	_, err := io.WriteString(w, b.String())
+	return err
+}
 
 func (t *Table) render(b *strings.Builder) {
 	if t.Title != "" {

@@ -3,7 +3,6 @@ package pmu
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"ichannels/internal/isa"
 	"ichannels/internal/pdn"
@@ -133,7 +132,6 @@ type PMU struct {
 	lastTouch [][isa.NumClasses]units.Time
 	decayEv   []sched.EventRef
 	decayFn   []func(units.Time) // prebound per-core decay callbacks
-	decayName []string           // precomputed event names
 
 	busy  []bool
 	queue [][]transition
@@ -180,13 +178,11 @@ func (p *PMU) AttachCores(cores []Core) error {
 	}
 	p.decayEv = make([]sched.EventRef, n)
 	// The decay check reschedules itself on every license touch window;
-	// binding the callback and its event name once per core keeps that
-	// hot path free of per-schedule closure and string allocations.
+	// binding the callback once per core keeps that hot path free of
+	// per-schedule closure allocations.
 	p.decayFn = make([]func(units.Time), n)
-	p.decayName = make([]string, n)
 	for i := 0; i < n; i++ {
 		coreID := i
-		p.decayName[i] = "pmu.decay.core" + strconv.Itoa(coreID)
 		p.decayFn[i] = func(now units.Time) {
 			p.decayEv[coreID] = sched.EventRef{}
 			p.decayCheck(coreID, now)
@@ -423,7 +419,7 @@ func (p *PMU) touch(coreID int, c isa.Class) {
 }
 
 func (p *PMU) scheduleDecay(coreID int, at units.Time) {
-	p.decayEv[coreID] = p.q.At(at, p.decayName[coreID], p.decayFn[coreID])
+	p.decayEv[coreID] = p.q.At(at, p.decayFn[coreID])
 }
 
 // effectiveDemand returns the highest class the core is entitled to keep a
@@ -592,7 +588,7 @@ func (p *PMU) process(ri int, tr transition) {
 	case transRetarget:
 		target := p.targetVoltage(ri, p.lic, p.curFreq)
 		settle := p.regs[ri].SetTarget(now, target)
-		p.q.At(settle, "pmu.retarget.settle", func(units.Time) { p.finish(ri) })
+		p.q.At(settle, func(units.Time) { p.finish(ri) })
 
 	case transFreqDown:
 		to := tr.toFreq
@@ -605,7 +601,7 @@ func (p *PMU) process(ri int, tr transition) {
 		p.switchFrequency(to, now, func(t2 units.Time) {
 			target := p.targetVoltage(ri, p.lic, to)
 			settle := p.regs[ri].SetTarget(t2, target)
-			p.q.At(settle, "pmu.freqdown.vsettle", func(units.Time) { p.finish(ri) })
+			p.q.At(settle, func(units.Time) { p.finish(ri) })
 		})
 
 	case transFreqUp:
@@ -623,7 +619,7 @@ func (p *PMU) process(ri int, tr transition) {
 		// the PLL.
 		target := p.targetVoltage(ri, p.lic, to)
 		settle := p.regs[ri].SetTarget(now, target)
-		p.q.At(settle, "pmu.frequp.vsettle", func(t2 units.Time) {
+		p.q.At(settle, func(t2 units.Time) {
 			p.switchFrequency(to, t2, func(units.Time) {
 				p.stats.FreqRestores++
 				p.restoreQueued = false
@@ -637,7 +633,7 @@ func (p *PMU) rampForGrant(ri int, tr transition, tentative []isa.Class) {
 	now := p.q.Now()
 	target := p.targetVoltage(ri, tentative, p.curFreq)
 	settle := p.regs[ri].SetTarget(now, target)
-	p.q.At(settle, "pmu.grant.settle", func(t2 units.Time) {
+	p.q.At(settle, func(t2 units.Time) {
 		if tr.class > p.lic[tr.core] {
 			p.lic[tr.core] = tr.class
 		}
@@ -664,7 +660,7 @@ func (p *PMU) switchFrequency(to units.Hertz, now units.Time, cont func(units.Ti
 	for _, c := range p.cores {
 		c.SetHalted(true, now)
 	}
-	p.q.At(now.Add(p.cfg.PLLRelock), "pmu.pll.relock", func(t2 units.Time) {
+	p.q.At(now.Add(p.cfg.PLLRelock), func(t2 units.Time) {
 		p.curFreq = to
 		for _, c := range p.cores {
 			c.SetFrequency(to, t2)
@@ -681,7 +677,7 @@ func (p *PMU) scheduleRestoreCheck(at units.Time) {
 		return
 	}
 	p.q.Cancel(p.restoreEv)
-	p.restoreEv = p.q.At(at, "pmu.freq.restorecheck", func(now units.Time) {
+	p.restoreEv = p.q.At(at, func(now units.Time) {
 		p.restoreEv = sched.EventRef{}
 		p.maybeRestoreFrequency(now)
 	})

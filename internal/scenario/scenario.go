@@ -76,6 +76,19 @@ const (
 // batch base seed derives one.
 const DefaultSeed = 1
 
+// ResolveSeed is the seed rule every surface shares, for a spec's seed
+// field, the CLI's -seed flags and the HTTP ?seed= query: zero means
+// DefaultSeed and a negative seed is an error.
+func ResolveSeed(seed int64) (int64, error) {
+	switch {
+	case seed < 0:
+		return 0, fmt.Errorf("seed must be non-negative, got %d", seed)
+	case seed == 0:
+		return DefaultSeed, nil
+	}
+	return seed, nil
+}
+
 // MaxBits bounds the payload of one scenario so a single HTTP request
 // cannot ask for an unbounded amount of simulated time.
 const MaxBits = 8192
@@ -490,8 +503,8 @@ func (n Scenario) validate() error {
 			return fmt.Errorf("scenario: mitigation-eval fixes its own operating point and calibration; only params.cores may be overridden")
 		}
 	}
-	if n.Seed < 0 {
-		return fmt.Errorf("scenario: seed must be non-negative, got %d", n.Seed)
+	if _, err := ResolveSeed(n.Seed); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	return nil
 }

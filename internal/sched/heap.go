@@ -38,25 +38,25 @@ func (q *HeapQueue) Pending() int { return q.events.Len() }
 
 // At schedules fn to run at time t, panicking on past times and nil
 // callbacks exactly like Queue.At.
-func (q *HeapQueue) At(t units.Time, name string, fn func(units.Time)) EventRef {
+func (q *HeapQueue) At(t units.Time, fn func(units.Time)) EventRef {
 	if t < q.now {
-		panic(fmt.Sprintf("sched: event %q scheduled at %v, before now (%v)", name, t, q.now))
+		panic(fmt.Sprintf("sched: event scheduled at %v, before now (%v)", t, q.now))
 	}
 	if fn == nil {
-		panic(fmt.Sprintf("sched: event %q has nil callback", name))
+		panic(fmt.Sprintf("sched: event at %v has nil callback", t))
 	}
-	e := &Event{at: t, name: name, fn: fn, seq: q.seq, bucket: -1, index: -1}
+	e := &Event{at: t, fn: fn, seq: q.seq, bucket: -1, index: -1}
 	q.seq++
 	heap.Push(&q.events, e)
 	return EventRef{e: e, gen: e.gen}
 }
 
 // After schedules fn to run d after the current time.
-func (q *HeapQueue) After(d units.Duration, name string, fn func(units.Time)) EventRef {
+func (q *HeapQueue) After(d units.Duration, fn func(units.Time)) EventRef {
 	if d < 0 {
 		d = 0
 	}
-	return q.At(q.now.Add(d), name, fn)
+	return q.At(q.now.Add(d), fn)
 }
 
 // Cancel removes a scheduled event; zero, fired, or already-cancelled

@@ -44,11 +44,10 @@ func runOracleTrial(t *testing.T, seed int64, ops int) {
 	schedule := func(d units.Duration) {
 		id := nextID
 		nextID++
-		name := "ev"
-		wRef := wheel.After(d, name, func(now units.Time) {
+		wRef := wheel.After(d, func(now units.Time) {
 			wheelLog = append(wheelLog, firing{id: id, at: now})
 		})
-		hRef := oracle.After(d, name, func(now units.Time) {
+		hRef := oracle.After(d, func(now units.Time) {
 			oracleLog = append(oracleLog, firing{id: id, at: now})
 		})
 		live = append(live, handles{w: wRef, h: hRef})

@@ -38,10 +38,9 @@ const (
 // recycled through a free list after they fire or are cancelled; callers
 // hold EventRef handles, never *Event.
 type Event struct {
-	at   units.Time
-	name string
-	fn   func(units.Time)
-	seq  uint64
+	at  units.Time
+	fn  func(units.Time)
+	seq uint64
 
 	// gen invalidates outstanding EventRefs: it increments every time the
 	// node dies (fires or is cancelled), so a stale handle to a recycled
@@ -78,14 +77,6 @@ func (r EventRef) Time() units.Time {
 	return r.e.at
 }
 
-// Name returns the event's name while it is live, and "" afterwards.
-func (r EventRef) Name() string {
-	if r.Cancelled() {
-		return ""
-	}
-	return r.e.name
-}
-
 // Scheduler is the event-queue contract shared by the timing-wheel Queue
 // and the reference HeapQueue. The property tests drive both with the same
 // operation sequence; the benchmarks compare them on the same workloads.
@@ -93,8 +84,8 @@ type Scheduler interface {
 	Now() units.Time
 	Fired() uint64
 	Pending() int
-	At(t units.Time, name string, fn func(units.Time)) EventRef
-	After(d units.Duration, name string, fn func(units.Time)) EventRef
+	At(t units.Time, fn func(units.Time)) EventRef
+	After(d units.Duration, fn func(units.Time)) EventRef
 	Cancel(r EventRef)
 	Step() bool
 	RunUntil(t units.Time)
@@ -149,7 +140,6 @@ func (q *Queue) alloc() *Event {
 func (q *Queue) release(e *Event) {
 	e.gen++
 	e.fn = nil
-	e.name = ""
 	e.prev = nil
 	e.bucket = -1
 	e.index = -1
@@ -258,15 +248,15 @@ func (q *Queue) firstOccupied(start int) int {
 
 // At schedules fn to run at time t. Scheduling in the past panics: it
 // would silently corrupt causality in the simulation.
-func (q *Queue) At(t units.Time, name string, fn func(units.Time)) EventRef {
+func (q *Queue) At(t units.Time, fn func(units.Time)) EventRef {
 	if t < q.now {
-		panic(fmt.Sprintf("sched: event %q scheduled at %v, before now (%v)", name, t, q.now))
+		panic(fmt.Sprintf("sched: event scheduled at %v, before now (%v)", t, q.now))
 	}
 	if fn == nil {
-		panic(fmt.Sprintf("sched: event %q has nil callback", name))
+		panic(fmt.Sprintf("sched: event at %v has nil callback", t))
 	}
 	e := q.alloc()
-	e.at, e.name, e.fn = t, name, fn
+	e.at, e.fn = t, fn
 	e.seq = q.seq
 	q.seq++
 	q.npend++
@@ -275,11 +265,11 @@ func (q *Queue) At(t units.Time, name string, fn func(units.Time)) EventRef {
 }
 
 // After schedules fn to run d after the current time.
-func (q *Queue) After(d units.Duration, name string, fn func(units.Time)) EventRef {
+func (q *Queue) After(d units.Duration, fn func(units.Time)) EventRef {
 	if d < 0 {
 		d = 0
 	}
-	return q.At(q.now.Add(d), name, fn)
+	return q.At(q.now.Add(d), fn)
 }
 
 // Cancel removes a scheduled event. Cancelling a zero, fired, or already-

@@ -28,9 +28,9 @@ func TestFiresInTimeOrder(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, mk func() Scheduler) {
 		q := mk()
 		var got []int
-		q.At(30, "c", func(units.Time) { got = append(got, 3) })
-		q.At(10, "a", func(units.Time) { got = append(got, 1) })
-		q.At(20, "b", func(units.Time) { got = append(got, 2) })
+		q.At(30, func(units.Time) { got = append(got, 3) })
+		q.At(10, func(units.Time) { got = append(got, 1) })
+		q.At(20, func(units.Time) { got = append(got, 2) })
 		q.Run(0)
 		if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 			t.Fatalf("order = %v", got)
@@ -47,7 +47,7 @@ func TestSameTimeFIFO(t *testing.T) {
 		var got []int
 		for i := 0; i < 10; i++ {
 			i := i
-			q.At(5, "e", func(units.Time) { got = append(got, i) })
+			q.At(5, func(units.Time) { got = append(got, i) })
 		}
 		q.Run(0)
 		for i, v := range got {
@@ -62,7 +62,7 @@ func TestCancel(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, mk func() Scheduler) {
 		q := mk()
 		fired := false
-		e := q.At(10, "x", func(units.Time) { fired = true })
+		e := q.At(10, func(units.Time) { fired = true })
 		q.Cancel(e)
 		q.Run(0)
 		if fired {
@@ -81,9 +81,9 @@ func TestCancelMiddleKeepsOthers(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, mk func() Scheduler) {
 		q := mk()
 		var got []string
-		a := q.At(1, "a", func(units.Time) { got = append(got, "a") })
-		b := q.At(2, "b", func(units.Time) { got = append(got, "b") })
-		c := q.At(3, "c", func(units.Time) { got = append(got, "c") })
+		a := q.At(1, func(units.Time) { got = append(got, "a") })
+		b := q.At(2, func(units.Time) { got = append(got, "b") })
+		c := q.At(3, func(units.Time) { got = append(got, "c") })
 		_ = a
 		q.Cancel(b)
 		_ = c
@@ -97,19 +97,19 @@ func TestCancelMiddleKeepsOthers(t *testing.T) {
 func TestHandleDiesOnFire(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, mk func() Scheduler) {
 		q := mk()
-		e := q.At(10, "x", func(units.Time) {})
+		e := q.At(10, func(units.Time) {})
 		if e.Cancelled() {
 			t.Fatal("live handle reports cancelled")
 		}
-		if e.Time() != 10 || e.Name() != "x" {
-			t.Fatalf("live handle: Time=%v Name=%q", e.Time(), e.Name())
+		if e.Time() != 10 {
+			t.Fatalf("live handle: Time=%v", e.Time())
 		}
 		q.Run(0)
 		if !e.Cancelled() {
 			t.Fatal("fired event's handle should report cancelled")
 		}
-		if e.Time() != 0 || e.Name() != "" {
-			t.Fatalf("dead handle: Time=%v Name=%q", e.Time(), e.Name())
+		if e.Time() != 0 {
+			t.Fatalf("dead handle: Time=%v", e.Time())
 		}
 	})
 }
@@ -119,9 +119,9 @@ func TestHandleDiesOnFire(t *testing.T) {
 // generation stamp exists for).
 func TestStaleHandleAfterNodeReuse(t *testing.T) {
 	q := NewQueue()
-	old := q.At(10, "old", func(units.Time) {})
+	old := q.At(10, func(units.Time) {})
 	q.Run(0)
-	fresh := q.At(20, "fresh", func(units.Time) {})
+	fresh := q.At(20, func(units.Time) {})
 	if !old.Cancelled() {
 		t.Fatal("stale handle came back to life on node reuse")
 	}
@@ -138,10 +138,10 @@ func TestStaleHandleAfterNodeReuse(t *testing.T) {
 func TestAfter(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, mk func() Scheduler) {
 		q := mk()
-		q.At(100, "advance", func(units.Time) {})
+		q.At(100, func(units.Time) {})
 		q.Step()
 		var at units.Time
-		q.After(50, "later", func(now units.Time) { at = now })
+		q.After(50, func(now units.Time) { at = now })
 		q.Run(0)
 		if at != 150 {
 			t.Fatalf("After fired at %v", at)
@@ -153,7 +153,7 @@ func TestAfterNegativeClamps(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, mk func() Scheduler) {
 		q := mk()
 		fired := false
-		q.After(-5, "neg", func(units.Time) { fired = true })
+		q.After(-5, func(units.Time) { fired = true })
 		q.Run(0)
 		if !fired || q.Now() != 0 {
 			t.Fatalf("negative After: fired=%v now=%v", fired, q.Now())
@@ -164,14 +164,14 @@ func TestAfterNegativeClamps(t *testing.T) {
 func TestPastSchedulingPanics(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, mk func() Scheduler) {
 		q := mk()
-		q.At(10, "x", func(units.Time) {})
+		q.At(10, func(units.Time) {})
 		q.Step()
 		defer func() {
 			if recover() == nil {
 				t.Fatal("expected panic when scheduling in the past")
 			}
 		}()
-		q.At(5, "past", func(units.Time) {})
+		q.At(5, func(units.Time) {})
 	})
 }
 
@@ -183,7 +183,7 @@ func TestNilCallbackPanics(t *testing.T) {
 				t.Fatal("expected panic for nil callback")
 			}
 		}()
-		q.At(5, "nil", nil)
+		q.At(5, nil)
 	})
 }
 
@@ -193,7 +193,7 @@ func TestRunUntil(t *testing.T) {
 		var fired []units.Time
 		for _, at := range []units.Time{10, 20, 30, 40} {
 			at := at
-			q.At(at, "e", func(now units.Time) { fired = append(fired, now) })
+			q.At(at, func(now units.Time) { fired = append(fired, now) })
 		}
 		q.RunUntil(25)
 		if len(fired) != 2 {
@@ -229,9 +229,9 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, mk func() Scheduler) {
 		q := mk()
 		var got []units.Time
-		q.At(10, "a", func(now units.Time) {
+		q.At(10, func(now units.Time) {
 			got = append(got, now)
-			q.At(now.Add(5), "b", func(n2 units.Time) { got = append(got, n2) })
+			q.At(now.Add(5), func(n2 units.Time) { got = append(got, n2) })
 		})
 		q.Run(0)
 		if len(got) != 2 || got[1] != 15 {
@@ -247,9 +247,9 @@ func TestRunMaxEvents(t *testing.T) {
 		var reschedule func(units.Time)
 		reschedule = func(now units.Time) {
 			count++
-			q.At(now.Add(1), "loop", reschedule)
+			q.At(now.Add(1), reschedule)
 		}
-		q.At(0, "loop", reschedule)
+		q.At(0, reschedule)
 		n := q.Run(100)
 		if n != 100 || count != 100 {
 			t.Fatalf("ran %d events, callback count %d", n, count)
@@ -266,8 +266,8 @@ func TestPending(t *testing.T) {
 		if q.Pending() != 0 {
 			t.Fatal("fresh queue not empty")
 		}
-		q.At(1, "a", func(units.Time) {})
-		q.At(2, "b", func(units.Time) {})
+		q.At(1, func(units.Time) {})
+		q.At(2, func(units.Time) {})
 		if q.Pending() != 2 {
 			t.Fatalf("Pending = %d", q.Pending())
 		}
@@ -294,7 +294,7 @@ func TestOverflowTierOrdering(t *testing.T) {
 		units.Time(1),
 	}
 	for _, tm := range times {
-		q.At(tm, "e", rec)
+		q.At(tm, rec)
 	}
 	q.Run(0)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
@@ -312,13 +312,13 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 	fn := func(units.Time) {}
 	// Warm the free list.
 	for i := 0; i < 64; i++ {
-		q.After(units.Duration(i+1), "warm", fn)
+		q.After(units.Duration(i+1), fn)
 	}
 	q.Run(0)
 	allocs := testing.AllocsPerRun(100, func() {
-		e := q.After(10, "hot", fn)
+		e := q.After(10, fn)
 		q.Cancel(e)
-		q.After(5, "hot", fn)
+		q.After(5, fn)
 		q.Step()
 	})
 	if allocs != 0 {
@@ -329,8 +329,8 @@ func TestWheelSteadyStateAllocFree(t *testing.T) {
 func TestQueueReset(t *testing.T) {
 	q := NewQueue()
 	fired := 0
-	q.At(10, "a", func(units.Time) { fired++ })
-	q.At(units.Time(50*units.Millisecond), "far", func(units.Time) { fired++ })
+	q.At(10, func(units.Time) { fired++ })
+	q.At(units.Time(50*units.Millisecond), func(units.Time) { fired++ })
 	q.Step()
 	q.Reset()
 	if q.Now() != 0 || q.Pending() != 0 || q.Fired() != 0 {
@@ -341,7 +341,7 @@ func TestQueueReset(t *testing.T) {
 	var got []int
 	for i := 0; i < 4; i++ {
 		i := i
-		q.At(7, "e", func(units.Time) { got = append(got, i) })
+		q.At(7, func(units.Time) { got = append(got, i) })
 	}
 	q.Run(0)
 	for i, v := range got {
@@ -359,7 +359,7 @@ func TestPropertyOrdering(t *testing.T) {
 			q := mk()
 			var fired []units.Time
 			for _, tm := range times {
-				q.At(units.Time(tm), "e", func(now units.Time) { fired = append(fired, now) })
+				q.At(units.Time(tm), func(now units.Time) { fired = append(fired, now) })
 			}
 			q.Run(0)
 			if len(fired) != len(times) {
@@ -383,7 +383,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 			events := make([]EventRef, n)
 			firedCount := 0
 			for i := 0; i < n; i++ {
-				events[i] = q.At(units.Time(rng.Intn(1000)), "e", func(units.Time) { firedCount++ })
+				events[i] = q.At(units.Time(rng.Intn(1000)), func(units.Time) { firedCount++ })
 			}
 			cancelled := 0
 			for _, e := range events {

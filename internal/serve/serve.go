@@ -490,11 +490,10 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 
 // querySeed reads the optional ?seed= query value: the seed of specs
 // that pin none (a single scenario runs with it, batch items and sweep
-// cells derive theirs from it). Absent or zero means
-// scenario.DefaultSeed, exactly like a spec's seed field. Malformed,
-// conflicting and negative values are rejected instead of silently
-// defaulting: scenario seeds are non-negative (spec rule), and a query
-// seed must not smuggle in values no valid spec could reproduce.
+// cells derive theirs from it). Absent means scenario.DefaultSeed; a
+// value follows scenario.ResolveSeed, the rule the CLI's -seed flags and
+// a spec's seed field share. Malformed and conflicting values are
+// rejected instead of silently defaulting.
 func querySeed(r *http.Request) (int64, error) {
 	vals := r.URL.Query()["seed"]
 	if len(vals) == 0 {
@@ -506,15 +505,10 @@ func querySeed(r *http.Request) (int64, error) {
 		}
 	}
 	seed, err := strconv.ParseInt(vals[0], 10, 64)
-	switch {
-	case err != nil:
+	if err != nil {
 		return 0, fmt.Errorf("bad seed %q: must be an integer", vals[0])
-	case seed < 0:
-		return 0, fmt.Errorf("seed must be non-negative, got %d", seed)
-	case seed == 0:
-		return scenario.DefaultSeed, nil
 	}
-	return seed, nil
+	return scenario.ResolveSeed(seed)
 }
 
 // readBody reads a request body of at most maxBodyBytes, answering

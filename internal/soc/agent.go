@@ -128,7 +128,6 @@ type SWThread struct {
 	res        Result
 	onDone     func(units.Time) // completes ActExec / ActSpinUntil
 	onIdleDone func(units.Time) // completes ActIdleFor
-	idleName   string
 }
 
 // Agent returns the bound agent.
@@ -168,9 +167,8 @@ func (m *Machine) Bind(coreID, slot int, a Agent) (*SWThread, error) {
 	t := m.newThread()
 	t.agent = a
 	t.env = Env{M: m, CoreID: coreID, Slot: slot}
-	t.idleName = "soc.idle." + a.Name()
 	m.threads = append(m.threads, t)
-	m.Q.After(0, "soc.bind."+a.Name(), func(units.Time) { m.step(t, nil) })
+	m.Q.After(0, func(units.Time) { m.step(t, nil) })
 	return t, nil
 }
 
@@ -265,7 +263,7 @@ func (m *Machine) step(t *SWThread, prev *Result) {
 	case ActIdleFor:
 		t.pendAct, t.pendStart = act, now
 		t.pendTSC = m.TSC(now)
-		m.Q.After(act.Dur, t.idleName, t.onIdleDone)
+		m.Q.After(act.Dur, t.onIdleDone)
 
 	default:
 		panic(fmt.Sprintf("soc: agent %q returned invalid action kind %v", t.agent.Name(), act.Kind))

@@ -54,23 +54,23 @@ type noiseInjector struct {
 func newNoiseInjector(m *Machine, cfg NoiseConfig) *noiseInjector {
 	n := &noiseInjector{m: m, cfg: cfg}
 	if cfg.InterruptRate > 0 {
-		n.scheduleNext(cfg.InterruptRate, "soc.noise.irq", cfg.InterruptMin, cfg.InterruptMax)
+		n.scheduleNext(cfg.InterruptRate, cfg.InterruptMin, cfg.InterruptMax)
 	}
 	if cfg.CtxSwitchRate > 0 {
-		n.scheduleNext(cfg.CtxSwitchRate, "soc.noise.ctx", cfg.CtxSwitchMin, cfg.CtxSwitchMax)
+		n.scheduleNext(cfg.CtxSwitchRate, cfg.CtxSwitchMin, cfg.CtxSwitchMax)
 	}
 	return n
 }
 
 // scheduleNext arms the next Poisson arrival for one event type.
-func (n *noiseInjector) scheduleNext(rate float64, name string, dmin, dmax units.Duration) {
+func (n *noiseInjector) scheduleNext(rate float64, dmin, dmax units.Duration) {
 	gap := units.FromSeconds(n.exp(1 / rate))
 	if gap < 1 {
 		gap = 1
 	}
-	n.m.Q.After(gap, name, func(units.Time) {
+	n.m.Q.After(gap, func(units.Time) {
 		n.fire(dmin, dmax)
-		n.scheduleNext(rate, name, dmin, dmax)
+		n.scheduleNext(rate, dmin, dmax)
 	})
 }
 

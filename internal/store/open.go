@@ -42,7 +42,7 @@ func OpenAuto(spec, cacheDir string) (Store, error) {
 	if cacheDir == "" {
 		return r, nil
 	}
-	rs, err := OpenReplica(cacheDir, r.Retry(), ReplicaOptions{})
+	rs, err := OpenReplica(cacheDir, r.Retry())
 	if err != nil {
 		return nil, err
 	}

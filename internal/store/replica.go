@@ -26,12 +26,6 @@ const defaultFlushQueue = 256
 // flushPollInterval paces Flush's wait for the queue to drain.
 const flushPollInterval = 10 * time.Millisecond
 
-// ReplicaOptions configures a ReplicaStore. Zero values take defaults.
-type ReplicaOptions struct {
-	// QueueSize bounds the async flush queue.
-	QueueSize int
-}
-
 // ReplicaStore layers a local packed store over a remote backend.
 // It implements Store, ContextStore, Backend, and TierStatter.
 type ReplicaStore struct {
@@ -54,7 +48,7 @@ type flushItem struct {
 
 // OpenReplica opens (or creates) the packed local cache at cacheDir and
 // layers it over remote.
-func OpenReplica(cacheDir string, remote Backend, opts ReplicaOptions) (*ReplicaStore, error) {
+func OpenReplica(cacheDir string, remote Backend) (*ReplicaStore, error) {
 	if remote == nil {
 		return nil, fmt.Errorf("store: replica %s: nil remote backend", cacheDir)
 	}
@@ -62,11 +56,7 @@ func OpenReplica(cacheDir string, remote Backend, opts ReplicaOptions) (*Replica
 	if err != nil {
 		return nil, err
 	}
-	size := opts.QueueSize
-	if size <= 0 {
-		size = defaultFlushQueue
-	}
-	r := &ReplicaStore{local: local, remote: remote, ch: make(chan flushItem, size)}
+	r := &ReplicaStore{local: local, remote: remote, ch: make(chan flushItem, defaultFlushQueue)}
 	r.wg.Add(1)
 	go r.flushLoop()
 	return r, nil

@@ -96,7 +96,7 @@ func seedRemote(t *testing.T, m *memBackend, seed int64) Key {
 
 func openTestReplica(t *testing.T, remote Backend) *ReplicaStore {
 	t.Helper()
-	r, err := OpenReplica(t.TempDir(), remote, ReplicaOptions{})
+	r, err := OpenReplica(t.TempDir(), remote)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestReplicaListUnionAndDeadRemoteDegrade(t *testing.T) {
 func TestReplicaTierStatsMergeRemoteCounters(t *testing.T) {
 	mb := newMemBackend()
 	rb := NewRetryBackend(mb, RetryOptions{Disable: true})
-	r, err := OpenReplica(t.TempDir(), rb, ReplicaOptions{})
+	r, err := OpenReplica(t.TempDir(), rb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestReplicaTierStatsMergeRemoteCounters(t *testing.T) {
 func TestWriteOnlyReplicaKeepsLifecycleAndTierStats(t *testing.T) {
 	mb := newMemBackend()
 	key := seedRemote(t, mb, 1)
-	r, err := OpenReplica(t.TempDir(), mb, ReplicaOptions{})
+	r, err := OpenReplica(t.TempDir(), mb)
 	if err != nil {
 		t.Fatal(err)
 	}

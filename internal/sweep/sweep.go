@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"ichannels/internal/engine"
+	"ichannels/internal/exp"
 	"ichannels/internal/scenario"
 	"ichannels/internal/soc"
 	"ichannels/internal/stats"
@@ -518,7 +519,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 // rows followed by the grouped aggregate. Deterministic for a fixed
 // (sweep, base seed).
 func (r *Result) WriteText(w io.Writer) error {
-	rows := [][]string{{"cell", "hash", "seed", "bits", "throughput (b/s)", "BER", "verdict/error"}}
+	tab := exp.Table{Header: []string{"cell", "hash", "seed", "bits", "throughput (b/s)", "BER", "verdict/error"}}
 	for _, c := range r.Cells {
 		last := c.Verdict
 		if c.Error != "" {
@@ -535,9 +536,9 @@ func (r *Result) WriteText(w io.Writer) error {
 			row = append(row, fmt.Sprint(c.Bits), fmt.Sprintf("%.0f", c.ThroughputBPS),
 				fmt.Sprintf("%.3f", c.BER), last)
 		}
-		rows = append(rows, row)
+		tab.AddRow(row...)
 	}
-	if err := writeAligned(w, rows); err != nil {
+	if err := tab.WriteText(w); err != nil {
 		return err
 	}
 	if ref := r.Refinement; ref != nil {
@@ -567,44 +568,6 @@ func (r *Result) WriteTiming(w io.Writer) {
 		float64(r.Elapsed)/float64(time.Millisecond))
 }
 
-// writeAligned renders rows as an aligned table with a rule under the
-// header.
-func writeAligned(w io.Writer, rows [][]string) error {
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for ri, row := range rows {
-		for i, c := range row {
-			sep := "  "
-			if i == 0 {
-				sep = ""
-			}
-			if _, err := fmt.Fprintf(w, "%s%-*s", sep, widths[i], c); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		if ri == 0 {
-			for i := range row {
-				sep := "  "
-				if i == 0 {
-					sep = ""
-				}
-				fmt.Fprint(w, sep, strings.Repeat("-", widths[i]))
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	return nil
-}
-
 // WriteText renders the aggregate as an aligned comparison table: one
 // row per group with cell counts and the headline reductions. The
 // output depends only on (sweep, base seed).
@@ -614,7 +577,7 @@ func (t *Table) WriteText(w io.Writer) error {
 		header = []string{"(all)"}
 	}
 	header = append(header, "cells", "errors", "BER mean", "BER p95", "b/s mean", "b/s p95")
-	rows := [][]string{header}
+	tab := exp.Table{Header: header}
 	for _, g := range t.Groups {
 		row := make([]string, 0, len(header))
 		if len(t.GroupBy) == 0 {
@@ -628,7 +591,7 @@ func (t *Table) WriteText(w io.Writer) error {
 			fmt.Sprintf("%.3f", g.BER.Mean), fmt.Sprintf("%.3f", g.BER.P95),
 			fmt.Sprintf("%.0f", g.ThroughputBPS.Mean), fmt.Sprintf("%.0f", g.ThroughputBPS.P95),
 		)
-		rows = append(rows, row)
+		tab.AddRow(row...)
 	}
-	return writeAligned(w, rows)
+	return tab.WriteText(w)
 }

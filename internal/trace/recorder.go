@@ -50,7 +50,7 @@ func (r *Recorder) tick() {
 		return
 	}
 	r.samples = append(r.samples, r.m.Probe())
-	r.m.Q.After(r.interval, "trace.sample", func(units.Time) { r.tick() })
+	r.m.Q.After(r.interval, func(units.Time) { r.tick() })
 }
 
 // Samples returns the recorded series.

@@ -16,7 +16,6 @@ package uarch
 
 import (
 	"fmt"
-	"strconv"
 
 	"ichannels/internal/isa"
 	"ichannels/internal/sched"
@@ -161,10 +160,10 @@ type hwThread struct {
 	completion sched.EventRef
 	wakeEv     sched.EventRef
 
-	// Prebound event callbacks and precomputed event names. The agent
-	// transition loop schedules completion/spin/wake/resume events on
-	// every slot of every transaction; binding these once per thread
-	// keeps the per-event cost to the sched.Event allocation alone.
+	// Prebound event callbacks. The agent transition loop schedules
+	// completion/spin/wake/resume events on every slot of every
+	// transaction; binding these once per thread keeps the per-event cost
+	// to the sched.Event allocation alone.
 	completionFn func(units.Time)
 	spinEndFn    func(units.Time)
 	wakeFn       func(units.Time)
@@ -173,10 +172,6 @@ type hwThread struct {
 	setSpinning  func()
 	incPreempt   func()
 	decPreempt   func()
-	doneName     string
-	spinEndName  string
-	wakeName     string
-	resumeName   string
 
 	ctr Counters
 }
@@ -228,19 +223,14 @@ func NewCore(cfg Config, q *sched.Queue, cm CurrentManager) (*Core, error) {
 		license: isa.Scalar64,
 		pending: noPending,
 	}
-	// Event names are built with strconv instead of fmt: machine
-	// construction is on the short-run critical path (a 100 µs simulation
-	// must not pay Sprintf's reflection cost a dozen times), and strconv
-	// serves small core/slot indices from its static digit table.
-	coreName := "core" + strconv.Itoa(cfg.ID)
 	var err error
-	c.avx256, err = NewPowerGate(coreName+".avx256pg", cfg.AVX256Gate, q, func() bool {
+	c.avx256, err = NewPowerGate(cfg.AVX256Gate, q, func() bool {
 		return c.ActiveClass().AVX()
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.avx512, err = NewPowerGate(coreName+".avx512pg", cfg.AVX512Gate, q, func() bool {
+	c.avx512, err = NewPowerGate(cfg.AVX512Gate, q, func() bool {
 		return c.ActiveClass().AVX512()
 	})
 	if err != nil {
@@ -249,11 +239,6 @@ func NewCore(cfg Config, q *sched.Queue, cm CurrentManager) (*Core, error) {
 	c.threads = make([]*hwThread, cfg.SMTWays)
 	for i := range c.threads {
 		t := &hwThread{core: c, slot: i, state: tsIdle}
-		prefix := coreName + ".t" + strconv.Itoa(i) + "."
-		t.doneName = prefix + "done"
-		t.spinEndName = prefix + "spinend"
-		t.wakeName = prefix + "wake"
-		t.resumeName = prefix + "resume"
 		t.completionFn = t.onCompletion
 		t.spinEndFn = t.onSpinEnd
 		t.wakeFn = t.onWake
@@ -502,7 +487,7 @@ func (c *Core) Start(slot int, k isa.Kernel, iters int64, onDone func(units.Time
 	t.lastAccrue = now
 	if wake > 0 {
 		t.state = tsWaking
-		t.wakeEv = c.q.After(wake, t.wakeName, t.wakeFn)
+		t.wakeEv = c.q.After(wake, t.wakeFn)
 		c.repriceAll(now, nil) // waking occupies the slot: reprice siblings
 	} else {
 		c.repriceAll(now, t.setRunning)
@@ -541,7 +526,7 @@ func (c *Core) Spin(slot int, until units.Time, onDone func(units.Time)) {
 	t.spinEnd = until
 	t.lastAccrue = now
 	c.repriceAll(now, t.setSpinning)
-	t.completion = c.q.At(until, t.spinEndName, t.spinEndFn)
+	t.completion = c.q.At(until, t.spinEndFn)
 }
 
 // Preempt simulates OS noise (an interrupt or context switch) landing on a
@@ -552,7 +537,7 @@ func (c *Core) Preempt(slot int, dur units.Duration) {
 	t := c.thread(slot)
 	now := c.q.Now()
 	c.repriceAll(now, t.incPreempt)
-	c.q.After(dur, t.resumeName, t.resumeFn)
+	c.q.After(dur, t.resumeFn)
 }
 
 // finishThread retires the thread's current work and invokes its callback.
@@ -678,7 +663,7 @@ func (t *hwThread) reprice(now units.Time) {
 	t.completion = sched.EventRef{}
 	if t.remUops <= 1e-9 {
 		// Finished exactly at a boundary: complete now.
-		t.completion = c.q.At(now, t.doneName, t.completionFn)
+		t.completion = c.q.At(now, t.completionFn)
 		return
 	}
 	if rate <= 0 {
@@ -689,7 +674,7 @@ func (t *hwThread) reprice(now units.Time) {
 	if doneAt == now {
 		doneAt = now.Add(1) // guarantee forward progress at ps resolution
 	}
-	t.completion = c.q.At(doneAt, t.doneName, t.completionFn)
+	t.completion = c.q.At(doneAt, t.completionFn)
 }
 
 // onCompletion handles a completion event (prebound per thread): accrue

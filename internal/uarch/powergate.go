@@ -48,15 +48,13 @@ func (c PowerGateConfig) Validate() error {
 // as an eager cancel-and-reschedule would, but a use in the hot path
 // costs no event allocation.
 type PowerGate struct {
-	cfg       PowerGateConfig
-	name      string
-	closeName string
-	q         *sched.Queue
-	inUse     func() bool // still actively executing on the unit?
-	open      bool
-	lastUse   units.Time
-	closeEv   sched.EventRef
-	onIdle    func(units.Time) // prebound onIdleTimer, allocated once
+	cfg     PowerGateConfig
+	q       *sched.Queue
+	inUse   func() bool // still actively executing on the unit?
+	open    bool
+	lastUse units.Time
+	closeEv sched.EventRef
+	onIdle  func(units.Time) // prebound onIdleTimer, allocated once
 
 	// Wakes counts gate-open transitions (observable in Fig. 8(b) as the
 	// first-iteration latency delta).
@@ -66,14 +64,14 @@ type PowerGate struct {
 // NewPowerGate creates a gate. inUse is consulted when the idle timer
 // fires: if it returns true the close is deferred. A gate that is not
 // Present behaves as always-open with zero wake latency.
-func NewPowerGate(name string, cfg PowerGateConfig, q *sched.Queue, inUse func() bool) (*PowerGate, error) {
+func NewPowerGate(cfg PowerGateConfig, q *sched.Queue, inUse func() bool) (*PowerGate, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if inUse == nil {
 		inUse = func() bool { return false }
 	}
-	g := &PowerGate{cfg: cfg, name: name, closeName: name + ".close", q: q, inUse: inUse}
+	g := &PowerGate{cfg: cfg, q: q, inUse: inUse}
 	g.onIdle = g.onIdleTimer
 	return g, nil
 }
@@ -113,7 +111,7 @@ func (g *PowerGate) Touch(now units.Time) {
 // re-arms at the true deadline, so the close time is unchanged.
 func (g *PowerGate) armClose() {
 	if g.closeEv.Cancelled() {
-		g.closeEv = g.q.At(g.lastUse.Add(g.cfg.IdleTimeout), g.closeName, g.onIdle)
+		g.closeEv = g.q.At(g.lastUse.Add(g.cfg.IdleTimeout), g.onIdle)
 	}
 }
 
@@ -134,13 +132,13 @@ func (g *PowerGate) onIdleTimer(now units.Time) {
 	}
 	if deadline := g.lastUse.Add(g.cfg.IdleTimeout); deadline > now {
 		// Used since this timer was armed: sleep on to the live deadline.
-		g.closeEv = g.q.At(deadline, g.closeName, g.onIdle)
+		g.closeEv = g.q.At(deadline, g.onIdle)
 		return
 	}
 	if g.inUse() {
 		// Unit still busy: check again a full timeout later.
 		g.lastUse = now
-		g.closeEv = g.q.At(now.Add(g.cfg.IdleTimeout), g.closeName, g.onIdle)
+		g.closeEv = g.q.At(now.Add(g.cfg.IdleTimeout), g.onIdle)
 		return
 	}
 	g.open = false

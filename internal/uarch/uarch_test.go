@@ -24,7 +24,7 @@ func (f *fakeCM) RequestLicense(coreID int, c isa.Class) {
 	if f.grantAfter < 0 {
 		return
 	}
-	f.q.After(f.grantAfter, "fake.grant", func(now units.Time) {
+	f.q.After(f.grantAfter, func(now units.Time) {
 		f.core.GrantLicense(c, now)
 	})
 }
@@ -234,7 +234,7 @@ func TestPowerGateClosesAfterIdle(t *testing.T) {
 	c.Start(0, isa.Loop256Heavy, 1, nil)
 	q.Run(0)
 	// Past the 5 µs idle timeout the gate closes; next use wakes again.
-	q.At(q.Now().Add(20*units.Microsecond), "later", func(now units.Time) {
+	q.At(q.Now().Add(20*units.Microsecond), func(now units.Time) {
 		c.Start(0, isa.Loop256Heavy, 1, nil)
 	})
 	q.Run(0)
