@@ -127,18 +127,17 @@ type Regulator struct {
 
 // NewRegulator creates a regulator with its output settled at v0.
 func NewRegulator(cfg Config, v0 units.Volt) (*Regulator, error) {
-	if err := cfg.Validate(); err != nil {
+	r := new(Regulator)
+	if err := r.Reset(cfg, v0); err != nil {
 		return nil, err
 	}
-	if v0 < cfg.VMin || v0 > cfg.VMax {
-		return nil, fmt.Errorf("pdn: initial voltage %v outside [%v, %v]", v0, cfg.VMin, cfg.VMax)
-	}
-	return &Regulator{cfg: cfg, startV: v0, targetV: v0}, nil
+	return r, nil
 }
 
-// Reset re-settles the regulator at v0 under a (possibly updated)
-// configuration, exactly as if freshly constructed — the in-place form a
-// pooled machine uses to avoid rebuilding its power-delivery network.
+// Reset settles the regulator at v0 under a (possibly updated)
+// configuration. It is the only code that sets a regulator's state:
+// NewRegulator calls it, and a pooled machine calls it in place to avoid
+// rebuilding its power-delivery network.
 func (r *Regulator) Reset(cfg Config, v0 units.Volt) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -146,11 +145,7 @@ func (r *Regulator) Reset(cfg Config, v0 units.Volt) error {
 	if v0 < cfg.VMin || v0 > cfg.VMax {
 		return fmt.Errorf("pdn: initial voltage %v outside [%v, %v]", v0, cfg.VMin, cfg.VMax)
 	}
-	r.cfg = cfg
-	r.startV = v0
-	r.targetV = v0
-	r.rampStart = 0
-	r.rampEnd = 0
+	*r = Regulator{cfg: cfg, startV: v0, targetV: v0}
 	return nil
 }
 

@@ -141,14 +141,13 @@ type PMU struct {
 	restoreEv     sched.EventRef
 	restoreQueued bool
 
-	secure      bool
-	initialized bool
+	secure bool
 
 	stats Stats
 }
 
-// New creates a PMU. Cores must be attached with AttachCores and the unit
-// started with Initialize before any license traffic.
+// New creates a PMU. Cores must be attached with AttachCores before any
+// license traffic.
 func New(cfg Config, q *sched.Queue) (*PMU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,10 +158,11 @@ func New(cfg Config, q *sched.Queue) (*PMU, error) {
 	return &PMU{cfg: cfg, q: q}, nil
 }
 
-// AttachCores registers the cores the PMU manages.
+// AttachCores registers the cores the PMU manages, allocates the per-core
+// and per-regulator state, and settles the unit with Reset.
 func (p *PMU) AttachCores(cores []Core) error {
-	if p.initialized {
-		return fmt.Errorf("pmu: AttachCores after Initialize")
+	if p.cores != nil {
+		return fmt.Errorf("pmu: cores already attached")
 	}
 	if len(cores) == 0 {
 		return fmt.Errorf("pmu: no cores")
@@ -171,11 +171,6 @@ func (p *PMU) AttachCores(cores []Core) error {
 	n := len(cores)
 	p.lic = make([]isa.Class, n)
 	p.lastTouch = make([][isa.NumClasses]units.Time, n)
-	for i := range p.lastTouch {
-		for c := range p.lastTouch[i] {
-			p.lastTouch[i][c] = longAgo
-		}
-	}
 	p.decayEv = make([]sched.EventRef, n)
 	// The decay check reschedules itself on every license touch window;
 	// binding the callback once per core keeps that hot path free of
@@ -194,54 +189,28 @@ func (p *PMU) AttachCores(cores []Core) error {
 	}
 	p.busy = make([]bool, nregs)
 	p.queue = make([][]transition, nregs)
-	return nil
-}
-
-// Initialize settles the PMU at the requested operating point: frequency
-// capped by the electrical limits for an all-scalar machine, regulators at
-// the corresponding base voltage.
-func (p *PMU) Initialize() error {
-	if p.cores == nil {
-		return fmt.Errorf("pmu: Initialize before AttachCores")
-	}
-	if p.initialized {
-		return fmt.Errorf("pmu: double Initialize")
-	}
-	now := p.q.Now()
-	f := p.maxFreqAllowed(p.licSnapshot())
-	if f <= 0 {
-		return fmt.Errorf("pmu: no frequency satisfies the electrical limits even for scalar code")
-	}
-	p.curFreq = f
-	for _, c := range p.cores {
-		c.SetFrequency(f, now)
-	}
-	v0 := p.cfg.VF.Voltage(f)
-	nregs := len(p.busy)
 	p.regs = make([]*pdn.Regulator, nregs)
 	for i := range p.regs {
-		r, err := pdn.NewRegulator(p.cfg.VR, v0)
-		if err != nil {
-			return err
-		}
-		p.regs[i] = r
+		p.regs[i] = new(pdn.Regulator)
 	}
-	p.lastDownshift = longAgo
-	p.initialized = true
-	return nil
+	return p.Reset(p.cfg)
 }
 
-// Reset returns an initialized PMU to its just-initialized state under a
-// (possibly updated) configuration, reusing the attached cores, regulators,
-// and every internal slice — the in-place form a pooled machine uses. The
-// regulator topology must not change (machine pools key on PerCoreVR), and
-// the shared scheduler must have been reset first.
+// Reset settles the PMU at the requested operating point under a
+// (possibly updated) configuration: scalar licenses with expired touch
+// windows, empty transition queues, cleared counters, frequency capped by
+// the electrical limits for an all-scalar machine, and regulators at the
+// corresponding base voltage. It is the only code that sets that state —
+// AttachCores ends with it, and a pooled machine calls it in place,
+// reusing the cores, regulators and every internal slice. The regulator
+// topology must not change (machine pools key on PerCoreVR), and the
+// shared scheduler must have been reset first.
 func (p *PMU) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if !p.initialized {
-		return fmt.Errorf("pmu: Reset before Initialize")
+	if p.cores == nil {
+		return fmt.Errorf("pmu: Reset before AttachCores")
 	}
 	if cfg.PerCoreVR != p.cfg.PerCoreVR {
 		return fmt.Errorf("pmu: Reset cannot change regulator topology")
@@ -262,7 +231,6 @@ func (p *PMU) Reset(cfg Config) error {
 		p.busy[i] = false
 		p.queue[i] = p.queue[i][:0]
 	}
-	// Re-settle at the requested operating point, exactly as Initialize.
 	now := p.q.Now()
 	f := p.maxFreqAllowed(p.lic)
 	if f <= 0 {
@@ -402,8 +370,8 @@ func (p *PMU) TouchLicense(coreID int, c isa.Class) {
 }
 
 func (p *PMU) mustInit() {
-	if !p.initialized {
-		panic("pmu: used before Initialize")
+	if p.cores == nil {
+		panic("pmu: used before AttachCores")
 	}
 }
 

@@ -1,6 +1,7 @@
 package pmu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -88,9 +89,6 @@ func newTestPMU(t *testing.T, cfg Config, ncores int) (*PMU, *sched.Queue, []*fa
 		cores[i] = fakes[i]
 	}
 	if err := p.AttachCores(cores); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Initialize(); err != nil {
 		t.Fatal(err)
 	}
 	return p, q, fakes
@@ -429,8 +427,8 @@ func TestLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Initialize(); err == nil {
-		t.Fatal("Initialize before AttachCores accepted")
+	if err := p.Reset(testConfig()); err == nil {
+		t.Fatal("Reset before AttachCores accepted")
 	}
 	if err := p.AttachCores(nil); err == nil {
 		t.Fatal("empty core list accepted")
@@ -439,14 +437,8 @@ func TestLifecycleErrors(t *testing.T) {
 	if err := p.AttachCores(fakes); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Initialize(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Initialize(); err == nil {
-		t.Fatal("double Initialize accepted")
-	}
 	if err := p.AttachCores(fakes); err == nil {
-		t.Fatal("AttachCores after Initialize accepted")
+		t.Fatal("second AttachCores accepted")
 	}
 }
 
@@ -459,4 +451,62 @@ func TestUseBeforeInitializePanics(t *testing.T) {
 		}
 	}()
 	p.RequestLicense(0, isa.Vec256Heavy)
+}
+
+// drivePMU runs a script that exercises every piece of PMU state: license
+// grants serialized on the shared regulator, touches, a decay after the
+// reset-time, and a software frequency change.
+func drivePMU(p *PMU, q *sched.Queue, cores []*fakeCore) {
+	cores[0].busy, cores[1].busy = true, true
+	cores[0].active, cores[1].active = isa.Vec256Heavy, isa.Vec512Heavy
+	p.RequestLicense(0, isa.Vec256Heavy)
+	p.RequestLicense(1, isa.Vec512Heavy)
+	q.RunUntil(q.Now().Add(100 * units.Microsecond))
+	p.TouchLicense(0, isa.Vec256Heavy)
+	cores[0].busy, cores[0].active = false, isa.Scalar64
+	q.RunUntil(q.Now().Add(2 * units.Millisecond))
+	p.SetRequestedFrequency(1.2 * units.GHz)
+	q.RunUntil(q.Now().Add(units.Millisecond))
+}
+
+// pmuTranscript renders what the PMU shows its callers and what it did to
+// its cores; two PMUs in the same state under the same script render the
+// same transcript.
+func pmuTranscript(p *PMU, q *sched.Queue, cores []*fakeCore) string {
+	out := fmt.Sprintf("now=%v freq=%v lic=%v stats=%+v secure=%v\n",
+		q.Now(), p.Frequency(), p.Licenses(), p.Stats(), p.Secure())
+	for i, c := range cores {
+		out += fmt.Sprintf("core %d: v=%v target=%v %+v\n",
+			i, p.Voltage(i, q.Now()), p.TargetVoltage(i), *c)
+	}
+	return out
+}
+
+// TestResetMatchesFreshlyAttached: a PMU that has granted, decayed and
+// changed frequency, once Reset, is indistinguishable from a freshly
+// attached one — same operating point, licenses, voltages and counters —
+// and replays the same license transcript.
+func TestResetMatchesFreshlyAttached(t *testing.T) {
+	cfg := testConfig()
+	used, q, cores := newTestPMU(t, cfg, 2)
+	drivePMU(used, q, cores)
+	q.Reset()
+	if err := used.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cores {
+		*c = fakeCore{id: i, freq: c.freq}
+	}
+	fresh, fq, fcores := newTestPMU(t, cfg, 2)
+	if got, want := pmuTranscript(used, q, cores), pmuTranscript(fresh, fq, fcores); got != want {
+		t.Fatalf("reset PMU:\n%s\nfresh PMU:\n%s", got, want)
+	}
+	drivePMU(used, q, cores)
+	drivePMU(fresh, fq, fcores)
+	if got, want := pmuTranscript(used, q, cores), pmuTranscript(fresh, fq, fcores); got != want {
+		t.Fatalf("replay after Reset:\n%s\nfresh replay:\n%s", got, want)
+	}
+	if len(cores[1].granted) == 0 || len(cores[0].downgrades) == 0 || fresh.Frequency() != 1.2*units.GHz {
+		t.Fatalf("script exercised too little: %s", pmuTranscript(fresh, fq, fcores))
+	}
 }

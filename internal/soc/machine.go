@@ -146,90 +146,56 @@ func pmuConfig(opts Options, req units.Hertz) pmu.Config {
 func coreConfig(opts Options, i int) uarch.Config {
 	p := opts.Processor
 	return uarch.Config{
-		ID:                  i,
-		SMTWays:             p.SMTWays,
-		DeliverWidth:        p.DeliverWidth,
-		ThrottleFactor:      p.ThrottleFactor,
-		PerThreadThrottle:   opts.PerThreadThrottle,
-		AVX256Gate:          gateConfig(p.AVX256Gate),
-		AVX512Gate:          gateConfig(p.AVX512Gate),
-		BaselineUndelivered: 0.01,
+		ID:                i,
+		SMTWays:           p.SMTWays,
+		DeliverWidth:      p.DeliverWidth,
+		ThrottleFactor:    p.ThrottleFactor,
+		PerThreadThrottle: opts.PerThreadThrottle,
+		AVX256Gate:        gateConfig(p.AVX256Gate.Gate()),
+		AVX512Gate:        gateConfig(p.AVX512Gate.Gate()),
 	}
 }
 
-// New builds and initializes a machine. The returned machine is at
-// simulated time zero with all cores idle and the PMU settled at the
-// requested operating point.
+// New allocates a machine of opts' shape — event queue, PMU, cores — and
+// initializes it with Reset. The returned machine is at simulated time
+// zero with all cores idle and the PMU settled at the requested operating
+// point.
 func New(opts Options) (*Machine, error) {
-	p := opts.Processor
 	ncores, req, err := deriveShape(opts)
 	if err != nil {
 		return nil, err
 	}
-
 	q := sched.NewQueue()
-	ll, err := pdn.NewLoadLine(p.RLL)
-	if err != nil {
-		return nil, err
-	}
-	th, err := power.NewThermal(p.Thermal.Ambient, p.Thermal.RPkg, p.Thermal.TauPkg, p.Thermal.RDie, p.Thermal.TauDie)
-	if err != nil {
-		return nil, err
-	}
-
 	unit, err := pmu.New(pmuConfig(opts, req), q)
 	if err != nil {
 		return nil, err
 	}
-
-	m := &Machine{
-		Q:        q,
-		Proc:     p,
-		PMU:      unit,
-		loadLine: ll,
-		thermal:  th,
-		opts:     opts,
-	}
-
-	cores := make([]*uarch.Core, ncores)
+	m := &Machine{Q: q, Proc: opts.Processor, PMU: unit, Cores: make([]*uarch.Core, ncores)}
 	pmuCores := make([]pmu.Core, ncores)
-	for i := range cores {
+	for i := range m.Cores {
 		core, err := uarch.NewCore(coreConfig(opts, i), q, unit)
 		if err != nil {
 			return nil, err
 		}
-		cores[i] = core
+		m.Cores[i] = core
 		pmuCores[i] = core
 	}
-	m.Cores = cores
 	if err := unit.AttachCores(pmuCores); err != nil {
 		return nil, err
 	}
-	if err := unit.Initialize(); err != nil {
+	if err := m.Reset(opts); err != nil {
 		return nil, err
 	}
-	m.settle()
 	return m, nil
 }
 
-// settle performs the post-initialization steps shared by New and Reset:
-// the secure-mode guardband ramp and arming the noise injector.
-func (m *Machine) settle() {
-	if m.opts.SecureMode {
-		m.PMU.SetSecure(true)
-		// Let the worst-case guardband ramp settle before time zero
-		// workloads begin; secure mode is an operating mode, not a
-		// transient (paper §7).
-		m.Q.RunUntil(m.Q.Now().Add(200 * units.Microsecond))
-	}
-	m.noise = newNoiseInjector(m, m.opts.Noise)
-}
-
-// Reset rewinds the machine to the state New(opts) would produce — time
-// zero, cores idle, PMU settled, counters cleared, randomness restarted
-// from opts.Seed — while reusing every long-lived structure: the event
-// queue's node pool, the cores with their prebound callbacks, the PMU's
-// per-core slices, the regulators, and retired SWThreads. A reset machine
+// Reset initializes the machine per opts — time zero, cores idle, PMU
+// settled, counters cleared, randomness restarted from opts.Seed, the
+// secure-mode guardband ramp run, the noise injector armed — reusing
+// every long-lived structure: the event queue's node pool, the cores with
+// their prebound callbacks, the PMU's per-core slices, the regulators, and
+// retired SWThreads. It is the only code that sets a machine's state: New
+// calls it, and a pooled machine calls it per run, so a reset machine
 // replays byte-identically to a fresh one (soc's reset determinism test
 // and the sweep conformance suites hold this line).
 //
@@ -277,16 +243,22 @@ func (m *Machine) Reset(opts Options) error {
 	m.freeTh = append(m.freeTh, m.threads...)
 	m.retired = m.retired[:0]
 	m.threads = m.threads[:0]
-	m.settle()
+	if opts.SecureMode {
+		m.PMU.SetSecure(true)
+		// Let the worst-case guardband ramp settle before time zero
+		// workloads begin; secure mode is an operating mode, not a
+		// transient (paper §7).
+		m.Q.RunUntil(m.Q.Now().Add(200 * units.Microsecond))
+	}
+	m.noise = newNoiseInjector(m, opts.Noise)
 	return nil
 }
 
-func gateConfig(g interface {
-	Gate() (bool, units.Duration, units.Duration)
-}) uarch.PowerGateConfig {
-	present, wake, idle := g.Gate()
+// gateConfig builds a power-gate configuration from a profile gate's
+// Gate() tuple; a gate that is not present keeps zero timings.
+func gateConfig(present bool, wake, idle units.Duration) uarch.PowerGateConfig {
 	if !present {
-		return uarch.PowerGateConfig{Present: false}
+		return uarch.PowerGateConfig{}
 	}
 	return uarch.PowerGateConfig{Present: true, WakeLatency: wake, IdleTimeout: idle}
 }

@@ -51,18 +51,9 @@ type Config struct {
 	// uops blocked; the SMT sibling runs unimpeded.
 	PerThreadThrottle bool
 
-	// ThrottleOnset is the delay between detecting a PHI needing a
-	// higher license and the throttle engaging (nanoseconds; the paper
-	// notes throttling starts within a few ns).
-	ThrottleOnset units.Duration
-
 	// AVX256Gate and AVX512Gate describe the vector-unit power gates.
 	AVX256Gate PowerGateConfig
 	AVX512Gate PowerGateConfig
-
-	// BaselineUndelivered is the background fraction of delivery slots
-	// unused in unthrottled execution (small; Fig. 11(a) shows ≈0).
-	BaselineUndelivered float64
 }
 
 // Validate checks the configuration.
@@ -76,17 +67,15 @@ func (c Config) Validate() error {
 	if c.ThrottleFactor <= 0 || c.ThrottleFactor > 1 {
 		return fmt.Errorf("uarch: core %d: ThrottleFactor %g outside (0,1]", c.ID, c.ThrottleFactor)
 	}
-	if c.ThrottleOnset < 0 {
-		return fmt.Errorf("uarch: core %d: negative throttle onset", c.ID)
-	}
-	if c.BaselineUndelivered < 0 || c.BaselineUndelivered >= 1 {
-		return fmt.Errorf("uarch: core %d: BaselineUndelivered %g outside [0,1)", c.ID, c.BaselineUndelivered)
-	}
 	if err := c.AVX256Gate.Validate(); err != nil {
 		return err
 	}
 	return c.AVX512Gate.Validate()
 }
+
+// baselineUndelivered is the background fraction of delivery slots unused
+// in unthrottled execution (small; Fig. 11(a) shows ≈0).
+const baselineUndelivered = 0.01
 
 // threadState is the lifecycle state of a hardware thread.
 type threadState int
@@ -206,8 +195,9 @@ type Core struct {
 
 const noPending = isa.Class(-1)
 
-// NewCore creates a core. The frequency must be set (by the PMU / clock
-// domain) before any work runs.
+// NewCore allocates a core — its power gates, hardware threads and their
+// prebound event callbacks — and initializes it with Reset. The frequency
+// must be set (by the PMU / clock domain) before any work runs.
 func NewCore(cfg Config, q *sched.Queue, cm CurrentManager) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -215,30 +205,12 @@ func NewCore(cfg Config, q *sched.Queue, cm CurrentManager) (*Core, error) {
 	if q == nil || cm == nil {
 		return nil, fmt.Errorf("uarch: core %d: nil queue or current manager", cfg.ID)
 	}
-	c := &Core{
-		cfg:     cfg,
-		q:       q,
-		cm:      cm,
-		duty:    1,
-		license: isa.Scalar64,
-		pending: noPending,
-	}
-	var err error
-	c.avx256, err = NewPowerGate(cfg.AVX256Gate, q, func() bool {
-		return c.ActiveClass().AVX()
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.avx512, err = NewPowerGate(cfg.AVX512Gate, q, func() bool {
-		return c.ActiveClass().AVX512()
-	})
-	if err != nil {
-		return nil, err
-	}
+	c := &Core{cfg: cfg, q: q, cm: cm}
+	c.avx256 = newPowerGate(q, func() bool { return c.ActiveClass().AVX() })
+	c.avx512 = newPowerGate(q, func() bool { return c.ActiveClass().AVX512() })
 	c.threads = make([]*hwThread, cfg.SMTWays)
 	for i := range c.threads {
-		t := &hwThread{core: c, slot: i, state: tsIdle}
+		t := &hwThread{core: c, slot: i}
 		t.completionFn = t.onCompletion
 		t.spinEndFn = t.onSpinEnd
 		t.wakeFn = t.onWake
@@ -252,6 +224,9 @@ func NewCore(cfg Config, q *sched.Queue, cm CurrentManager) (*Core, error) {
 			}
 		}
 		c.threads[i] = t
+	}
+	if err := c.Reset(cfg); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -617,7 +592,7 @@ func (t *hwThread) accrue(now units.Time) {
 			blocked := 1 - c.cfg.ThrottleFactor
 			t.ctr.UndeliveredSlots += width * cycles * blocked
 		default:
-			t.ctr.UndeliveredSlots += width * cycles * c.cfg.BaselineUndelivered
+			t.ctr.UndeliveredSlots += width * cycles * baselineUndelivered
 		}
 		if c.duty < 1 {
 			// Clock modulation gates the front-end in the off fraction
@@ -710,12 +685,14 @@ func (t *hwThread) onResume(tm units.Time) {
 	t.core.repriceAll(tm, t.decPreempt)
 }
 
-// Reset returns the core to its just-constructed state so a pooled
-// machine can rerun from simulated time zero. The new configuration must
-// keep the core's identity and SMT topology (machine pools key on shape);
-// behavioural knobs (throttle policy, gate timings) may change. The caller
-// must have reset the shared scheduler first — no events of the previous
-// run may still be pending.
+// Reset returns the core to its initial state — clock stopped and
+// unmodulated, scalar license, no request pending, gates closed, threads
+// idle, counters zero — so a pooled machine can rerun from simulated time
+// zero. It is the only code that sets that state; NewCore calls it. The
+// new configuration must keep the core's identity and SMT topology
+// (machine pools key on shape); behavioural knobs (throttle policy, gate
+// timings) may change. The caller must have reset the shared scheduler
+// first — no events of the previous run may still be pending.
 func (c *Core) Reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err

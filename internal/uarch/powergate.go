@@ -61,19 +61,14 @@ type PowerGate struct {
 	Wakes uint64
 }
 
-// NewPowerGate creates a gate. inUse is consulted when the idle timer
-// fires: if it returns true the close is deferred. A gate that is not
+// newPowerGate allocates a gate and binds its idle-timer callback; reset
+// sets its state. inUse is consulted when the idle timer fires: if it
+// returns true the close is deferred. A gate whose configuration is not
 // Present behaves as always-open with zero wake latency.
-func NewPowerGate(cfg PowerGateConfig, q *sched.Queue, inUse func() bool) (*PowerGate, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if inUse == nil {
-		inUse = func() bool { return false }
-	}
-	g := &PowerGate{cfg: cfg, q: q, inUse: inUse}
+func newPowerGate(q *sched.Queue, inUse func() bool) *PowerGate {
+	g := &PowerGate{q: q, inUse: inUse}
 	g.onIdle = g.onIdleTimer
-	return g, nil
+	return g
 }
 
 // Open reports whether the gate is currently open (units powered).
@@ -115,7 +110,7 @@ func (g *PowerGate) armClose() {
 	}
 }
 
-// reset returns the gate to its just-constructed state under a (possibly
+// reset puts the gate in its closed, never-used state under a (possibly
 // updated) configuration. The owning core guarantees the scheduler was
 // reset too, so no close timer is pending.
 func (g *PowerGate) reset(cfg PowerGateConfig) {

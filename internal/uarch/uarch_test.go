@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,13 +34,12 @@ func (f *fakeCM) TouchLicense(coreID int, c isa.Class) { f.touches = append(f.to
 
 func testCoreConfig() Config {
 	return Config{
-		ID:                  0,
-		SMTWays:             2,
-		DeliverWidth:        4,
-		ThrottleFactor:      0.25,
-		AVX256Gate:          PowerGateConfig{Present: true, WakeLatency: 10 * units.Nanosecond, IdleTimeout: 5 * units.Microsecond},
-		AVX512Gate:          PowerGateConfig{Present: true, WakeLatency: 14 * units.Nanosecond, IdleTimeout: 5 * units.Microsecond},
-		BaselineUndelivered: 0.01,
+		ID:             0,
+		SMTWays:        2,
+		DeliverWidth:   4,
+		ThrottleFactor: 0.25,
+		AVX256Gate:     PowerGateConfig{Present: true, WakeLatency: 10 * units.Nanosecond, IdleTimeout: 5 * units.Microsecond},
+		AVX512Gate:     PowerGateConfig{Present: true, WakeLatency: 14 * units.Nanosecond, IdleTimeout: 5 * units.Microsecond},
 	}
 }
 
@@ -74,11 +74,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.DeliverWidth = 0
 	if bad.Validate() == nil {
 		t.Error("zero width accepted")
-	}
-	bad = testCoreConfig()
-	bad.BaselineUndelivered = 1
-	if bad.Validate() == nil {
-		t.Error("baseline undelivered = 1 accepted")
 	}
 }
 
@@ -438,4 +433,78 @@ func TestStartBeforeFrequencyPanics(t *testing.T) {
 		}
 	}()
 	c.Start(0, isa.Loop64b, 10, nil)
+}
+
+// driveCore runs a script that touches every piece of core state — a
+// license request and its throttle, both AVX gates, SMT sharing, a
+// preemption, a spin, clock modulation and a halt — logging each
+// completion into the returned transcript.
+func driveCore(c *Core, q *sched.Queue) string {
+	log := ""
+	done := func(what string) func(units.Time) {
+		return func(now units.Time) { log += fmt.Sprintf("%s@%v ", what, now) }
+	}
+	c.SetFrequency(2*units.GHz, q.Now())
+	c.Start(0, isa.Loop512Heavy, 200, done("avx512"))
+	c.Start(1, isa.Loop64b, 100, func(now units.Time) {
+		done("scalar")(now)
+		c.Spin(1, now.Add(3*units.Microsecond), done("spin"))
+	})
+	c.Preempt(0, units.Microsecond)
+	q.RunUntil(q.Now().Add(2 * units.Microsecond))
+	c.SetDutyCycle(0.5, q.Now())
+	c.SetHalted(true, q.Now())
+	q.RunUntil(q.Now().Add(units.Microsecond))
+	c.SetHalted(false, q.Now())
+	q.Run(0)
+	return log + coreTranscript(c, q)
+}
+
+// coreTranscript renders everything a core shows its callers.
+func coreTranscript(c *Core, q *sched.Queue) string {
+	now := q.Now()
+	out := fmt.Sprintf("now=%v freq=%v halted=%v duty=%v throttled=%v/%v license=%v busy=%d wakes=%d/%d act=%+v\n",
+		now, c.Frequency(), c.Halted(), c.DutyCycle(), c.Throttled(), c.ThrottleTime(now),
+		c.License(), c.BusyThreads(), c.AVX256Wakes(), c.AVX512Wakes(), c.Activity())
+	for slot := range c.threads {
+		out += fmt.Sprintf("slot %d: %+v\n", slot, c.Counters(slot, now))
+	}
+	return out
+}
+
+// TestResetMatchesNewCore: a core that has run, once Reset under new
+// knobs, is indistinguishable from NewCore under those knobs and replays
+// the same transcript, license requests included.
+func TestResetMatchesNewCore(t *testing.T) {
+	used, q, cm := newTestCore(t, testCoreConfig(), 2*units.Microsecond)
+	driveCore(used, q)
+	cfg := testCoreConfig()
+	cfg.PerThreadThrottle = true
+	cfg.AVX512Gate.WakeLatency = 20 * units.Nanosecond
+	q.Reset()
+	if err := used.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	cm.requests, cm.touches = nil, nil
+
+	fq := sched.NewQueue()
+	fcm := &fakeCM{q: fq, grantAfter: 2 * units.Microsecond}
+	fresh, err := NewCore(cfg, fq, fcm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcm.core = fresh
+	if got, want := coreTranscript(used, q), coreTranscript(fresh, fq); got != want {
+		t.Fatalf("reset core:\n%s\nnew core:\n%s", got, want)
+	}
+	got, want := driveCore(used, q), driveCore(fresh, fq)
+	if got != want {
+		t.Fatalf("replay after Reset:\n%s\nfresh replay:\n%s", got, want)
+	}
+	if fmt.Sprint(cm.requests, cm.touches) != fmt.Sprint(fcm.requests, fcm.touches) || len(fcm.requests) == 0 {
+		t.Fatalf("license traffic: reset %v %v, fresh %v %v", cm.requests, cm.touches, fcm.requests, fcm.touches)
+	}
+	if err := used.Reset(Config{ID: 1, SMTWays: 2, DeliverWidth: 4, ThrottleFactor: 0.25}); err == nil {
+		t.Fatal("Reset changed the core's identity")
+	}
 }
