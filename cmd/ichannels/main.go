@@ -267,8 +267,8 @@ func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(pos
 	if *jsonOut && *ndjsonOut {
 		return fmt.Errorf("%s: give either -json or -ndjson, not both", cmd)
 	}
-	if *seed, err = scenario.ResolveSeed(*seed); err != nil {
-		return fmt.Errorf("%s: -%w", cmd, err)
+	if err := resolveSeed(cmd, seed); err != nil {
+		return err
 	}
 	specs, err := load(positional)
 	if err != nil {
@@ -383,8 +383,8 @@ func sweepRun(args []string) error {
 	if *jsonOut && *ndjsonOut {
 		return errors.New("sweep run: give either -json or -ndjson, not both")
 	}
-	if *seed, err = scenario.ResolveSeed(*seed); err != nil {
-		return fmt.Errorf("sweep run: -%w", err)
+	if err := resolveSeed("sweep run", seed); err != nil {
+		return err
 	}
 	if *refine && sw.Refine == nil {
 		return errors.New("sweep run: -refine given but the spec has no refine block (see 'ichannels sweep schema')")
@@ -801,14 +801,28 @@ func serveCmd(args []string) error {
 	}
 }
 
+// resolveSeed applies the one seed rule (scenario.ResolveSeed) to a -seed
+// flag in place: 0 means the default seed, a negative seed is an error.
+func resolveSeed(cmd string, seed *int64) error {
+	s, err := scenario.ResolveSeed(*seed)
+	if err != nil {
+		return fmt.Errorf("%s: -%w", cmd, err)
+	}
+	*seed = s
+	return nil
+}
+
 func runExp(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("exp: missing experiment id (try 'ichannels list')")
 	}
 	id := args[0]
 	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
+	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
 	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	if err := resolveSeed("exp", seed); err != nil {
 		return err
 	}
 	run := func(id string) error {
@@ -835,8 +849,11 @@ func demo(args []string) error {
 	kindName := fs.String("kind", "cores",
 		"channel kind: "+strings.Join(ichannels.ChannelKindNames(), ", "))
 	msg := fs.String("msg", "IChannels", "message to exfiltrate")
-	seed := fs.Int64("seed", 1, "simulation seed")
+	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := resolveSeed("demo", seed); err != nil {
 		return err
 	}
 	var kind ichannels.ChannelKind
@@ -930,8 +947,11 @@ func traceCmd(args []string) error {
 	ghz := fs.Float64("ghz", 1.4, "requested frequency in GHz")
 	durUS := fs.Float64("us", 60, "trace duration in microseconds")
 	sampleNS := fs.Float64("sample", 200, "sampling interval in nanoseconds")
-	seed := fs.Int64("seed", 1, "simulation seed")
+	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := resolveSeed("trace", seed); err != nil {
 		return err
 	}
 	proc, err := ichannels.ProcessorByName(*procName)
@@ -972,8 +992,11 @@ func traceCmd(args []string) error {
 
 func spy(args []string) error {
 	fs := flag.NewFlagSet("spy", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
+	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := resolveSeed("spy", seed); err != nil {
 		return err
 	}
 	proc := ichannels.CannonLake8121U()

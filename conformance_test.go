@@ -19,6 +19,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -439,8 +440,9 @@ func TestConformanceServeSIGTERMSealsStore(t *testing.T) {
 // TestConformanceSeedRule: every surface's base seed follows one rule —
 // 0 means the default seed and a negative seed is an error. CLI -seed 0
 // prints the -seed 1 aggregate, which is also what POST /v1/sweeps?seed=0
-// streams, and a negative -seed makes run, scenario run and sweep run
-// exit non-zero.
+// streams; exp and demo print the same bytes at -seed 0 and -seed 1; and
+// a negative -seed makes run, scenario run, sweep run, exp, demo, spy and
+// trace exit non-zero.
 func TestConformanceSeedRule(t *testing.T) {
 	f := filepath.Join("examples", "sweeps", "specs", "crossfamily_kind_mitigation.json")
 	data, err := os.ReadFile(f)
@@ -463,10 +465,21 @@ func TestConformanceSeedRule(t *testing.T) {
 	if got := last(postNDJSON(t, srv, "/v1/sweeps?seed=0", data)); !bytes.Equal(got, want) {
 		t.Errorf("HTTP ?seed=0 aggregate differs from CLI -seed 1:\n%s\nwant:\n%s", got, want)
 	}
+	for _, args := range [][]string{{"exp", "fig13"}, {"demo", "-kind", "cores"}} {
+		zero := bytes.Join(runCLI(t, slices.Concat(args, []string{"-seed", "0"})...), []byte("\n"))
+		one := bytes.Join(runCLI(t, slices.Concat(args, []string{"-seed", "1"})...), []byte("\n"))
+		if !bytes.Equal(zero, one) {
+			t.Errorf("ichannels %s -seed 0 differs from -seed 1:\n%s\nwant:\n%s", strings.Join(args, " "), zero, one)
+		}
+	}
 	for _, args := range [][]string{
 		{"sweep", "run", f, "-seed", "-1"},
 		{"scenario", "run", filepath.Join("examples", "scenarios", "specs", "quickstart.json"), "-seed", "-1"},
 		{"run", "table2", "-seed", "-1"},
+		{"exp", "fig13", "-seed", "-1"},
+		{"demo", "-kind", "cores", "-seed", "-1"},
+		{"spy", "-seed", "-1"},
+		{"trace", "-seed", "-1"},
 	} {
 		if err := exec.Command(buildCLI(t), args...).Run(); err == nil {
 			t.Errorf("ichannels %s exited 0; want a negative-seed error", strings.Join(args, " "))
