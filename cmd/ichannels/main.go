@@ -117,9 +117,6 @@ func usage() {
                                       push every local entry the remote corpus lacks (reconcile a
                                       -cache replica after a partition, dropped flushes, or a remote
                                       wipe; idempotent — deterministic results make pushes byte-stable)
-  ichannels store bench [-n N] [-reads N] [-dir DIR] [-json|-bench]
-                                      fill a synthetic corpus and measure write throughput, warm-read
-                                      latency, and gc time (-bench emits go-bench lines)
   ichannels serve [-addr HOST:PORT] [-store DIR|URL [-cache DIR]] [-worker] [-share]
                   [-gc-every DUR [-max-age DUR] [-max-bytes N]]
                                       HTTP v1 API: GET /v1/experiments, GET /v1/scenarios/schema,
@@ -561,17 +558,15 @@ func openRunStore(cmd, spec, cache string, resume bool) (ichannels.ResultStore, 
 // per-file corpus with a `store pack` hint.
 func storeCmd(args []string) error {
 	if len(args) < 1 {
-		return errors.New("store: missing subcommand (ls, verify, gc, pack, sync, or bench)")
+		return errors.New("store: missing subcommand (ls, verify, gc, pack, or sync)")
 	}
 	sub := args[0]
 	switch sub {
-	case "bench":
-		return storeBench(args[1:])
 	case "sync":
 		return storeSync(args[1:])
 	case "ls", "verify", "gc", "pack":
 	default:
-		return fmt.Errorf("store: unknown subcommand %q (ls, verify, gc, pack, sync, or bench)", sub)
+		return fmt.Errorf("store: unknown subcommand %q (ls, verify, gc, pack, or sync)", sub)
 	}
 	fs := flag.NewFlagSet("store "+sub, flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON")
@@ -701,41 +696,6 @@ func storeSync(args []string) error {
 		dirs[0], *remote, rep.LocalEntries, rep.RemoteEntries, rep.Pushed, rep.PushErrors)
 	if rep.PushErrors > 0 {
 		return fmt.Errorf("store sync: %d pushes failed (re-run to retry)", rep.PushErrors)
-	}
-	return nil
-}
-
-// storeBench measures the packed store on a synthetic corpus: write
-// throughput, warm-read latency, gc time.
-func storeBench(args []string) error {
-	fs := flag.NewFlagSet("store bench", flag.ContinueOnError)
-	n := fs.Int("n", 1000000, "synthetic entries to write")
-	reads := fs.Int("reads", 0, "warm reads to time (0 = one per entry)")
-	dir := fs.String("dir", "", "scratch directory (default: a temp dir, removed afterwards)")
-	jsonOut := fs.Bool("json", false, "emit the machine-readable report")
-	benchOut := fs.Bool("bench", false, "emit go-bench lines (for tools/benchjson)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep, err := ichannels.RunStoreBench(ichannels.StoreBenchOptions{Entries: *n, Reads: *reads, Dir: *dir})
-	if err != nil {
-		return err
-	}
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	case *benchOut:
-		fmt.Printf("BenchmarkStoreWrite %d %.0f ns/op %.1f entries_per_sec\n",
-			rep.Entries, rep.WriteNSPerOp, rep.WriteEntriesPerSec)
-		fmt.Printf("BenchmarkStoreWarmRead %d %.0f ns/op %.0f p95_ns\n",
-			rep.Reads, rep.ReadNSPerOp, rep.ReadP95NS)
-		fmt.Printf("BenchmarkStoreGC 1 %.0f ns/op\n", rep.GCNS)
-	default:
-		fmt.Printf("%12s %14s %14s %14s %12s\n", "entries", "write ns/op", "read ns/op", "read p95 ns", "gc ms")
-		fmt.Printf("%12d %14.0f %14.0f %14.0f %12.1f\n",
-			rep.Entries, rep.WriteNSPerOp, rep.ReadNSPerOp, rep.ReadP95NS, rep.GCNS/1e6)
 	}
 	return nil
 }

@@ -421,13 +421,8 @@ func WriteOnlyStore(st ResultStore) ResultStore { return store.WriteOnly(st) }
 // compaction — plus the maintenance surface (List, Verify, GC/GCWith).
 type PackedResultStore = store.Packed
 
-// StorePackReport and StoreBenchReport are the machine-readable results
-// of `ichannels store pack` and `ichannels store bench`.
-type (
-	StorePackReport   = store.PackReport
-	StoreBenchOptions = store.BenchOptions
-	StoreBenchReport  = store.BenchReport
-)
+// StorePackReport is the machine-readable result of `ichannels store pack`.
+type StorePackReport = store.PackReport
 
 // OpenResultStore opens the store behind every `-store`/`-cache` flag
 // pair: a directory opens as a PackedResultStore (created if new); an
@@ -491,12 +486,6 @@ func SyncStoreDir(ctx context.Context, dir, baseURL string) (*StoreSyncReport, e
 // finishes whatever a crash left. It is the only path that still reads
 // per-file entries.
 func PackStore(dir string) (*StorePackReport, error) { return store.Pack(dir) }
-
-// RunStoreBench fills a synthetic packed corpus and measures write
-// throughput, warm-read latency, and gc time.
-func RunStoreBench(opts StoreBenchOptions) (*StoreBenchReport, error) {
-	return store.RunBench(opts)
-}
 
 // ---- Streaming execution ----
 

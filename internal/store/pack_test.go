@@ -221,21 +221,3 @@ func TestParseEntryName(t *testing.T) {
 		}
 	}
 }
-
-// TestStoreBenchSmoke: the bench harness end to end at toy scale, sane
-// numbers.
-func TestStoreBenchSmoke(t *testing.T) {
-	rep, err := RunBench(BenchOptions{Entries: 64, Reads: 32, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Entries != 64 || rep.Reads != 32 {
-		t.Fatalf("bench sized wrong: %+v", rep)
-	}
-	if rep.WriteNSPerOp <= 0 || rep.ReadNSPerOp <= 0 || rep.GCNS <= 0 || rep.Bytes <= 0 {
-		t.Fatalf("non-positive measurements: %+v", rep)
-	}
-	if rep.ReadP95NS < rep.ReadNSPerOp/10 {
-		t.Fatalf("p95 %.0f implausibly below mean %.0f", rep.ReadP95NS, rep.ReadNSPerOp)
-	}
-}
