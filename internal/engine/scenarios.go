@@ -275,8 +275,12 @@ func (b *ScenarioBatch) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteNDJSON writes one outcome object per line (no indentation), the
-// same framing the HTTP v1 array endpoint streams.
+// WriteNDJSON writes one outcome object per line (no indentation): the
+// input scenario, seed, cached flag, elapsed_us, and an error string or
+// the result — the same objects WriteJSON puts in its "results" array.
+// This is not the HTTP v1 array endpoint's framing: its lines carry
+// index, name and hash in place of the scenario, and a structured error
+// envelope. Both carry the same result bytes for the same seed.
 func (b *ScenarioBatch) WriteNDJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for i := range b.Results {
