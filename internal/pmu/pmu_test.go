@@ -455,7 +455,8 @@ func TestUseBeforeInitializePanics(t *testing.T) {
 
 // drivePMU runs a script that exercises every piece of PMU state: license
 // grants serialized on the shared regulator, touches, a decay after the
-// reset-time, and a software frequency change.
+// reset-time, a software frequency change, and a restore left in flight
+// with secure mode's retarget queued behind it.
 func drivePMU(p *PMU, q *sched.Queue, cores []*fakeCore) {
 	cores[0].busy, cores[1].busy = true, true
 	cores[0].active, cores[1].active = isa.Vec256Heavy, isa.Vec512Heavy
@@ -467,6 +468,9 @@ func drivePMU(p *PMU, q *sched.Queue, cores []*fakeCore) {
 	q.RunUntil(q.Now().Add(2 * units.Millisecond))
 	p.SetRequestedFrequency(1.2 * units.GHz)
 	q.RunUntil(q.Now().Add(units.Millisecond))
+	p.SetRequestedFrequency(2 * units.GHz)
+	q.RunUntil(q.Now().Add(units.Microsecond))
+	p.SetSecure(true)
 }
 
 // pmuTranscript renders what the PMU shows its callers and what it did to
@@ -506,7 +510,7 @@ func TestResetMatchesFreshlyAttached(t *testing.T) {
 	if got, want := pmuTranscript(used, q, cores), pmuTranscript(fresh, fq, fcores); got != want {
 		t.Fatalf("replay after Reset:\n%s\nfresh replay:\n%s", got, want)
 	}
-	if len(cores[1].granted) == 0 || len(cores[0].downgrades) == 0 || fresh.Frequency() != 1.2*units.GHz {
+	if len(cores[1].granted) == 0 || len(cores[0].downgrades) == 0 || !fresh.restoreQueued || len(fresh.queue[0]) == 0 {
 		t.Fatalf("script exercised too little: %s", pmuTranscript(fresh, fq, fcores))
 	}
 }
