@@ -18,6 +18,14 @@
 // contract (mitigate.Channel) through channels.SlotDecoder, the
 // one-bit-per-slot rule: Calibrate returns the mean one/zero measurement
 // gap and Transmit returns a core.TransmitResult.
+//
+// All four run on core's slot clock (core.RunSlots). The sender is a
+// core.SlotSender that, at each window boundary, runs a burst (TurboCC,
+// PowerT) or queues a governor write (DFScovert); the receiver is
+// a core.SlotReceiver timing one loop per window. NetSpectre runs both
+// sides on one thread, with the trigger as the receiver's same-thread
+// action. PowerT keeps its own receiver agent, because it polls the
+// thermal sensor through the window instead of timing a loop.
 package baselines
 
 import "ichannels/internal/units"

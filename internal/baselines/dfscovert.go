@@ -5,6 +5,7 @@ import (
 
 	"ichannels/internal/channels"
 	"ichannels/internal/core"
+	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
 )
@@ -54,53 +55,27 @@ func NewDFScovert(m *soc.Machine) (*DFScovert, error) {
 	}, nil
 }
 
-// dfsSender issues one governor write per bit window.
-type dfsSender struct {
-	d    *DFScovert
-	base units.Time
-	bits []int
-	idx  int
-}
-
-func (a *dfsSender) Name() string { return "dfscovert.sender" }
-
-func (a *dfsSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if prev != nil {
-		// The spin to the window boundary completed: write the governor.
-		bit := a.bits[a.idx]
-		a.idx++
-		target := a.d.HighFreq
-		if bit == 1 {
-			target = a.d.LowFreq
-		}
-		env.M.Q.After(a.d.GovernorLatency, func(units.Time) {
-			env.M.PMU.SetRequestedFrequency(target)
-		})
-	}
-	if a.idx >= len(a.bits) {
-		return soc.Stop()
-	}
-	return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.d.BitPeriod))
-}
-
+// run issues one governor write per bit window at its boundary and times
+// the receiver's scalar loop inside it.
 func (d *DFScovert) run(bits []int) ([]float64, error) {
-	base := d.m.Now().Add(50 * units.Microsecond)
-	snd := &dfsSender{d: d, base: base, bits: bits}
-	rcv := &channels.TimingReceiver{Label: "dfscovert.receiver", Base: base, Period: d.BitPeriod,
-		Offset: d.MeasureOffset, Iters: d.MeasureIters, Windows: len(bits),
-		Measures: make([]float64, 0, len(bits))}
-	if _, err := d.m.Bind(0, 0, snd); err != nil {
-		return nil, err
+	slots := core.Slots{Base: d.m.Now().Add(50 * units.Microsecond), Period: d.BitPeriod, N: len(bits)}
+	// write[b] applies bit b's operating point once the governor acts.
+	write := [2]func(units.Time){
+		func(units.Time) { d.m.PMU.SetRequestedFrequency(d.HighFreq) },
+		func(units.Time) { d.m.PMU.SetRequestedFrequency(d.LowFreq) },
 	}
-	if _, err := d.m.Bind(1, 0, rcv); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * d.BitPeriod).Add(time500us)
-	d.m.RunUntil(end)
+	snd := &core.SlotSender{Label: "dfscovert.sender", Slots: slots, Send: func(k int) (soc.Action, bool) {
+		d.m.Q.After(d.GovernorLatency, write[bits[k]])
+		return soc.Action{}, false
+	}}
+	rcv := &core.SlotReceiver{Label: "dfscovert.receiver", Slots: slots, Offset: d.MeasureOffset,
+		Kernel: isa.Loop64b, Iters: d.MeasureIters}
+	measures, err := core.RunSlots(d.m, slots, time500us, &rcv.Measures,
+		core.Placed{Core: 0, Slot: 0, Agent: snd}, core.Placed{Core: 1, Slot: 0, Agent: rcv})
 	// Restore the nominal operating point for whatever runs next.
 	d.m.PMU.SetRequestedFrequency(d.HighFreq)
 	d.m.RunFor(2 * units.Millisecond)
-	return rcv.Measures, nil
+	return measures, err
 }
 
 // Calibrate learns the fast/slow decision threshold.

@@ -30,6 +30,10 @@ type NetSpectre struct {
 	decoder channels.SlotDecoder
 	core    int
 	slot    int
+	// bits is the stream of the run in progress; trigger, bound once in
+	// NewNetSpectre so a run allocates no closure, reads it.
+	bits    []int
+	trigger core.SlotAction
 }
 
 // NewNetSpectre builds the gadget on core 0 of m.
@@ -37,69 +41,33 @@ func NewNetSpectre(m *soc.Machine) (*NetSpectre, error) {
 	if m == nil {
 		return nil, fmt.Errorf("baselines: nil machine")
 	}
-	return &NetSpectre{
+	n := &NetSpectre{
 		m:            m,
 		SlotPeriod:   m.Proc.LicenseHysteresis + 40*units.Microsecond,
 		TriggerIters: 64,
 		MeasureIters: 48,
 		// A set bit leaves the voltage pre-ramped, so a 1 reads faster.
 		decoder: channels.NewSlotDecoder("baselines: netspectre", "throttle contrast", true),
-	}, nil
-}
-
-// nsAgent drives one transmission of the NetSpectre gadget.
-type nsAgent struct {
-	ns       *NetSpectre
-	base     units.Time
-	bits     []int
-	idx      int
-	phase    int // 0 wait, 1 send, 2 awaiting-trigger, 3 awaiting-measure
-	measures []float64
-}
-
-func (a *nsAgent) Name() string { return "netspectre" }
-
-func (a *nsAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0: // slot boundary
-		if a.idx >= len(a.bits) {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.ns.SlotPeriod))
-	case 1: // start of slot: trigger on bit 1, else measure directly
-		bit := a.bits[a.idx]
-		a.idx++
-		if bit == 1 {
-			// The leak gadget executes its AVX2 instruction(s).
-			a.phase = 2
-			return soc.Exec(isa.Loop256Heavy, a.ns.TriggerIters)
-		}
-		a.phase = 3
-		return soc.Exec(isa.Loop256Heavy, a.ns.MeasureIters)
-	case 2: // trigger finished: measure
-		a.phase = 3
-		return soc.Exec(isa.Loop256Heavy, a.ns.MeasureIters)
-	case 3: // measurement finished: record and wait for the next slot
-		a.measures = append(a.measures, float64(prev.ElapsedTSC()))
-		a.phase = 0
-		return a.Next(env, nil)
-	default:
-		panic("baselines: netspectre agent in invalid phase")
 	}
+	n.trigger = n.leak
+	return n, nil
 }
 
-// run transmits raw bits and returns per-bit measurement cycles.
+// leak is the gadget's AVX2 trigger, run for a 1 bit in slot k.
+func (n *NetSpectre) leak(k int) (soc.Action, bool) {
+	return soc.Exec(isa.Loop256Heavy, n.TriggerIters), n.bits[k] == 1
+}
+
+// run transmits raw bits and returns per-bit measurement cycles. Each
+// transaction runs the leak gadget's AVX2 trigger at the slot boundary
+// for a 1 bit, then times the AVX2 measurement loop on the same thread.
 func (n *NetSpectre) run(bits []int) ([]float64, error) {
-	base := n.m.Now().Add(20 * units.Microsecond)
-	agent := &nsAgent{ns: n, base: base, bits: bits,
-		measures: make([]float64, 0, len(bits))}
-	if _, err := n.m.Bind(n.core, n.slot, agent); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * n.SlotPeriod).Add(100 * units.Microsecond)
-	n.m.RunUntil(end)
-	return agent.measures, nil
+	slots := core.Slots{Base: n.m.Now().Add(20 * units.Microsecond), Period: n.SlotPeriod, N: len(bits)}
+	n.bits = bits
+	agent := &core.SlotReceiver{Label: "netspectre", Slots: slots, Before: n.trigger,
+		Kernel: isa.Loop256Heavy, Iters: n.MeasureIters}
+	return core.RunSlots(n.m, slots, 100*units.Microsecond, &agent.Measures,
+		core.Placed{Core: n.core, Slot: n.slot, Agent: agent})
 }
 
 // Calibrate learns the warm/cold decision threshold from n known 1/0

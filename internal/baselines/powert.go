@@ -46,51 +46,19 @@ func NewPowerT(m *soc.Machine) (*PowerT, error) {
 	}, nil
 }
 
-// ptSender runs the heater burst for 1 bits.
-type ptSender struct {
-	pt   *PowerT
-	base units.Time
-	bits []int
-	idx  int
-	sent bool
-}
-
-func (a *ptSender) Name() string { return "powert.sender" }
-
-func (a *ptSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if !a.sent {
-		if a.idx >= len(a.bits) {
-			return soc.Stop()
-		}
-		a.sent = true
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.pt.BitPeriod))
-	}
-	bit := a.bits[a.idx]
-	a.idx++
-	a.sent = false
-	if bit == 1 {
-		heat := units.Duration(float64(a.pt.BitPeriod) * a.pt.HeatFraction)
-		// Size the virus loop to roughly fill the heating window.
-		freq := env.M.PMU.Frequency()
-		k := isa.Loop256Heavy
-		iters := int64(heat.Seconds()*float64(freq)/float64(k.UopsPerIter)) + 1
-		return soc.Exec(k, iters)
-	}
-	return a.Next(env, nil)
-}
-
 // ptReceiver polls the thermal sensor through each window and records the
-// start→end temperature delta.
+// start→end temperature delta. It keeps its own agent rather than a
+// core.SlotReceiver because it reads a sensor across the whole window
+// instead of timing one loop.
 type ptReceiver struct {
-	pt      *PowerT
-	base    units.Time
-	windows int
-	idx     int
-	polls   int
-	tStart  float64
-	tMax    float64
-	deltas  []float64
-	phase   int // 0 wait-window, 1 polling
+	pt     *PowerT
+	slots  core.Slots
+	idx    int
+	polls  int
+	tStart float64
+	tMax   float64
+	deltas []float64
+	phase  int // 0 wait-window, 1 polling
 }
 
 func (a *ptReceiver) Name() string { return "powert.receiver" }
@@ -98,12 +66,12 @@ func (a *ptReceiver) Name() string { return "powert.receiver" }
 func (a *ptReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	switch a.phase {
 	case 0:
-		if a.idx >= a.windows {
+		if a.idx >= a.slots.N {
 			return soc.Stop()
 		}
 		a.phase = 1
 		a.polls = 0
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.pt.BitPeriod))
+		return soc.SpinUntil(a.slots.Start(a.idx))
 	case 1:
 		temp := float64(env.M.ProbeScalars().Temp)
 		if a.polls == 0 {
@@ -113,7 +81,7 @@ func (a *ptReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
 			a.tMax = temp
 		}
 		a.polls++
-		windowEnd := a.base.Add(units.Duration(a.idx+1) * a.pt.BitPeriod)
+		windowEnd := a.slots.Start(a.idx + 1)
 		nextPoll := env.Now().Add(a.pt.PollInterval)
 		if nextPoll.Add(a.pt.PollInterval/2) >= windowEnd {
 			// Last poll of the window: decode on the peak rise over the
@@ -129,19 +97,22 @@ func (a *ptReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	}
 }
 
+// run heats for a 1 bit from the start of its window, running a power
+// virus sized to roughly fill HeatFraction of it, while the receiver polls
+// the thermal sensor.
 func (p *PowerT) run(bits []int) ([]float64, error) {
-	base := p.m.Now().Add(50 * units.Microsecond)
-	snd := &ptSender{pt: p, base: base, bits: bits}
-	rcv := &ptReceiver{pt: p, base: base, windows: len(bits)}
-	if _, err := p.m.Bind(0, 0, snd); err != nil {
-		return nil, err
-	}
-	if _, err := p.m.Bind(1, 0, rcv); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * p.BitPeriod).Add(time500us)
-	p.m.RunUntil(end)
-	return rcv.deltas, nil
+	slots := core.Slots{Base: p.m.Now().Add(50 * units.Microsecond), Period: p.BitPeriod, N: len(bits)}
+	snd := &core.SlotSender{Label: "powert.sender", Slots: slots, Send: func(k int) (soc.Action, bool) {
+		if bits[k] == 0 {
+			return soc.Action{}, false
+		}
+		heat := units.Duration(float64(p.BitPeriod) * p.HeatFraction)
+		v := isa.Loop256Heavy
+		return soc.Exec(v, int64(heat.Seconds()*float64(p.m.PMU.Frequency())/float64(v.UopsPerIter))+1), true
+	}}
+	rcv := &ptReceiver{pt: p, slots: slots}
+	return core.RunSlots(p.m, slots, time500us, &rcv.deltas,
+		core.Placed{Core: 0, Slot: 0, Agent: snd}, core.Placed{Core: 1, Slot: 0, Agent: rcv})
 }
 
 // Calibrate learns the heat/no-heat decision threshold.

@@ -57,54 +57,22 @@ func NewTurboCC(m *soc.Machine) (*TurboCC, error) {
 	}, nil
 }
 
-// tcSender holds the PHI burst at each 1-bit window start.
-type tcSender struct {
-	tc   *TurboCC
-	base units.Time
-	bits []int
-	idx  int
-	sent bool
-}
-
-func (a *tcSender) Name() string { return "turbocc.sender" }
-
-func (a *tcSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if !a.sent {
-		if a.idx >= len(a.bits) {
-			return soc.Stop()
-		}
-		a.sent = true
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.tc.BitPeriod))
-	}
-	bit := a.bits[a.idx]
-	a.idx++
-	a.sent = false
-	if bit == 1 {
-		k := isa.Loop512Heavy
-		if !a.tc.m.Proc.HasAVX512 {
-			k = isa.Loop256Heavy
-		}
-		return soc.Exec(k, a.tc.SenderIters)
-	}
-	// Bit 0: stay scalar; the clock keeps its Turbo bin.
-	return a.Next(env, nil)
-}
-
+// run holds the PHI burst from the start of each 1-bit window (a 0 bit
+// stays scalar, so the clock keeps its Turbo bin) and times the
+// receiver's scalar loop inside every window.
 func (t *TurboCC) run(bits []int) ([]float64, error) {
-	base := t.m.Now().Add(50 * units.Microsecond)
-	snd := &tcSender{tc: t, base: base, bits: bits}
-	rcv := &channels.TimingReceiver{Label: "turbocc.receiver", Base: base, Period: t.BitPeriod,
-		Offset: t.MeasureOffset, Iters: t.MeasureIters, Windows: len(bits),
-		Measures: make([]float64, 0, len(bits))}
-	if _, err := t.m.Bind(0, 0, snd); err != nil {
-		return nil, err
+	slots := core.Slots{Base: t.m.Now().Add(50 * units.Microsecond), Period: t.BitPeriod, N: len(bits)}
+	burst := isa.Loop512Heavy
+	if !t.m.Proc.HasAVX512 {
+		burst = isa.Loop256Heavy
 	}
-	if _, err := t.m.Bind(1, 0, rcv); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * t.BitPeriod).Add(time500us)
-	t.m.RunUntil(end)
-	return rcv.Measures, nil
+	snd := &core.SlotSender{Label: "turbocc.sender", Slots: slots, Send: func(k int) (soc.Action, bool) {
+		return soc.Exec(burst, t.SenderIters), bits[k] == 1
+	}}
+	rcv := &core.SlotReceiver{Label: "turbocc.receiver", Slots: slots, Offset: t.MeasureOffset,
+		Kernel: isa.Loop64b, Iters: t.MeasureIters}
+	return core.RunSlots(t.m, slots, time500us, &rcv.Measures,
+		core.Placed{Core: 0, Slot: 0, Agent: snd}, core.Placed{Core: 1, Slot: 0, Agent: rcv})
 }
 
 // Calibrate learns the fast/slow decision threshold.

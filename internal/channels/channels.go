@@ -17,10 +17,13 @@
 //   - ClockMod: duty-cycle throttling as the carrier
 //     (arXiv 2404.05823). The sender programs the package T-states
 //     (IA32_CLOCK_MODULATION); the receiver times a fixed scalar loop in
-//     each bit window (TimingReceiver, shared with the TurboCC and
-//     DFScovert frequency baselines).
+//     each bit window.
 //
-// Both families, and the four single-level baselines in
+// Both families run on core's slot clock: core.RunSlots drives a
+// core.SlotSender and a core.SlotReceiver, the same two agents the
+// paper's variants and the baselines use. Retire keeps its own sender
+// agent, because a 1-slot runs repeated bursts and a 0-slot parks
+// off-core. Both families, and the four single-level baselines in
 // internal/baselines, send one bit per slot; SlotDecoder is the one
 // calibration, threshold and decode rule they all share.
 package channels
@@ -29,8 +32,6 @@ import (
 	"fmt"
 
 	"ichannels/internal/core"
-	"ichannels/internal/isa"
-	"ichannels/internal/soc"
 	"ichannels/internal/stats"
 	"ichannels/internal/units"
 )
@@ -38,8 +39,9 @@ import (
 // SlotDecoder is the one-bit-per-slot rule every single-level family
 // shares: calibrate on alternating 1,0 pairs, set the threshold midway
 // between the mean 1-slot and 0-slot measurements, and decode each slot
-// against it. A family supplies run, which transmits raw bits and returns
-// one measurement per slot; the family's agents and timing stay its own.
+// against it. A family supplies run, which transmits raw bits through
+// core.RunSlots and so returns exactly one measurement per slot; the
+// family's actions, offsets and timing stay its own.
 type SlotDecoder struct {
 	family        string // prefixes errors, e.g. "baselines: turbocc"
 	contrast      string // what calibration looks for, e.g. "thermal contrast"
@@ -66,7 +68,7 @@ func (d *SlotDecoder) Calibrate(pairs int, run func([]int) ([]float64, error)) (
 	for i := 0; i < pairs; i++ {
 		bits = append(bits, 1, 0)
 	}
-	measures, err := d.measure(bits, run)
+	measures, err := run(bits)
 	if err != nil {
 		return 0, err
 	}
@@ -98,7 +100,7 @@ func (d *SlotDecoder) Transmit(bits []int, run func([]int) ([]float64, error), p
 	if !d.calibrated {
 		return nil, fmt.Errorf("%s not calibrated", d.family)
 	}
-	measures, err := d.measure(bits, run)
+	measures, err := run(bits)
 	if err != nil {
 		return nil, err
 	}
@@ -119,19 +121,6 @@ func (d *SlotDecoder) Transmit(bits []int, run func([]int) ([]float64, error), p
 	return res, nil
 }
 
-// measure runs bits and checks that every slot was measured.
-func (d *SlotDecoder) measure(bits []int, run func([]int) ([]float64, error)) ([]float64, error) {
-	measures, err := run(bits)
-	if err != nil {
-		return nil, err
-	}
-	if len(measures) != len(bits) {
-		return nil, fmt.Errorf("%s measured %d of %d bits (simulation ended early?)",
-			d.family, len(measures), len(bits))
-	}
-	return measures, nil
-}
-
 // ValidBits rejects empty streams and non-binary values.
 func ValidBits(bits []int) error {
 	if len(bits) == 0 {
@@ -143,40 +132,4 @@ func ValidBits(bits []int) error {
 		}
 	}
 	return nil
-}
-
-// TimingReceiver is the windowed timing receiver the frequency- and
-// duty-modulated families share. In each of Windows windows of Period
-// from Base it spins to Offset, times Iters of a scalar loop and records
-// the loop's TSC cycles. It spins (stays busy) between measurements, so
-// the package's active-core count, and with it the current budget, stays
-// constant.
-type TimingReceiver struct {
-	Label          string
-	Base           units.Time
-	Period, Offset units.Duration
-	Iters          int64
-	Windows        int
-	Measures       []float64
-
-	idx       int
-	measuring bool
-}
-
-func (a *TimingReceiver) Name() string { return a.Label }
-
-func (a *TimingReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if a.measuring {
-		a.idx++
-		a.measuring = false
-		return soc.Exec(isa.Loop64b, a.Iters)
-	}
-	if prev != nil && prev.Action.Kind == soc.ActExec {
-		a.Measures = append(a.Measures, float64(prev.ElapsedTSC()))
-	}
-	if a.idx >= a.Windows {
-		return soc.Stop()
-	}
-	a.measuring = true
-	return soc.SpinUntil(a.Base.Add(units.Duration(a.idx)*a.Period + a.Offset))
 }

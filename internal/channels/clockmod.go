@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ichannels/internal/core"
+	"ichannels/internal/isa"
 	"ichannels/internal/soc"
 	"ichannels/internal/units"
 )
@@ -59,53 +60,30 @@ func NewClockMod(m *soc.Machine) (*ClockMod, error) {
 	}, nil
 }
 
-// cmSender issues one duty-cycle write per bit window.
-type cmSender struct {
-	c    *ClockMod
-	base units.Time
-	bits []int
-	idx  int
-}
-
-func (a *cmSender) Name() string { return "clockmod.sender" }
-
-func (a *cmSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if prev != nil {
-		// The spin to the window boundary completed: write the MSR.
-		bit := a.bits[a.idx]
-		a.idx++
-		target := 1.0
-		if bit == 1 {
-			target = a.c.DutyLow
-		}
-		env.M.Q.After(a.c.ActuationLatency, func(units.Time) {
-			env.M.PMU.SetClockDuty(target)
-		})
-	}
-	if a.idx >= len(a.bits) {
-		return soc.Stop()
-	}
-	return soc.SpinUntil(a.base.Add(units.Duration(a.idx) * a.c.BitPeriod))
-}
-
+// run issues one duty-cycle write per bit window at its boundary and
+// times the receiver's scalar loop inside it. The receiver spins between
+// measurements, so the package's active-core count, and with it the
+// current budget, stays constant.
 func (c *ClockMod) run(bits []int) ([]float64, error) {
-	base := c.m.Now().Add(50 * units.Microsecond)
-	snd := &cmSender{c: c, base: base, bits: bits}
-	rcv := &TimingReceiver{Label: "clockmod.receiver", Base: base, Period: c.BitPeriod,
-		Offset: c.MeasureOffset, Iters: c.MeasureIters, Windows: len(bits),
-		Measures: make([]float64, 0, len(bits))}
-	if _, err := c.m.Bind(c.SenderCore, c.SenderSlot, snd); err != nil {
-		return nil, err
+	slots := core.Slots{Base: c.m.Now().Add(50 * units.Microsecond), Period: c.BitPeriod, N: len(bits)}
+	// write[b] applies bit b's duty cycle once the MSR write lands.
+	write := [2]func(units.Time){
+		func(units.Time) { c.m.PMU.SetClockDuty(1) },
+		func(units.Time) { c.m.PMU.SetClockDuty(c.DutyLow) },
 	}
-	if _, err := c.m.Bind(c.ReceiverCore, c.ReceiverSlot, rcv); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(bits)) * c.BitPeriod).Add(100 * units.Microsecond)
-	c.m.RunUntil(end)
+	snd := &core.SlotSender{Label: "clockmod.sender", Slots: slots, Send: func(k int) (soc.Action, bool) {
+		c.m.Q.After(c.ActuationLatency, write[bits[k]])
+		return soc.Action{}, false
+	}}
+	rcv := &core.SlotReceiver{Label: "clockmod.receiver", Slots: slots, Offset: c.MeasureOffset,
+		Kernel: isa.Loop64b, Iters: c.MeasureIters}
+	measures, err := core.RunSlots(c.m, slots, 100*units.Microsecond, &rcv.Measures,
+		core.Placed{Core: c.SenderCore, Slot: c.SenderSlot, Agent: snd},
+		core.Placed{Core: c.ReceiverCore, Slot: c.ReceiverSlot, Agent: rcv})
 	// Restore full duty for whatever runs next on this machine.
 	c.m.PMU.SetClockDuty(1)
 	c.m.RunFor(100 * units.Microsecond)
-	return rcv.Measures, nil
+	return measures, err
 }
 
 // Calibrate learns the modulated/unmodulated decision threshold from

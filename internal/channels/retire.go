@@ -68,15 +68,12 @@ func NewRetire(m *soc.Machine) (*Retire, error) {
 	}, nil
 }
 
-func (r *Retire) slotStart(base units.Time, k int) units.Time {
-	return base.Add(units.Duration(k) * r.SlotPeriod)
-}
-
 // retireSender contends for the retire stage in 1-slots and parks off-core
-// in 0-slots.
+// in 0-slots. It keeps its own agent: a 1-slot runs bursts until the slot
+// is nearly over, and a 0-slot parks rather than spins.
 type retireSender struct {
 	r     *Retire
-	base  units.Time
+	slots core.Slots
 	bits  []int
 	idx   int
 	phase int // 0 wait, 1 decide, 2 contend
@@ -91,7 +88,7 @@ func (a *retireSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 			return soc.Stop()
 		}
 		a.phase = 1
-		return soc.SpinUntil(a.r.slotStart(a.base, a.idx))
+		return soc.SpinUntil(a.slots.Start(a.idx))
 	case 1:
 		if a.bits[a.idx] == 0 {
 			// Park off-core so the 0-slot runs uncontended, resuming
@@ -103,7 +100,7 @@ func (a *retireSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 		a.phase = 2
 		return soc.Exec(isa.Loop64b, a.r.SenderIters)
 	case 2:
-		slotEnd := a.r.slotStart(a.base, a.idx+1)
+		slotEnd := a.slots.Start(a.idx + 1)
 		if env.Now() < slotEnd.Add(-contendTail) {
 			return soc.Exec(isa.Loop64b, a.r.SenderIters)
 		}
@@ -115,54 +112,18 @@ func (a *retireSender) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	}
 }
 
-// retireReceiver retires fixed work each slot and records the unhalted
-// cycles it took.
-type retireReceiver struct {
-	r        *Retire
-	base     units.Time
-	slots    int
-	idx      int
-	phase    int // 0 wait, 1 measure
-	measures []float64
-}
-
-func (a *retireReceiver) Name() string { return "retire.receiver" }
-
-func (a *retireReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			// prev was the measurement loop: its unhalted-cycle delta is
-			// the reading (a counter, so TSC jitter never touches it).
-			a.measures = append(a.measures, prev.Counters.UnhaltedCycles)
-		}
-		if a.idx >= a.slots {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.r.slotStart(a.base, a.idx).Add(a.r.ReceiverOffset))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(isa.Loop64b, a.r.ReceiverIters)
-	default:
-		panic("channels: retire receiver in invalid phase")
-	}
-}
+// unhaltedCycles reads a measurement loop's CPU_CLK_UNHALTED delta: a
+// counter, so TSC jitter never touches it.
+func unhaltedCycles(res *soc.Result) float64 { return res.Counters.UnhaltedCycles }
 
 func (r *Retire) run(bits []int) ([]float64, error) {
-	base := r.m.Now().Add(20 * units.Microsecond)
-	snd := &retireSender{r: r, base: base, bits: bits}
-	rcv := &retireReceiver{r: r, base: base, slots: len(bits),
-		measures: make([]float64, 0, len(bits))}
-	if _, err := r.m.Bind(r.SenderCore, r.SenderSlot, snd); err != nil {
-		return nil, err
-	}
-	if _, err := r.m.Bind(r.ReceiverCore, r.ReceiverSlot, rcv); err != nil {
-		return nil, err
-	}
-	r.m.RunUntil(r.slotStart(base, len(bits)).Add(50 * units.Microsecond))
-	return rcv.measures, nil
+	slots := core.Slots{Base: r.m.Now().Add(20 * units.Microsecond), Period: r.SlotPeriod, N: len(bits)}
+	snd := &retireSender{r: r, slots: slots, bits: bits}
+	rcv := &core.SlotReceiver{Label: "retire.receiver", Slots: slots, Offset: r.ReceiverOffset,
+		Kernel: isa.Loop64b, Iters: r.ReceiverIters, Read: unhaltedCycles}
+	return core.RunSlots(r.m, slots, 50*units.Microsecond, &rcv.Measures,
+		core.Placed{Core: r.SenderCore, Slot: r.SenderSlot, Agent: snd},
+		core.Placed{Core: r.ReceiverCore, Slot: r.ReceiverSlot, Agent: rcv})
 }
 
 // Calibrate learns the contended/uncontended decision threshold from

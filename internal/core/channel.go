@@ -13,6 +13,12 @@ type Channel struct {
 	m   *soc.Machine
 	p   Params
 	cal *Calibration
+
+	// schedule is the symbol stream of the run in progress; sendSymbol,
+	// bound once in New so a run allocates no closure, runs slot k's PHI
+	// loop from it.
+	schedule   []Symbol
+	sendSymbol SlotAction
 }
 
 // New validates the placement against the machine and returns a channel.
@@ -23,7 +29,14 @@ func New(m *soc.Machine, p Params) (*Channel, error) {
 	if err := p.Validate(len(m.Cores), m.Proc.SMTWays); err != nil {
 		return nil, err
 	}
-	return &Channel{m: m, p: p}, nil
+	c := &Channel{m: m, p: p}
+	c.sendSymbol = c.send
+	return c, nil
+}
+
+// send runs the sender's PHI loop for slot k's symbol.
+func (c *Channel) send(k int) (soc.Action, bool) {
+	return soc.Exec(c.schedule[k].Kernel(), c.p.SenderIters), true
 }
 
 // Params returns the channel's transaction parameters.
@@ -36,137 +49,11 @@ func (c *Channel) Calibration() *Calibration { return c.cal }
 // mitigation study to reuse a baseline calibration).
 func (c *Channel) SetCalibration(cal *Calibration) { c.cal = cal }
 
-// slotStart returns the absolute start time of transaction slot k for a
-// run whose first slot begins at base.
-func (c *Channel) slotStart(base units.Time, k int) units.Time {
-	return base.Add(units.Duration(k) * c.p.SlotPeriod)
-}
-
-// senderPhase tracks the sender agent's position in the slot cycle.
-type senderPhase int
-
-const (
-	sWaitSlot senderPhase = iota
-	sSending
-)
-
-// senderAgent transmits one symbol per slot: busy-wait to the slot
-// boundary (wall-clock sync, paper §4.3.3), then run the symbol's PHI loop.
-type senderAgent struct {
-	ch       *Channel
-	base     units.Time
-	schedule []Symbol
-	idx      int
-	phase    senderPhase
-}
-
-func (s *senderAgent) Name() string { return "ichannels.sender" }
-
-func (s *senderAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch s.phase {
-	case sWaitSlot:
-		if s.idx >= len(s.schedule) {
-			return soc.Stop()
-		}
-		s.phase = sSending
-		return soc.SpinUntil(s.ch.slotStart(s.base, s.idx))
-	case sSending:
-		sym := s.schedule[s.idx]
-		s.idx++
-		s.phase = sWaitSlot
-		return soc.Exec(sym.Kernel(), s.ch.p.SenderIters)
-	default:
-		panic("core: sender agent in invalid phase")
-	}
-}
-
-// receiverPhase tracks the receiver agent's position in the slot cycle.
-type receiverPhase int
-
-const (
-	rWaitSlot receiverPhase = iota
-	rMeasuring
-)
-
-// receiverAgent measures one throttling period per slot: busy-wait to the
-// slot boundary (plus offset), run the kind's measurement loop, record its
-// rdtsc-elapsed cycles.
-type receiverAgent struct {
-	ch       *Channel
-	base     units.Time
-	slots    int
-	idx      int
-	phase    receiverPhase
-	measures []int64
-}
-
-func (r *receiverAgent) Name() string { return "ichannels.receiver" }
-
-func (r *receiverAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch r.phase {
-	case rWaitSlot:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			// prev was the measurement loop: record its rdtsc reading.
-			r.measures = append(r.measures, prev.ElapsedTSC())
-		}
-		if r.idx >= r.slots {
-			return soc.Stop()
-		}
-		r.phase = rMeasuring
-		return soc.SpinUntil(r.ch.slotStart(r.base, r.idx).Add(r.ch.p.ReceiverOffset))
-	case rMeasuring:
-		r.idx++
-		r.phase = rWaitSlot
-		return soc.Exec(r.ch.p.Kind.ReceiverKernel(), r.ch.p.ReceiverIters)
-	default:
-		panic("core: receiver agent in invalid phase")
-	}
-}
-
-// sameThreadAgent interleaves sending and measuring on one hardware thread
-// (IccThreadCovert): spin to slot start, run the symbol PHI loop, then run
-// the 512b_Heavy measurement loop and record its elapsed cycles.
-type sameThreadAgent struct {
-	ch       *Channel
-	base     units.Time
-	schedule []Symbol
-	idx      int
-	phase    int // 0 wait, 1 sending, 2 measuring
-	measures []int64
-}
-
-func (a *sameThreadAgent) Name() string { return "ichannels.samethread" }
-
-func (a *sameThreadAgent) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			// prev was the measurement loop: record its rdtsc reading.
-			a.measures = append(a.measures, prev.ElapsedTSC())
-		}
-		if a.idx >= len(a.schedule) {
-			return soc.Stop()
-		}
-		a.phase = 1
-		return soc.SpinUntil(a.ch.slotStart(a.base, a.idx))
-	case 1:
-		sym := a.schedule[a.idx]
-		a.phase = 2
-		return soc.Exec(sym.Kernel(), a.ch.p.SenderIters)
-	case 2:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(a.ch.p.Kind.ReceiverKernel(), a.ch.p.ReceiverIters)
-	default:
-		panic("core: same-thread agent in invalid phase")
-	}
-}
-
 // RunSymbols performs one transaction per symbol in schedule and returns
 // the receiver's raw measurements (TSC cycles), in slot order. This is
 // the primitive under Calibrate and Transmit; experiments also use it
 // directly (e.g. the Fig. 13 distributions).
-func (c *Channel) RunSymbols(schedule []Symbol) ([]int64, error) {
+func (c *Channel) RunSymbols(schedule []Symbol) ([]float64, error) {
 	if len(schedule) == 0 {
 		return nil, fmt.Errorf("core: empty schedule")
 	}
@@ -177,37 +64,22 @@ func (c *Channel) RunSymbols(schedule []Symbol) ([]int64, error) {
 	}
 	// First slot starts shortly after "now" so both sides can reach
 	// their spin loops.
-	base := c.m.Now().Add(20 * units.Microsecond)
-
-	// Measurement slices are sized up front: one reading per slot, so
-	// the per-slot append in the agent hot path never reallocates.
-	var measures *[]int64
+	slots := Slots{Base: c.m.Now().Add(20 * units.Microsecond), Period: c.p.SlotPeriod, N: len(schedule)}
+	c.schedule = schedule
+	rcv := &SlotReceiver{Label: "ichannels.receiver", Slots: slots, Offset: c.p.ReceiverOffset,
+		Kernel: c.p.Kind.ReceiverKernel(), Iters: c.p.ReceiverIters}
 	if c.p.Kind == SameThread {
-		agent := &sameThreadAgent{ch: c, base: base, schedule: schedule,
-			measures: make([]int64, 0, len(schedule))}
-		if _, err := c.m.Bind(c.p.SenderCore, c.p.SenderSlot, agent); err != nil {
-			return nil, err
-		}
-		measures = &agent.measures
-	} else {
-		snd := &senderAgent{ch: c, base: base, schedule: schedule}
-		rcv := &receiverAgent{ch: c, base: base, slots: len(schedule),
-			measures: make([]int64, 0, len(schedule))}
-		if _, err := c.m.Bind(c.p.SenderCore, c.p.SenderSlot, snd); err != nil {
-			return nil, err
-		}
-		if _, err := c.m.Bind(c.p.ReceiverCore, c.p.ReceiverSlot, rcv); err != nil {
-			return nil, err
-		}
-		measures = &rcv.measures
+		// IccThreadCovert interleaves sending and measuring on one
+		// hardware thread: the symbol's PHI loop runs right at the slot
+		// boundary, then the 512b_Heavy measurement loop.
+		rcv.Label, rcv.Offset, rcv.Before = "ichannels.samethread", 0, c.sendSymbol
+		return RunSlots(c.m, slots, 100*units.Microsecond, &rcv.Measures,
+			Placed{Core: c.p.SenderCore, Slot: c.p.SenderSlot, Agent: rcv})
 	}
-	// Advance to the end of the last slot plus a settling margin.
-	c.m.RunUntil(c.slotStart(base, len(schedule)).Add(100 * units.Microsecond))
-	if len(*measures) != len(schedule) {
-		return nil, fmt.Errorf("core: expected %d measurements, got %d (simulation ended early?)",
-			len(schedule), len(*measures))
-	}
-	return *measures, nil
+	snd := &SlotSender{Label: "ichannels.sender", Slots: slots, Send: c.sendSymbol}
+	return RunSlots(c.m, slots, 100*units.Microsecond, &rcv.Measures,
+		Placed{Core: c.p.SenderCore, Slot: c.p.SenderSlot, Agent: snd},
+		Placed{Core: c.p.ReceiverCore, Slot: c.p.ReceiverSlot, Agent: rcv})
 }
 
 // Calibrate learns the decision thresholds by transmitting a known
@@ -234,7 +106,7 @@ func (c *Channel) Calibrate(perSymbol int) (gap float64, err error) {
 	}
 	for i, m := range measures {
 		s := schedule[i]
-		groups[s] = append(groups[s], float64(m))
+		groups[s] = append(groups[s], m)
 	}
 	cal, err := NewCalibration(groups)
 	if err != nil {
@@ -253,7 +125,7 @@ type TransmitResult struct {
 	// only; the other families decode one bit per slot).
 	Sent     []Symbol
 	Decoded  []Symbol
-	Measures []int64
+	Measures []float64
 	// SentBits/DecodedBits are the flattened bit streams.
 	SentBits, DecodedBits []int
 	// Elapsed is the wall time of the whole transmission.
@@ -290,7 +162,7 @@ func (c *Channel) Transmit(bits []int) (*TransmitResult, error) {
 		SentBits: bits,
 	}
 	for _, m := range measures {
-		res.Decoded = append(res.Decoded, c.cal.Decode(float64(m)))
+		res.Decoded = append(res.Decoded, c.cal.Decode(m))
 	}
 	res.DecodedBits = BitsFromSymbols(res.Decoded)
 	res.BER = stats.BER(res.SentBits, res.DecodedBits)

@@ -68,96 +68,23 @@ func NewSpy(m *soc.Machine, kind Kind) (*Spy, error) {
 	return s, nil
 }
 
-// spyProbe measures one window: spin to the window boundary (+2 µs for the
-// cross-core variant so the victim's ramp is in flight), then time the
-// probe loop.
-type spyProbe struct {
-	s        *Spy
-	base     units.Time
-	windows  int
-	idx      int
-	phase    int
-	measures []int64
-}
-
-func (a *spyProbe) Name() string { return "spy" }
-
-func (a *spyProbe) probeKernel() isa.Kernel {
-	if a.s.Kind == CrossCore {
-		return isa.Loop128Heavy
-	}
-	return isa.Loop64b
-}
-
-func (a *spyProbe) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	switch a.phase {
-	case 0:
-		if prev != nil && prev.Action.Kind == soc.ActExec {
-			a.measures = append(a.measures, prev.ElapsedTSC())
-		}
-		if a.idx >= a.windows {
-			return soc.Stop()
-		}
-		a.phase = 1
-		off := units.Duration(0)
-		if a.s.Kind == CrossCore {
-			off = 2 * units.Microsecond
-		}
-		return soc.SpinUntil(a.base.Add(units.Duration(a.idx)*a.s.Window + off))
-	case 1:
-		a.idx++
-		a.phase = 0
-		return soc.Exec(a.probeKernel(), a.s.MeasureIters)
-	default:
-		panic("core: spy probe in invalid phase")
-	}
-}
-
-// victimLoop executes one kernel class per window — the code whose
-// instruction mix the spy tries to identify.
-type victimLoop struct {
-	s       *Spy
-	base    units.Time
-	classes []isa.Class
-	idx     int
-	sent    bool
-}
-
-func (v *victimLoop) Name() string { return "victim" }
-
-func (v *victimLoop) Next(env *soc.Env, prev *soc.Result) soc.Action {
-	if !v.sent {
-		if v.idx >= len(v.classes) {
-			return soc.Stop()
-		}
-		v.sent = true
-		return soc.SpinUntil(v.base.Add(units.Duration(v.idx) * v.s.Window))
-	}
-	cls := v.classes[v.idx]
-	v.idx++
-	v.sent = false
-	return soc.Exec(isa.KernelFor(cls), 64)
-}
-
 // observe runs the spy against a victim executing the given class
-// sequence and returns the spy's per-window measurements.
-func (s *Spy) observe(classes []isa.Class) ([]int64, error) {
-	base := s.m.Now().Add(20 * units.Microsecond)
-	victim := &victimLoop{s: s, base: base, classes: classes}
-	probe := &spyProbe{s: s, base: base, windows: len(classes),
-		measures: make([]int64, 0, len(classes))}
-	if _, err := s.m.Bind(s.VictimCore, s.VictimSlot, victim); err != nil {
-		return nil, err
+// sequence and returns the spy's per-window measurements. Each window the
+// victim runs its class's kernel from the window boundary while the spy
+// times its probe loop (+2 µs for the cross-core variant, so the victim's
+// ramp is in flight).
+func (s *Spy) observe(classes []isa.Class) ([]float64, error) {
+	slots := Slots{Base: s.m.Now().Add(20 * units.Microsecond), Period: s.Window, N: len(classes)}
+	victim := &SlotSender{Label: "victim", Slots: slots, Send: func(k int) (soc.Action, bool) {
+		return soc.Exec(isa.KernelFor(classes[k]), 64), true
+	}}
+	probe := &SlotReceiver{Label: "spy", Slots: slots, Kernel: isa.Loop64b, Iters: s.MeasureIters}
+	if s.Kind == CrossCore {
+		probe.Offset, probe.Kernel = 2*units.Microsecond, isa.Loop128Heavy
 	}
-	if _, err := s.m.Bind(s.SpyCore, s.SpySlot, probe); err != nil {
-		return nil, err
-	}
-	end := base.Add(units.Duration(len(classes)) * s.Window).Add(100 * units.Microsecond)
-	s.m.RunUntil(end)
-	if len(probe.measures) != len(classes) {
-		return nil, fmt.Errorf("core: spy captured %d of %d windows", len(probe.measures), len(classes))
-	}
-	return probe.measures, nil
+	return RunSlots(s.m, slots, 100*units.Microsecond, &probe.Measures,
+		Placed{Core: s.VictimCore, Slot: s.VictimSlot, Agent: victim},
+		Placed{Core: s.SpyCore, Slot: s.SpySlot, Agent: probe})
 }
 
 // Calibrate teaches the spy the measurement signature of each victim
@@ -178,7 +105,7 @@ func (s *Spy) Calibrate(perWidth int) error {
 	counts := make([]int, len(s.widths))
 	for i, m := range measures {
 		w := i % len(s.widths)
-		sums[w] += float64(m)
+		sums[w] += m
 		counts[w]++
 	}
 	s.means = make([]float64, len(s.widths))
@@ -225,7 +152,7 @@ func (s *Spy) Infer(classes []isa.Class) (*InferenceResult, error) {
 	for i, m := range measures {
 		best, bestD := 0, -1.0
 		for w, mean := range s.means {
-			d := float64(m) - mean
+			d := m - mean
 			if d < 0 {
 				d = -d
 			}

@@ -52,7 +52,7 @@ func Fig13(seed int64) (*Report, error) {
 	groups := make([][]float64, core.NumSymbols)
 	for i, mv := range measures {
 		s := schedule[i]
-		groups[s] = append(groups[s], float64(mv))
+		groups[s] = append(groups[s], mv)
 	}
 
 	rep := NewReport("fig13", "Receiver TP distribution per level (TSC cycles), low-noise system")

@@ -133,7 +133,7 @@ func Fig14b(seed int64) (*Report, error) {
 			}
 			errs := 0
 			for _, mv := range measures {
-				if ch.Calibration().Decode(float64(mv)) != core.Symbol(s) {
+				if ch.Calibration().Decode(mv) != core.Symbol(s) {
 					errs++
 				}
 			}

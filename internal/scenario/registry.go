@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ichannels/internal/baselines"
@@ -132,6 +133,12 @@ var baselineRegistry = []*baselineSpec{
 	{BaselinePowerT, 24, 4, 2, openBaseline(baselines.NewPowerT)},
 }
 
+// microseconds converts a spec's µs parameter to a Duration, scaling
+// before it rounds so fractional values keep their sub-µs part.
+func microseconds(us float64) units.Duration {
+	return units.Duration(math.Round(us * float64(units.Microsecond)))
+}
+
 // opener builds a channel on a provisioned machine, applying the spec's
 // params overrides (nil = none), and reports the channel's raw rate in
 // bits per second.
@@ -143,7 +150,7 @@ func openCore(kind core.Kind) opener {
 		params := core.DefaultParams(kind, m.Proc)
 		if p != nil {
 			if p.SlotPeriodUS > 0 {
-				params.SlotPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
+				params.SlotPeriod = microseconds(p.SlotPeriodUS)
 			}
 			if p.SenderIters > 0 {
 				params.SenderIters = p.SenderIters
@@ -152,7 +159,7 @@ func openCore(kind core.Kind) opener {
 				params.ReceiverIters = p.ReceiverIters
 			}
 			if p.ReceiverOffsetUS > 0 {
-				params.ReceiverOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
+				params.ReceiverOffset = microseconds(p.ReceiverOffsetUS)
 			}
 		}
 		ch, err := core.New(m, params)
@@ -168,7 +175,7 @@ func openRetire(m *soc.Machine, p *Params) (mitigate.Channel, float64, error) {
 	}
 	if p != nil {
 		if p.SlotPeriodUS > 0 {
-			ch.SlotPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
+			ch.SlotPeriod = microseconds(p.SlotPeriodUS)
 		}
 		if p.SenderIters > 0 {
 			ch.SenderIters = p.SenderIters
@@ -177,7 +184,7 @@ func openRetire(m *soc.Machine, p *Params) (mitigate.Channel, float64, error) {
 			ch.ReceiverIters = p.ReceiverIters
 		}
 		if p.ReceiverOffsetUS > 0 {
-			ch.ReceiverOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
+			ch.ReceiverOffset = microseconds(p.ReceiverOffsetUS)
 		}
 	}
 	return ch, ch.RawThroughputBPS(), nil
@@ -195,13 +202,13 @@ func openClockMod(m *soc.Machine, p *Params) (mitigate.Channel, float64, error) 
 	}
 	if p != nil {
 		if p.SlotPeriodUS > 0 {
-			ch.BitPeriod = units.Duration(p.SlotPeriodUS) * units.Microsecond
+			ch.BitPeriod = microseconds(p.SlotPeriodUS)
 		}
 		if p.ReceiverIters > 0 {
 			ch.MeasureIters = p.ReceiverIters
 		}
 		if p.ReceiverOffsetUS > 0 {
-			ch.MeasureOffset = units.Duration(p.ReceiverOffsetUS) * units.Microsecond
+			ch.MeasureOffset = microseconds(p.ReceiverOffsetUS)
 		}
 	}
 	return ch, ch.RawThroughputBPS(), nil

@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
+
+	"ichannels/internal/units"
 )
 
 // TestRegistryComplete: every registry entry carries everything the
@@ -140,6 +144,27 @@ func TestRegistryDefaultsApplied(t *testing.T) {
 		if got := effectiveCalibReps(n); got != bs.defaultCalibReps {
 			t.Errorf("baseline %s: calib reps %d, registry default %d", bs.name, got, bs.defaultCalibReps)
 		}
+	}
+}
+
+// TestFractionalMicrosecondParams: µs params keep their fractional part.
+// A 24.9 µs retire slot runs 16 bits in 398.4 µs of simulated time, not
+// in the 384 µs of a period truncated to 24 µs.
+func TestFractionalMicrosecondParams(t *testing.T) {
+	var s Scenario
+	spec := `{"role":"channel","kind":"retire","bits":16,"seed":3,"params":{"slot_period_us":24.9}}`
+	if err := json.Unmarshal([]byte(spec), &s); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ElapsedSimUS != 398.4 {
+		t.Fatalf("elapsed_sim_us = %g, want 398.4", res.ElapsedSimUS)
+	}
+	if got := microseconds(0.5); got != 500*units.Nanosecond {
+		t.Fatalf("0.5 µs = %v, want 500ns", got)
 	}
 }
 
