@@ -14,11 +14,10 @@ type Channel struct {
 	p   Params
 	cal *Calibration
 
-	// schedule is the symbol stream of the run in progress; sendSymbol,
-	// bound once in New so a run allocates no closure, runs slot k's PHI
-	// loop from it.
-	schedule   []Symbol
-	sendSymbol SlotAction
+	// schedule is the symbol stream of the run in progress; send is
+	// c.sendSymbol, bound once in New so a run allocates no closure.
+	schedule []Symbol
+	send     SlotAction
 }
 
 // New validates the placement against the machine and returns a channel.
@@ -30,12 +29,12 @@ func New(m *soc.Machine, p Params) (*Channel, error) {
 		return nil, err
 	}
 	c := &Channel{m: m, p: p}
-	c.sendSymbol = c.send
+	c.send = c.sendSymbol
 	return c, nil
 }
 
-// send runs the sender's PHI loop for slot k's symbol.
-func (c *Channel) send(k int) (soc.Action, bool) {
+// sendSymbol runs the sender's PHI loop for slot k's symbol.
+func (c *Channel) sendSymbol(k int) (soc.Action, bool) {
 	return soc.Exec(c.schedule[k].Kernel(), c.p.SenderIters), true
 }
 
@@ -72,11 +71,11 @@ func (c *Channel) RunSymbols(schedule []Symbol) ([]float64, error) {
 		// IccThreadCovert interleaves sending and measuring on one
 		// hardware thread: the symbol's PHI loop runs right at the slot
 		// boundary, then the 512b_Heavy measurement loop.
-		rcv.Label, rcv.Offset, rcv.Before = "ichannels.samethread", 0, c.sendSymbol
+		rcv.Label, rcv.Offset, rcv.Before = "ichannels.samethread", 0, c.send
 		return RunSlots(c.m, slots, 100*units.Microsecond, &rcv.Measures,
 			Placed{Core: c.p.SenderCore, Slot: c.p.SenderSlot, Agent: rcv})
 	}
-	snd := &SlotSender{Label: "ichannels.sender", Slots: slots, Send: c.sendSymbol}
+	snd := &SlotSender{Label: "ichannels.sender", Slots: slots, Send: c.send}
 	return RunSlots(c.m, slots, 100*units.Microsecond, &rcv.Measures,
 		Placed{Core: c.p.SenderCore, Slot: c.p.SenderSlot, Agent: snd},
 		Placed{Core: c.p.ReceiverCore, Slot: c.p.ReceiverSlot, Agent: rcv})
