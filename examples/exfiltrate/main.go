@@ -12,6 +12,10 @@ import (
 	"ichannels"
 )
 
+// maxAttempts caps the transmissions of one frame (the first send plus
+// its retransmissions).
+const maxAttempts = 5
+
 func main() {
 	secret := []byte("k=0xDEADBEEF")
 	proc := ichannels.CannonLake8121U()
@@ -49,7 +53,8 @@ func main() {
 			res       *ichannels.TransmitResult
 			attempts  int
 		)
-		for attempts = 1; attempts <= 5; attempts++ {
+		for attempts < maxAttempts {
+			attempts++
 			res, err = ch.Transmit(frame)
 			if err != nil {
 				log.Fatal(err)

@@ -584,10 +584,18 @@ func WriteSweepAggregateLine(w io.Writer, t *SweepTable) error {
 // on ScenarioBatchOptions/ScenarioStreamOptions/SweepOptions (the
 // Runner field; nil computes in-process) to delegate each cell's
 // compute — the distributed tier's WorkerPool is the remote
-// implementation. Implementations must honor the determinism contract:
-// for a fixed (spec, seed) the returned result's JSON encoding is
-// byte-identical to a local run's.
+// implementation. RunCell returns a CellResult: the result, whether
+// the runner served it without computing it (Cached), and the cell's
+// own cost (Elapsed), which the engine reports as elapsed_us.
+// Implementations must honor the determinism contract: for a fixed
+// (spec, seed) the returned result's JSON encoding is byte-identical
+// to a local run's.
 type CellRunner = engine.CellRunner
+
+// CellResult is what a CellRunner reports for one cell: the result,
+// Cached, and Elapsed — the cell's compute or read cost, never time
+// spent waiting.
+type CellResult = engine.CellResult
 
 // WorkerPool is the distributed sweep coordinator: a CellRunner that
 // dispatches cells to remote workers over the HTTP v1 wire, verifies

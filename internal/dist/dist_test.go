@@ -280,12 +280,12 @@ func TestPoolStaleWorkerHashMismatch(t *testing.T) {
 	// Dispatch under a wrong hash — exactly what a version-skewed
 	// coordinator would do. The worker must refuse to serve under the
 	// disputed identity, and the pool must still produce the result.
-	res, err := pool.RunCell(context.Background(), s, "0000000000000000", 1)
+	c, err := pool.RunCell(context.Background(), s, "0000000000000000", 1)
 	if err != nil {
 		t.Fatalf("RunCell: %v", err)
 	}
-	if res == nil {
-		t.Fatal("RunCell returned nil result")
+	if c.Result == nil || c.Cached {
+		t.Fatalf("RunCell = %+v, want a freshly computed result", c)
 	}
 	st := pool.Stats()
 	if st.Dispatched != 0 || st.LocalFallback != 1 {

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"ichannels/internal/engine"
 	"ichannels/internal/scenario"
 	"ichannels/internal/store"
 )
@@ -85,7 +86,7 @@ type Pool struct {
 	backoffBase time.Duration
 	backoffMax  time.Duration
 	maxResp     int64
-	runLocal    func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error)
+	runLocal    engine.ScenarioRunFunc
 
 	mu      sync.Mutex
 	workers []*worker
@@ -123,9 +124,7 @@ func New(workers []string, opts Options) (*Pool, error) {
 		p.maxResp = DefaultMaxResponseBytes
 	}
 	if p.runLocal == nil {
-		p.runLocal = func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
-			return scenario.Runner{}.RunSeeded(ctx, s, seed)
-		}
+		p.runLocal = scenario.Runner{}.RunSeeded
 	}
 	seen := map[string]bool{}
 	for _, raw := range workers {
@@ -224,33 +223,35 @@ type dispatchErr struct {
 // format, and degrade to local compute when the fleet cannot serve it.
 // The returned result is byte-identical to a local run's by the
 // determinism contract — verification enforces the envelope's
-// integrity, determinism guarantees its content.
-func (p *Pool) RunCell(ctx context.Context, s scenario.Scenario, hash string, seed int64) (*scenario.Result, error) {
+// integrity, determinism guarantees its content. Elapsed is the
+// dispatch that served the cell, or the local fallback's compute.
+func (p *Pool) RunCell(ctx context.Context, s scenario.Scenario, hash string, seed int64) (engine.CellResult, error) {
 	frame, err := json.Marshal(NewCellDispatch(s, hash, seed))
 	if err != nil {
-		return nil, fmt.Errorf("dist: framing cell %s-%d: %w", hash, seed, err)
+		return engine.CellResult{}, fmt.Errorf("dist: framing cell %s-%d: %w", hash, seed, err)
 	}
 	key := store.Key{Hash: hash, Seed: seed}
 	for attempt := 0; attempt < p.maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return engine.CellResult{}, err
 		}
 		w := p.pick(time.Now())
 		if w == nil {
 			break // whole fleet quarantined; fall through
 		}
+		t0 := time.Now()
 		res, derr := p.dispatch(ctx, w, key, frame)
 		if derr == nil {
 			p.release(w, true)
 			p.count(func(st *Stats) { st.Dispatched++ })
-			return res, nil
+			return engine.CellResult{Result: res, Elapsed: time.Since(t0)}, nil
 		}
 		if derr.runFailed {
 			// The worker is healthy; the scenario itself fails
 			// deterministically. Recompute locally so the emitted error
 			// string is the one a serial run produces.
 			p.release(w, true)
-			return p.fallback(ctx, s, seed)
+			return p.fallback(ctx, s, hash, seed)
 		}
 		p.release(w, false)
 		p.count(func(st *Stats) {
@@ -260,13 +261,13 @@ func (p *Pool) RunCell(ctx context.Context, s scenario.Scenario, hash string, se
 			}
 		})
 	}
-	return p.fallback(ctx, s, seed)
+	return p.fallback(ctx, s, hash, seed)
 }
 
 // fallback computes a cell locally, counting it.
-func (p *Pool) fallback(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+func (p *Pool) fallback(ctx context.Context, s scenario.Scenario, hash string, seed int64) (engine.CellResult, error) {
 	p.count(func(st *Stats) { st.LocalFallback++ })
-	return p.runLocal(ctx, s, seed)
+	return p.runLocal.RunCell(ctx, s, hash, seed)
 }
 
 // workerError is the structured {code, message} error envelope the

@@ -75,8 +75,11 @@ type ScenarioOutcome struct {
 	Seed   int64
 	Result *scenario.Result
 	Err    error
-	// Cached reports the result was served from the configured store
-	// instead of computed (the bytes are identical either way).
+	// Cached and Elapsed are the runner's CellResult fields, or the
+	// store read's when the configured store served the cell: Cached
+	// reports the result was not computed for this outcome (the bytes
+	// are identical either way), Elapsed the cell's read or compute
+	// cost, never time spent waiting.
 	Cached  bool
 	Elapsed time.Duration
 }

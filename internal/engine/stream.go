@@ -67,20 +67,35 @@ type StreamOptions struct {
 // encoding is byte-identical to scenario.Run's, no matter where or how
 // the cell was computed. The in-process default is scenario.Runner
 // (through ScenarioRunFunc); the distributed coordinator
-// (internal/dist) is the remote one.
+// (internal/dist) is the remote one, and the HTTP server
+// (internal/serve) fronts its memory cache with one.
 type CellRunner interface {
-	RunCell(ctx context.Context, s scenario.Scenario, hash string, seed int64) (*scenario.Result, error)
+	RunCell(ctx context.Context, s scenario.Scenario, hash string, seed int64) (CellResult, error)
+}
+
+// CellResult is one resolved cell as its runner reports it. Cached
+// marks a result the runner did not compute for this call (a store or
+// cache already held it). Elapsed is the cell's own cost — its
+// compute, or the read that served it — never time spent waiting for
+// a slot or for another caller's computation of the same cell.
+type CellResult struct {
+	Result  *scenario.Result
+	Cached  bool
+	Elapsed time.Duration
 }
 
 // ScenarioRunFunc adapts an ordinary executor function to a CellRunner
-// that ignores the cell hash — the http.HandlerFunc pattern. The method
-// value scenario.Runner{Machines: pool}.RunSeeded is one; tests wrap
-// fakes in it.
+// that ignores the cell hash and times the call — the http.HandlerFunc
+// pattern. The method value scenario.Runner{Machines: pool}.RunSeeded
+// is one; tests wrap fakes in it.
 type ScenarioRunFunc func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error)
 
-// RunCell implements CellRunner by calling f(ctx, s, seed).
-func (f ScenarioRunFunc) RunCell(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
-	return f(ctx, s, seed)
+// RunCell implements CellRunner by calling f(ctx, s, seed), reporting
+// the call's duration as the cell's cost.
+func (f ScenarioRunFunc) RunCell(ctx context.Context, s scenario.Scenario, _ string, seed int64) (CellResult, error) {
+	t0 := time.Now()
+	res, err := f(ctx, s, seed)
+	return CellResult{Result: res, Elapsed: time.Since(t0)}, err
 }
 
 // StreamStats summarizes a completed (or stopped) stream: only what the
@@ -91,11 +106,11 @@ type StreamStats struct {
 	Emitted int
 	// Failed counts emitted outcomes whose runner returned an error.
 	Failed int
-	// Cached counts emitted outcomes served from the result store
-	// instead of computed.
+	// Cached counts emitted outcomes served from the result store (or
+	// reported cached by the runner) instead of computed.
 	Cached int
 	// StoreTransient and StorePermanent count store operations (get or
-	// put) that failed, by class (store.ErrorTally); each was degraded
+	// put) that failed, by class (store.Tally); each was degraded
 	// to a miss or a skipped write, never a failed scenario. Transient
 	// failures (network blips, timeouts, 5xx, an open breaker) point at
 	// infrastructure, permanent ones (corrupt envelopes) at a damaged
@@ -109,7 +124,7 @@ type StreamStats struct {
 }
 
 // streamSlot carries one scenario through the pipeline: the dispatcher
-// fills Scenario/Seed, a worker fills Result/Err/Elapsed and closes
+// fills Scenario/Seed, a worker fills Result/Err/Cached/Elapsed and closes
 // ready, and the emitter (which receives slots in dispatch order
 // through a bounded channel) waits on ready before handing the outcome
 // to Emit. The bounded channel is both the ordering and the memory
@@ -165,7 +180,7 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 		srcErr  error // invalid-spec or cancellation error, owned by the dispatcher
 	)
 
-	var storeErrs store.ErrorTally
+	var tally store.Tally
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -176,9 +191,9 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 				if err := ctx.Err(); err != nil {
 					o.Err = err
 				} else {
-					t0 := time.Now()
-					runSlot(ctx, runner, opts.Store, o, &storeErrs)
-					o.Elapsed = time.Since(t0)
+					var c CellResult
+					c, o.Err = Resolve(ctx, runner, opts.Store, o.Scenario, o.Hash, o.Seed, &tally)
+					o.Result, o.Cached, o.Elapsed = c.Result, c.Cached, c.Elapsed
 				}
 				close(sl.ready)
 			}
@@ -250,7 +265,7 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 		}
 	}
 	wg.Wait()
-	transient, permanent := storeErrs.Counts()
+	_, _, transient, permanent := tally.Counts()
 	stats.StoreTransient, stats.StorePermanent = int(transient), int(permanent)
 	stats.Elapsed = time.Since(start)
 	if emitErr != nil {
@@ -262,38 +277,44 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 	return stats, nil
 }
 
-// runSlot fills one outcome: fetch from the store when one is
-// configured and the entry is intact, compute otherwise, and persist
-// fresh successes back. Only successful results are stored — errors are
-// deterministic too, but pinning them to disk would make a transient
-// environmental failure (out of memory, a panic from a since-fixed bug)
-// permanent.
-func runSlot(ctx context.Context, run CellRunner, st store.Store, o *ScenarioOutcome, storeErrs *store.ErrorTally) {
-	var key store.Key
+// Resolve is the one fetch-or-compute path every surface resolves a
+// cell through — the stream's workers for the CLI and sweeps, and the
+// HTTP server under its memory cache. With a store set it reads
+// (hash, seed) first: a hit returns Cached with the read's cost and
+// never calls run. Otherwise it runs the cell through run with panic
+// isolation and persists a success. Only successes are stored — errors
+// are deterministic too, but pinning them to disk would make a
+// transient environmental failure (out of memory, a panic from a
+// since-fixed bug) permanent. Every read and every failed write is
+// tallied (tally must be non-nil when st is); a store error never
+// fails the cell — an unreadable entry recomputes, a failed write is
+// skipped.
+func Resolve(ctx context.Context, run CellRunner, st store.Store, s scenario.Scenario, hash string, seed int64, tally *store.Tally) (CellResult, error) {
+	key := store.Key{Hash: hash, Seed: seed}
 	if st != nil {
-		key = store.Key{Hash: o.Hash, Seed: o.Seed}
+		t0 := time.Now()
 		res, ok, err := store.GetContext(ctx, st, key)
-		if err != nil {
-			storeErrs.Count(err) // unreadable entry: recompute it
-		} else if ok {
-			o.Result, o.Cached = res, true
-			return
+		tally.Read(ok, err)
+		if ok && err == nil {
+			return CellResult{Result: res, Cached: true, Elapsed: time.Since(t0)}, nil
 		}
 	}
-	o.Result, o.Err = runCellIsolated(ctx, run, o.Scenario, o.Hash, o.Seed)
-	if st != nil && o.Err == nil {
-		if err := store.PutContext(ctx, st, key, o.Result); err != nil {
-			storeErrs.Count(err)
+	c, err := runCellIsolated(ctx, run, s, hash, seed)
+	if st != nil && err == nil {
+		if err := store.PutContext(ctx, st, key, c.Result); err != nil {
+			tally.Count(err)
 		}
 	}
+	return c, err
 }
 
 // runCellIsolated converts a runner panic into an error so one broken
-// cell (or a panicking delegation layer) cannot take down a stream.
-func runCellIsolated(ctx context.Context, run CellRunner, s scenario.Scenario, hash string, seed int64) (res *scenario.Result, err error) {
+// cell (or a panicking delegation layer) cannot take down a stream or
+// a server.
+func runCellIsolated(ctx context.Context, run CellRunner, s scenario.Scenario, hash string, seed int64) (c CellResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("engine: scenario %s panicked: %v", hash, p)
+			c, err = CellResult{}, fmt.Errorf("engine: scenario %s panicked: %v", hash, p)
 		}
 	}()
 	return run.RunCell(ctx, s, hash, seed)

@@ -22,12 +22,14 @@
 // A registered figure experiment runs like any other scenario: POST
 // /v1/scenarios with {"role":"experiment","experiment":ID,"seed":N}.
 //
-// Every route resolves a cell the same way — Server.resolve publishes
-// or joins its cache entry and fills it once — and every fan-out is the
-// engine stream: a batch runs on engine.StreamScenarios and a sweep on
-// sweep.Run, with the Server itself as the engine.CellRunner. A cell's
-// elapsed_us is its entry's compute (or store-read) cost on every
-// route, never the time a request waited for it.
+// Every route resolves a cell the same way — Server.RunCell publishes
+// or joins its cache entry and fills it once through engine.Resolve,
+// the fetch-or-compute path the CLI and sweeps share — and every
+// fan-out is the engine stream: a batch runs on engine.StreamScenarios
+// and a sweep on sweep.Run, with the Server itself as the
+// engine.CellRunner. A cell's elapsed_us is its entry's compute (or
+// store-read) cost on every route, never the time a request waited for
+// it.
 //
 // Results are cached in memory keyed by (scenario hash, seed). Because
 // the simulator is deterministic for a fixed seed (see
@@ -144,13 +146,12 @@ type Options struct {
 
 // Server runs scenarios on demand and caches their results.
 type Server struct {
-	runner     scenario.Runner // scenario executor (ExpRun from Options.Run)
-	machines   *soc.Pool       // machine pool the runner recycles SoCs through
+	sim        *simulator // in-process cell runner under the semaphore
+	machines   *soc.Pool  // machine pool the simulator recycles SoCs through
 	maxCache   int
-	sem        chan struct{} // nil = unbounded; else bounds running simulations
-	store      store.Store   // nil = memory-only; else the durable tier
-	worker     bool          // serve the /v1/cells dispatch endpoint
-	shareStore bool          // serve the /v1/store object routes
+	store      store.Store // nil = memory-only; else the durable tier
+	worker     bool        // serve the /v1/cells dispatch endpoint
+	shareStore bool        // serve the /v1/store object routes
 
 	// Retention config (see Options.GCEvery); zero values mean off.
 	gcEvery    time.Duration
@@ -159,18 +160,19 @@ type Server struct {
 	gcStop     chan struct{}
 	closeOnce  sync.Once
 
-	mu          sync.Mutex
-	cache       map[cacheKey]*cacheEntry
-	order       []cacheKey // recency order, oldest first, for LRU eviction
-	hits        int64
-	misses      int64
-	storeHits   int64
-	storeMisses int64
-	storeErrs   store.ErrorTally // degraded store operations, by class
-	gcRuns      int64
-	lastGC      *store.GCReport
-	lastGCErr   string
-	lastGCAt    time.Time
+	// tally counts durable-tier traffic from both the cell path
+	// (engine.Resolve) and the shared /v1/store object routes.
+	tally store.Tally
+
+	mu        sync.Mutex
+	cache     map[cacheKey]*cacheEntry
+	order     []cacheKey // recency order, oldest first, for LRU eviction
+	hits      int64
+	misses    int64
+	gcRuns    int64
+	lastGC    *store.GCReport
+	lastGCErr string
+	lastGCAt  time.Time
 }
 
 // cacheKey identifies one deterministic result: the scenario's content
@@ -182,17 +184,15 @@ type cacheKey struct {
 
 // cacheEntry coalesces concurrent computations of one key: the entry is
 // published under the mutex and the computation runs exactly once —
-// every other caller of compute blocks in once.Do until it finishes.
+// every other caller of RunCell blocks in once.Do until it finishes.
 // Eviction skips in-flight entries (evicting one would let a concurrent
 // identical request start a duplicate simulation).
 type cacheEntry struct {
-	once    sync.Once
-	result  *scenario.Result
-	err     error
-	elapsed time.Duration
-	// fromStore marks a result fetched from the durable tier instead
-	// of computed (set inside once.Do; read only after compute).
-	fromStore bool
+	once sync.Once
+	// cell and err are engine.Resolve's answer (set inside once.Do;
+	// read only after it). cell.Cached marks a store hit.
+	cell engine.CellResult
+	err  error
 	// finished is set when the computation completes; done reads it
 	// without joining the computation.
 	finished atomic.Bool
@@ -207,19 +207,18 @@ func New(opts Options) *Server {
 	if maxCache == 0 {
 		maxCache = DefaultMaxCacheEntries
 	}
-	var sem chan struct{}
+	machines := soc.NewPool()
+	sim := &simulator{run: scenario.Runner{ExpRun: opts.Run, Machines: machines}.RunSeeded}
 	switch c := opts.MaxConcurrent; {
 	case c == 0:
-		sem = make(chan struct{}, runtime.GOMAXPROCS(0))
+		sim.sem = make(chan struct{}, runtime.GOMAXPROCS(0))
 	case c > 0:
-		sem = make(chan struct{}, c)
+		sim.sem = make(chan struct{}, c)
 	}
-	machines := soc.NewPool()
 	s := &Server{
-		runner:     scenario.Runner{ExpRun: opts.Run, Machines: machines},
+		sim:        sim,
 		machines:   machines,
 		maxCache:   maxCache,
-		sem:        sem,
 		store:      opts.Store,
 		worker:     opts.Worker,
 		shareStore: opts.ShareStore && opts.Store != nil,
@@ -379,86 +378,32 @@ func (s *Server) touchLocked(key cacheKey) {
 	}
 }
 
-// compute fills ent for key exactly once and wakes all waiters: fetch
-// from the durable tier when it holds the key, run fn (bounded by the
-// simulation semaphore) otherwise, persisting fresh successes back.
-// Store reads happen outside the semaphore — a disk hit must not queue
-// behind running simulations.
-func (s *Server) compute(key cacheKey, ent *cacheEntry, fn func() (*scenario.Result, error)) {
-	ent.once.Do(func() {
-		defer ent.finished.Store(true)
-		if s.store != nil {
-			t0 := time.Now()
-			res, ok, err := s.store.Get(store.Key(key))
-			switch {
-			case err != nil:
-				s.storeErrs.Count(err) // unreadable entry: recompute
-			case ok:
-				ent.result, ent.fromStore = res, true
-				ent.elapsed = time.Since(t0)
-				s.countStore(storeTallyHit)
-				return
-			default:
-				s.countStore(storeTallyMiss)
-			}
-		}
-		if s.sem != nil {
-			s.sem <- struct{}{}
-			defer func() { <-s.sem }()
-		}
-		// elapsed_us reports compute (or disk-read) cost only — the
-		// semaphore wait above is queueing, not simulation.
-		t0 := time.Now()
-		ent.result, ent.err = fn()
-		ent.elapsed = time.Since(t0)
-		if s.store != nil && ent.err == nil {
-			if err := s.store.Put(store.Key(key), ent.result); err != nil {
-				s.storeErrs.Count(err)
-			}
-		}
-	})
+// simulator is the server's in-process engine.CellRunner: it takes a
+// simulation slot, then runs the cell, so elapsed_us reports compute
+// cost only — the semaphore wait is queueing, not simulation.
+type simulator struct {
+	sem chan struct{} // nil = unbounded; else bounds running simulations
+	run engine.ScenarioRunFunc
 }
 
-// storeTally classifies one durable-tier event for the counters.
-type storeTally int
-
-const (
-	storeTallyHit storeTally = iota
-	storeTallyMiss
-)
-
-// countStore tallies durable-tier activity for StoreCounters and the
-// /v1/stats endpoint. Both the compute read-through path and the shared
-// /v1/store object routes feed it, so the counters describe corpus
-// effectiveness across every consumer of this server's store.
-func (s *Server) countStore(t storeTally) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch t {
-	case storeTallyHit:
-		s.storeHits++
-	default:
-		s.storeMisses++
+func (m *simulator) RunCell(ctx context.Context, n scenario.Scenario, hash string, seed int64) (engine.CellResult, error) {
+	if m.sem != nil {
+		m.sem <- struct{}{}
+		defer func() { <-m.sem }()
 	}
+	return m.run.RunCell(ctx, n, hash, seed)
 }
 
 // StoreCounters reports the durable tier's full tally: hits (reads
 // served from the corpus), misses (clean absences that led to a
 // compute), and errors (unreadable entries and failed writes, of
-// either class — see StoreErrorCounters). Zeroes when no store is
+// either class). The cell path and the shared /v1/store object routes
+// both feed it, so the counters describe corpus effectiveness across
+// every consumer of this server's store. Zeroes when no store is
 // configured.
 func (s *Server) StoreCounters() (hits, misses, errors int64) {
-	transient, permanent := s.storeErrs.Counts()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storeHits, s.storeMisses, transient + permanent
-}
-
-// StoreErrorCounters splits the error tally by failure class:
-// transient (network-class, degraded and recovered) vs permanent
-// (corrupt envelopes — a damaged or byzantine upstream).
-func (s *Server) StoreErrorCounters() (transient, permanent int64) {
-	return s.storeErrs.Counts()
+	hits, misses, transient, permanent := s.tally.Counts()
+	return hits, misses, transient + permanent
 }
 
 // ---- wire envelopes ----
@@ -629,16 +574,15 @@ func (s *Server) v1Scenarios(w http.ResponseWriter, r *http.Request) {
 		seed = baseSeed
 	}
 	hash := n.Hash()
-	ent, cached := s.resolve(r.Context(), n, hash, seed)
-	if ent.err != nil {
+	c, err := s.RunCell(r.Context(), n, hash, seed)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeRunFailed,
-			"%s (seed %d): %v", n.Describe(), seed, ent.err)
+			"%s (seed %d): %v", n.Describe(), seed, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, scenarioResponse{
-		Name: n.Name, Hash: hash, Seed: seed, Cached: cached,
-		ElapsedUS: float64(ent.elapsed) / float64(time.Microsecond),
-		Result:    ent.result,
+		Name: n.Name, Hash: hash, Seed: seed, Cached: c.Cached,
+		ElapsedUS: elapsedUS(c.Elapsed), Result: c.Result,
 	})
 }
 
@@ -659,12 +603,11 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, specs []scenar
 			return
 		}
 	}
-	ctx, meta := withCellLog(r.Context())
 	enc := json.NewEncoder(startNDJSON(w))
 	next, index := 0, 0
 	// The error is the client going away (a failed write stops the
 	// stream); in-flight cells still complete into the cache.
-	engine.StreamScenarios(ctx, engine.StreamOptions{
+	engine.StreamScenarios(r.Context(), engine.StreamOptions{
 		Next: func() (scenario.Scenario, bool) {
 			if next == len(specs) {
 				return scenario.Scenario{}, false
@@ -676,10 +619,9 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, specs []scenar
 		Parallel: s.parallel(),
 		Runner:   s,
 		Emit: func(o engine.ScenarioOutcome) error {
-			m := meta.take(o.Hash, o.Seed)
 			line := scenarioLine{
 				Index: index, Name: o.Scenario.Name, Hash: o.Hash, Seed: o.Seed,
-				Cached: m.cached, ElapsedUS: m.elapsedUS(),
+				Cached: o.Cached, ElapsedUS: elapsedUS(o.Elapsed),
 			}
 			index++
 			line.Error, line.Result = outcomeBody(o.Scenario, o.Seed, o.Result, o.Err)
@@ -687,6 +629,9 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, specs []scenar
 		},
 	})
 }
+
+// elapsedUS renders a cell's cost as the wire's elapsed_us.
+func elapsedUS(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // outcomeBody splits one resolved cell into the line's error envelope
 // or result: exactly one of the two is non-nil.
@@ -721,113 +666,39 @@ func startNDJSON(w http.ResponseWriter) io.Writer {
 // parallel sizes the engine worker pool of the streaming routes: the
 // simulation semaphore bounds real concurrency anyway, so match it.
 func (s *Server) parallel() int {
-	if s.sem != nil {
-		return cap(s.sem)
+	if s.sim.sem != nil {
+		return cap(s.sim.sem)
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// resolve is the server's one per-cell resolver, behind every route
-// that runs a scenario: it publishes (or joins) the (hash, seed) cache
-// entry and fills it through compute — durable store first, then an
-// isolated run under the simulation semaphore. compute returns only
-// once the entry is ready (sync.Once blocks concurrent callers until
-// the first finishes), so a coalesced caller waits there. cached
-// reports whether the result was already complete in memory when the
-// request arrived or came from the store; a coalesced waiter on an
-// in-flight entry still pays the compute wall-clock.
-func (s *Server) resolve(ctx context.Context, n scenario.Scenario, hash string, seed int64) (ent *cacheEntry, cached bool) {
-	key := cacheKey{Hash: hash, Seed: seed}
-	ent, cached = s.entry(key)
-	s.compute(key, ent, func() (*scenario.Result, error) {
-		return s.runScenarioIsolated(ctx, n, hash, seed)
-	})
-	return ent, cached || ent.fromStore
-}
-
-// RunCell implements engine.CellRunner over resolve: the engine stream
+// RunCell is the server's one per-cell resolver, behind every route
+// that runs a scenario, and its engine.CellRunner: the engine stream
 // that drives the batch and sweep routes fans cells out through it,
-// reusing the hash the stream computes once per slot. When ctx carries
-// a route's cellLog (withCellLog), the entry's cached flag and cost are
-// recorded there for the emitter — the stream's own slot timing
-// includes coalescing and semaphore waits, which elapsed_us never
-// reports.
-func (s *Server) RunCell(ctx context.Context, n scenario.Scenario, hash string, seed int64) (*scenario.Result, error) {
-	ent, cached := s.resolve(ctx, n, hash, seed)
-	if l, ok := ctx.Value(cellLogKey{}).(*cellLog); ok {
-		l.record(cacheKey{Hash: hash, Seed: seed}, cellMeta{cached: cached, elapsed: ent.elapsed})
-	}
-	return ent.result, ent.err
-}
-
-// cellLogKey is the context key a streaming route stores its cellLog
-// under.
-type cellLogKey struct{}
-
-// cellMeta is one resolved cell's serving metadata.
-type cellMeta struct {
-	cached  bool
-	elapsed time.Duration // the entry's compute or store-read cost
-	refs    int           // resolutions recorded but not yet taken
-}
-
-func (m cellMeta) elapsedUS() float64 { return float64(m.elapsed) / float64(time.Microsecond) }
-
-// cellLog carries serving metadata from RunCell, on the engine's
-// workers, to the route's emitter. A record lives from resolution to
-// emission, so the log holds at most one engine window of cells;
-// duplicate cells in one stream share a record.
-type cellLog struct {
-	mu sync.Mutex
-	m  map[cacheKey]*cellMeta
-}
-
-// withCellLog returns a context carrying a fresh cellLog for RunCell to
-// record into.
-func withCellLog(ctx context.Context) (context.Context, *cellLog) {
-	l := &cellLog{m: map[cacheKey]*cellMeta{}}
-	return context.WithValue(ctx, cellLogKey{}, l), l
-}
-
-func (l *cellLog) record(key cacheKey, m cellMeta) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if rec := l.m[key]; rec != nil {
-		rec.refs++
-		return
-	}
-	m.refs = 1
-	l.m[key] = &m
-}
-
-// take releases one record for (hash, seed). A cell the stream never
-// resolved (its slot was cancelled before it ran) reports zero.
-func (l *cellLog) take(hash string, seed int64) cellMeta {
-	key := cacheKey{Hash: hash, Seed: seed}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	rec := l.m[key]
-	if rec == nil {
-		return cellMeta{}
-	}
-	if rec.refs--; rec.refs == 0 {
-		delete(l.m, key)
-	}
-	return *rec
-}
-
-// runScenarioIsolated executes one scenario with panic isolation. The
-// computation is detached from the request's cancellation (the values
-// are kept): entries are shared across requests, so a client that
-// disconnects mid-run must not poison the cache with a context error
-// that later, healthy clients would then be served. The simulation is
-// short and completes into the cache either way — exactly what a
-// retrying client wants.
-func (s *Server) runScenarioIsolated(ctx context.Context, n scenario.Scenario, hash string, seed int64) (res *scenario.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("scenario %s panicked: %v", hash, p)
-		}
-	}()
-	return s.runner.RunSeeded(context.WithoutCancel(ctx), n, seed)
+// reusing the hash the stream computes once per slot. It publishes (or
+// joins) the (hash, seed) cache entry and fills it exactly once through
+// engine.Resolve — the durable tier first, outside the simulation
+// semaphore so a disk hit never queues behind running simulations,
+// then the simulator. sync.Once blocks concurrent callers until the
+// first finishes, so a coalesced caller waits there. The result carries
+// the entry's cost; Cached reports whether the result was already
+// complete in memory when the request arrived or came from the store —
+// a coalesced waiter on an in-flight entry still pays the compute
+// wall-clock.
+//
+// The computation is detached from the request's cancellation (the
+// values are kept): entries are shared across requests, so a client
+// that disconnects mid-run must not poison the cache with a context
+// error that later, healthy clients would then be served. The
+// simulation is short and completes into the cache either way —
+// exactly what a retrying client wants.
+func (s *Server) RunCell(ctx context.Context, n scenario.Scenario, hash string, seed int64) (engine.CellResult, error) {
+	ent, cached := s.entry(cacheKey{Hash: hash, Seed: seed})
+	ent.once.Do(func() {
+		defer ent.finished.Store(true)
+		ent.cell, ent.err = engine.Resolve(context.WithoutCancel(ctx), s.sim, s.store, n, hash, seed, &s.tally)
+	})
+	c := ent.cell
+	c.Cached = c.Cached || cached
+	return c, ent.err
 }

@@ -78,8 +78,8 @@ func (s *Server) v1Stats(w http.ResponseWriter, r *http.Request) {
 	resp.Machines = s.machines.Stats()
 	if s.store != nil {
 		st := &storeStats{Shared: s.shareStore}
-		st.Hits, st.Misses, st.Errors = s.StoreCounters()
-		st.Transient, st.Permanent = s.StoreErrorCounters()
+		st.Hits, st.Misses, st.Transient, st.Permanent = s.tally.Counts()
+		st.Errors = st.Transient + st.Permanent
 		if ts, ok := s.store.(store.TierStatter); ok {
 			t := ts.TierStats()
 			st.Tier = &t
@@ -130,7 +130,7 @@ func (s *Server) v1StoreIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	ls, err := b.ListObjects(r.Context())
 	if err != nil {
-		s.storeErrs.Count(err)
+		s.tally.Count(err)
 		writeError(w, http.StatusInternalServerError, CodeStoreError, "list store: %v", err)
 		return
 	}
@@ -154,18 +154,16 @@ func (s *Server) v1StoreEntry(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		data, ok, err := b.GetObject(r.Context(), key)
+		s.tally.Read(ok, err)
 		if err != nil {
-			s.storeErrs.Count(err)
 			writeError(w, http.StatusInternalServerError, CodeStoreError,
 				"read %s: %v", key, err)
 			return
 		}
 		if !ok {
-			s.countStore(storeTallyMiss)
 			writeError(w, http.StatusNotFound, CodeNotFound, "no result for %s", key)
 			return
 		}
-		s.countStore(storeTallyHit)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(data)
 	case http.MethodPut:
@@ -198,7 +196,7 @@ func (s *Server) v1StoreEntry(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := b.PutObject(r.Context(), key, data); err != nil {
-			s.storeErrs.Count(err)
+			s.tally.Count(err)
 			writeError(w, http.StatusInternalServerError, CodeStoreError,
 				"write %s: %v", key, err)
 			return

@@ -90,20 +90,18 @@ func (s *Server) v1Sweeps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, meta := withCellLog(r.Context())
 	out := startNDJSON(w)
 	enc := json.NewEncoder(out)
-	res, err := sweep.Run(ctx, nsw, sweep.Options{
+	res, err := sweep.Run(r.Context(), nsw, sweep.Options{
 		BaseSeed: baseSeed,
 		Parallel: s.parallel(),
 		Runner:   s,
 		OnPass:   func(p sweep.PassStats) error { return sweep.WritePassLine(out, p) },
 		OnCell: func(o sweep.CellOutcome) error {
-			m := meta.take(o.Hash, o.Seed)
 			line := sweepLine{
 				Index: o.Cell.Index, Name: o.Cell.Scenario.Name, Axes: o.Cell.Axes,
 				Hash: o.Hash, Seed: o.Seed, Pass: o.Pass,
-				Cached: m.cached, ElapsedUS: m.elapsedUS(),
+				Cached: o.Cached, ElapsedUS: elapsedUS(o.Elapsed),
 			}
 			line.Error, line.Result = outcomeBody(o.Cell.Scenario, o.Seed, o.Result, o.Err)
 			return enc.Encode(line)

@@ -62,13 +62,13 @@ func (s *Server) v1Cells(w http.ResponseWriter, r *http.Request) {
 			"dispatched hash %s, this worker computes %s: coordinator/worker version skew", d.Hash, h)
 		return
 	}
-	ent, _ := s.resolve(r.Context(), n, d.Hash, d.Seed)
-	if ent.err != nil {
+	c, err := s.RunCell(r.Context(), n, d.Hash, d.Seed)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeRunFailed,
-			"%s (seed %d): %v", n.Describe(), d.Seed, ent.err)
+			"%s (seed %d): %v", n.Describe(), d.Seed, err)
 		return
 	}
-	env, err := store.EncodeEnvelope(store.Key{Hash: d.Hash, Seed: d.Seed}, ent.result)
+	env, err := store.EncodeEnvelope(store.Key{Hash: d.Hash, Seed: d.Seed}, c.Result)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeRunFailed,
 			"encoding result envelope: %v", err)

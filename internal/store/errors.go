@@ -72,18 +72,34 @@ func IsPermanentError(err error) bool {
 	return false
 }
 
-// ErrorTally counts degraded store operations by failure class: a
-// transient failure is the network's fault, a permanent one the bytes'
-// fault. Both degrade identically (recompute or skip the write); only
-// the diagnosis differs. The zero value is ready and safe for
-// concurrent use — the engine stream and the server each keep one.
-type ErrorTally struct {
+// Tally counts one consumer's store traffic: reads that hit, clean
+// misses, and degraded operations by failure class — a transient
+// failure is the network's fault, a permanent one the bytes'. Both
+// classes degrade identically (recompute or skip the write); only the
+// diagnosis differs. The zero value is ready and safe for concurrent
+// use — the engine stream and the server each keep one.
+type Tally struct {
+	hits      atomic.Int64
+	misses    atomic.Int64
 	transient atomic.Int64
 	permanent atomic.Int64
 }
 
+// Read tallies one read's outcome: an error under its class, else a
+// hit or a clean miss.
+func (t *Tally) Read(ok bool, err error) {
+	switch {
+	case err != nil:
+		t.Count(err)
+	case ok:
+		t.hits.Add(1)
+	default:
+		t.misses.Add(1)
+	}
+}
+
 // Count tallies one failed store operation under its class.
-func (t *ErrorTally) Count(err error) {
+func (t *Tally) Count(err error) {
 	if IsPermanentError(err) {
 		t.permanent.Add(1)
 	} else {
@@ -92,6 +108,6 @@ func (t *ErrorTally) Count(err error) {
 }
 
 // Counts snapshots the tally.
-func (t *ErrorTally) Counts() (transient, permanent int64) {
-	return t.transient.Load(), t.permanent.Load()
+func (t *Tally) Counts() (hits, misses, transient, permanent int64) {
+	return t.hits.Load(), t.misses.Load(), t.transient.Load(), t.permanent.Load()
 }

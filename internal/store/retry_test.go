@@ -225,28 +225,43 @@ func TestIsPermanentErrorClassification(t *testing.T) {
 		}
 	}
 
-	// ErrorTally counts by the same classification, from many
-	// goroutines at once. Callers count only real failures, so the nil
-	// case is skipped.
+	// Tally counts errors by the same classification, whether they
+	// come from a failed write (Count) or a failed read (Read), and
+	// tallies clean reads as hits and misses — all from many goroutines
+	// at once. Callers count only real failures, so the nil case is
+	// skipped.
 	var (
-		tally                ErrorTally
+		tally                Tally
 		wg                   sync.WaitGroup
 		wantTrans, wantPerms int64
 	)
-	for _, c := range cases[1:] {
+	const wantHits, wantMisses = 3, 2
+	for i, c := range cases[1:] {
 		if c.want {
 			wantPerms++
 		} else {
 			wantTrans++
 		}
 		wg.Add(1)
-		go func(err error) {
+		go func(err error, viaRead bool) {
 			defer wg.Done()
-			tally.Count(err)
-		}(c.err)
+			if viaRead {
+				tally.Read(false, err)
+			} else {
+				tally.Count(err)
+			}
+		}(c.err, i%2 == 0)
+	}
+	for i := 0; i < wantHits+wantMisses; i++ {
+		wg.Add(1)
+		go func(ok bool) {
+			defer wg.Done()
+			tally.Read(ok, nil)
+		}(i < wantHits)
 	}
 	wg.Wait()
-	if trans, perms := tally.Counts(); trans != wantTrans || perms != wantPerms {
-		t.Errorf("ErrorTally = %d transient, %d permanent; want %d, %d", trans, perms, wantTrans, wantPerms)
+	if hits, misses, trans, perms := tally.Counts(); hits != wantHits || misses != wantMisses || trans != wantTrans || perms != wantPerms {
+		t.Errorf("Tally = %d hits, %d misses, %d transient, %d permanent; want %d, %d, %d, %d",
+			hits, misses, trans, perms, wantHits, wantMisses, wantTrans, wantPerms)
 	}
 }

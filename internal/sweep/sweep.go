@@ -82,10 +82,11 @@ func (o Options) WithStore(st store.Store) Options {
 
 // CellOutcome is one completed grid cell: the cell (normalized spec +
 // axis labels), its content hash (computed once per cell), the
-// effective seed, and the run's result or error. Cached marks a result
-// served from the configured store instead of computed. Pass is the
-// refinement pass that computed the cell (0 for dense sweeps and the
-// coarse pass).
+// effective seed, and the run's result or error. Cached and Elapsed are
+// the engine outcome's (engine.ScenarioOutcome): whether the store or
+// the runner served the result without computing it, and the cell's
+// read or compute cost. Pass is the refinement pass that computed the
+// cell (0 for dense sweeps and the coarse pass).
 type CellOutcome struct {
 	Cell    scenario.Cell
 	Hash    string
