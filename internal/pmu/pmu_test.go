@@ -75,7 +75,7 @@ func testConfig() Config {
 	}
 }
 
-func newTestPMU(t *testing.T, cfg Config, ncores int) (*PMU, *sched.Queue, []*fakeCore) {
+func newTestPMU(t testing.TB, cfg Config, ncores int) (*PMU, *sched.Queue, []*fakeCore) {
 	t.Helper()
 	q := sched.NewQueue()
 	p, err := New(cfg, q)

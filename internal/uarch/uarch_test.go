@@ -43,7 +43,7 @@ func testCoreConfig() Config {
 	}
 }
 
-func newTestCore(t *testing.T, cfg Config, grantAfter units.Duration) (*Core, *sched.Queue, *fakeCM) {
+func newTestCore(t testing.TB, cfg Config, grantAfter units.Duration) (*Core, *sched.Queue, *fakeCM) {
 	t.Helper()
 	q := sched.NewQueue()
 	cm := &fakeCM{q: q, grantAfter: grantAfter}
