@@ -477,7 +477,7 @@ func SyncStoreDir(ctx context.Context, dir, baseURL string) (*StoreSyncReport, e
 	if err != nil {
 		return nil, err
 	}
-	return store.SyncDirToRemote(ctx, local, r.Retry())
+	return store.SyncDirToRemote(ctx, local, r)
 }
 
 // PackStore migrates a corpus written in the retired per-file layout

@@ -8,7 +8,10 @@ package serve
 // segment record holds, so the envelope verification on both
 // ends is unchanged; this server never has to trust its clients (a
 // corrupt PUT is rejected before it touches disk) and clients never
-// have to trust this server (store.Remote re-verifies every GET).
+// have to trust this server (the BackendStore OpenRemote returns
+// re-verifies every GET). A GET never serves a damaged record either:
+// the store's read drops it, the route answers 404, and the client's
+// recompute-and-PUT heals the key.
 //
 // /v1/stats is served unconditionally: operators watching a fleet need
 // the cache and store tallies whether or not the corpus is shared.
@@ -155,6 +158,14 @@ func (s *Server) v1StoreEntry(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		data, ok, err := b.GetObject(r.Context(), key)
 		s.tally.Read(ok, err)
+		if store.IsCorrupt(err) {
+			// The record failed verification and the store's read
+			// dropped it: the key is a miss now. A 5xx would make the
+			// client retry the same damage and count it toward opening
+			// its breaker.
+			writeError(w, http.StatusNotFound, CodeNotFound, "no result for %s: %v", key, err)
+			return
+		}
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, CodeStoreError,
 				"read %s: %v", key, err)

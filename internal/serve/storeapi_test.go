@@ -6,6 +6,8 @@ package serve
 // behind /v1/stats tell the truth about corpus traffic.
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -234,6 +236,75 @@ func TestV1Stats(t *testing.T) {
 	}
 	if restarted.Store.Shared {
 		t.Error("shared flag set without ShareStore")
+	}
+}
+
+// TestV1StoreDropsDamagedRecord: a shared packed corpus never serves a
+// record that fails verification. The GET answers 404 (the store's read
+// dropped the record, so the key is a miss), /v1/stats counts one
+// permanent store error and no hit, and the client's PUT of the
+// recomputed envelope heals the key.
+func TestV1StoreDropsDamagedRecord(t *testing.T) {
+	st := openTestStore(t)
+	key := store.Key{Hash: "0123456789abcdef", Seed: 3}
+	good, err := store.EncodeEnvelope(key, storeTestResult(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One flipped digit inside the result payload: valid JSON, wrong
+	// checksum. PutObject trusts its caller, so the bytes land as is.
+	bad := append([]byte(nil), good...)
+	i := bytes.Index(bad, []byte(`"ber":`))
+	if i < 0 {
+		t.Fatalf("no ber field in %s", bad)
+	}
+	bad[i+6] ^= 0x01
+	if err := st.PutObject(context.Background(), key, bad); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := httptest.NewServer(New(Options{Store: st, ShareStore: true}).Handler())
+	defer ts.Close()
+	keyPath := store.StorePathPrefix + "/" + key.String()
+	if code, body := getBody(t, ts, keyPath); code != http.StatusNotFound {
+		t.Fatalf("GET of a damaged record: status %d, want 404: %s", code, body)
+	}
+	code, body := getBody(t, ts, "/v1/stats")
+	if code != http.StatusOK {
+		t.Fatalf("stats: status %d: %s", code, body)
+	}
+	var stats struct {
+		Store struct {
+			Hits      int64 `json:"hits"`
+			Permanent int64 `json:"permanent"`
+		} `json:"store"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Store.Permanent != 1 || stats.Store.Hits != 0 {
+		t.Fatalf("store stats %+v, want 1 permanent error and 0 hits", stats.Store)
+	}
+
+	req, err := http.NewRequest(http.MethodPut, ts.URL+keyPath, bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("healing PUT: status %d, want 204", resp.StatusCode)
+	}
+	code, body = getBody(t, ts, keyPath)
+	if code != http.StatusOK {
+		t.Fatalf("GET after the healing PUT: status %d: %s", code, body)
+	}
+	if _, err := store.DecodeEnvelope(key, body); err != nil {
+		t.Fatalf("healed record fails verification: %v", err)
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 // it over /v1/store/{key} — so N workers can share one corpus without a
 // shared filesystem.
 //
-// A Backend moves bytes; it does not vouch for them. BackendStore
-// layers the envelope verification every read path in this repo goes
-// through, so a corrupt or byzantine backend is detected exactly the
-// way a corrupt disk entry is.
+// A Backend moves bytes; no consumer takes them on trust: Packed
+// checks each record on its one read path, and BackendStore is the one
+// decoder every other tier reads through, so a corrupt or byzantine
+// backend is detected exactly the way a corrupt disk entry is.
 //
 // Every verb takes a context: remote backends honor it, so a cancelled
 // sweep aborts in-flight store I/O promptly; local backends may ignore
@@ -60,8 +60,10 @@ func PutContext(ctx context.Context, s Store, key Key, res *scenario.Result) err
 
 // BackendStore adapts a Backend to the Store interface, adding the
 // envelope round-trip: Get decodes and verifies the fetched bytes
-// against the key, Put encodes the canonical envelope. It is how remote
-// backends join the engine/sweep/serve read-through paths.
+// against the key, Put encodes the canonical envelope. It is the one
+// decoder for every tier that is not Packed: the remote store
+// (OpenRemote) is one over a retrying HTTP backend, and ReplicaStore
+// embeds one over its own raw read-through.
 type BackendStore struct {
 	b Backend
 }
@@ -70,9 +72,6 @@ type BackendStore struct {
 func NewBackendStore(b Backend) *BackendStore {
 	return &BackendStore{b: b}
 }
-
-// Backend returns the wrapped backend.
-func (s *BackendStore) Backend() Backend { return s.b }
 
 // Get implements Store: fetch and verify.
 func (s *BackendStore) Get(key Key) (*scenario.Result, bool, error) {
@@ -85,7 +84,7 @@ func (s *BackendStore) GetContext(ctx context.Context, key Key) (*scenario.Resul
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	res, err := decodeEnvelope(key, data)
+	res, err := DecodeEnvelope(key, data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -125,4 +124,14 @@ func (s *BackendStore) PutObject(ctx context.Context, key Key, data []byte) erro
 // ListObjects forwards to the wrapped backend.
 func (s *BackendStore) ListObjects(ctx context.Context) ([]Entry, error) {
 	return s.b.ListObjects(ctx)
+}
+
+// TierStats implements TierStatter: the wrapped backend's counters
+// (a RetryBackend's retry and breaker activity), empty when it keeps
+// none.
+func (s *BackendStore) TierStats() TierStats {
+	if t, ok := s.b.(TierStatter); ok {
+		return t.TierStats()
+	}
+	return TierStats{}
 }

@@ -194,8 +194,8 @@ func TestOpenAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.(*Remote); !ok {
-		t.Fatalf("OpenAuto(url) = %T, want *Remote", st)
+	if _, ok := st.(*BackendStore); !ok {
+		t.Fatalf("OpenAuto(url) = %T, want *BackendStore", st)
 	}
 
 	st, err = OpenAuto("http://127.0.0.1:9", t.TempDir())

@@ -61,17 +61,12 @@ func EncodeEnvelope(key Key, res *scenario.Result) ([]byte, error) {
 // DecodeEnvelope validates one envelope's bytes against the key the
 // caller expects — version, identity, and result checksum — and returns
 // the result. It is the read half of EncodeEnvelope, shared by the
-// packed store (Get/Verify/GC), `store pack` and the distributed
-// coordinator (worker-response verification).
+// packed store's record check, BackendStore, `store pack`, the share
+// route's PUT and the distributed coordinator (worker-response
+// verification). Every failure is tagged with ErrCorrupt: the bytes
+// themselves are wrong, so no amount of retrying the same source helps
+// — callers classify these as permanent.
 func DecodeEnvelope(key Key, data []byte) (*scenario.Result, error) {
-	return decodeEnvelope(key, data)
-}
-
-// decodeEnvelope validates one entry's bytes against its key and
-// returns the result. Every failure is tagged with ErrCorrupt: the
-// bytes themselves are wrong, so no amount of retrying the same source
-// helps — callers classify these as permanent.
-func decodeEnvelope(key Key, data []byte) (*scenario.Result, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, markCorrupt(fmt.Errorf("store: entry %s: malformed envelope: %w", key, err))

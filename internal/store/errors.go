@@ -15,7 +15,7 @@ import (
 
 // ErrCorrupt marks an envelope that failed verification: malformed
 // JSON, wrong version, wrong identity, or a checksum mismatch. Matched
-// with errors.Is; every decodeEnvelope failure carries it.
+// with errors.Is; every DecodeEnvelope failure carries it.
 var ErrCorrupt = errors.New("store: corrupt envelope")
 
 // ErrUnavailable marks a fast-fail while the remote circuit breaker is

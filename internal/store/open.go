@@ -42,7 +42,7 @@ func OpenAuto(spec, cacheDir string) (Store, error) {
 	if cacheDir == "" {
 		return r, nil
 	}
-	rs, err := OpenReplica(cacheDir, r.Retry())
+	rs, err := OpenReplica(cacheDir, r)
 	if err != nil {
 		return nil, err
 	}
@@ -64,9 +64,9 @@ func ParseKeyString(s string) (Key, bool) {
 }
 
 // CloseStore closes s if it is closeable (packed stores seal their
-// active segment); a convenience for callers holding the Store
-// interface. WriteOnly wrappers are unwrapped implicitly because the
-// embedded Store's Close promotes.
+// active segment, replicas drain their flush queue); a convenience for
+// callers holding the Store interface. A WriteOnly view closes the
+// store it wraps.
 func CloseStore(s Store) error {
 	if c, ok := s.(interface{ Close() error }); ok {
 		return c.Close()

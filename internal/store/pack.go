@@ -52,7 +52,7 @@ func Pack(dir string) (*PackReport, error) {
 	for _, e := range entries {
 		data, err := os.ReadFile(e.path)
 		if err == nil {
-			_, err = decodeEnvelope(e.key, data)
+			_, err = DecodeEnvelope(e.key, data)
 		}
 		if err != nil {
 			rep.Skipped++

@@ -73,10 +73,11 @@ type segmentState struct {
 //   - Put of an existing key is a true no-op: the bytes are
 //     deterministic, and appending them again would only create dead
 //     bytes in the log.
-//   - A Get that finds a damaged record drops it from the index
-//     (self-healing): the caller sees the usual error-degrades-to-miss
-//     contract, and the next Put of that key re-materializes it —
-//     compaction reclaims the dead bytes later.
+//   - A read (Get or GetObject) that finds a damaged record drops it
+//     from the index (self-healing): the caller sees the usual
+//     error-degrades-to-miss contract, and the next Put or PutObject of
+//     that key re-materializes it — compaction reclaims the dead bytes
+//     later.
 //   - GCWith compacts: segments that lost records are rewritten —
 //     survivors copied verbatim into fresh segments, old files deleted
 //     — so reclaimed bytes actually return to the filesystem.
@@ -329,87 +330,79 @@ func (p *Packed) newActiveLocked() error {
 	}
 }
 
-// getPayload reads one entry's raw envelope bytes with its index ref.
-// A read that fails is retried once against a fresh ref — a concurrent
-// compaction may have relocated the record (and closed its old segment)
-// between the index lookup and the file read.
-func (p *Packed) getPayload(key Key) ([]byte, packedRef, bool, error) {
+// segFileLocked returns the open file holding ref's segment, nil when
+// that segment is gone (compacted away under a stale ref).
+func (p *Packed) segFileLocked(ref packedRef) *os.File {
+	if st := p.segs[ref.seg]; st != nil {
+		return st.f
+	}
+	return nil
+}
+
+// record reads one record from f, checks its frame and decodes its
+// envelope against key: the one integrity check every read, Verify and
+// gc apply. It returns the envelope bytes with the decoded result.
+func (p *Packed) record(f *os.File, key Key, ref packedRef) ([]byte, *scenario.Result, error) {
+	if f == nil {
+		return nil, nil, fmt.Errorf("store: entry %s: segment %d not open", key, ref.seg)
+	}
+	buf := make([]byte, ref.length)
+	if _, err := f.ReadAt(buf, ref.off); err != nil {
+		return nil, nil, fmt.Errorf("store: entry %s: segment read: %w", key, err)
+	}
+	if int64(binary.BigEndian.Uint32(buf))+4 != ref.length {
+		return nil, nil, fmt.Errorf("store: entry %s: malformed envelope frame", key)
+	}
+	res, err := DecodeEnvelope(key, buf[4:])
+	if err != nil {
+		return nil, nil, err
+	}
+	return buf[4:], res, nil
+}
+
+// read is the one verified read behind Get and GetObject. A record that
+// fails is retried once against a fresh ref — a concurrent compaction
+// may have relocated it (and closed its old segment) between the index
+// lookup and the file read. A record that still fails is dropped from
+// the index (its bytes stay dead until compaction), so a damaged record
+// is never served and the next Put or PutObject heals the key; the
+// caller sees the standard error-degrades-to-miss contract.
+func (p *Packed) read(key Key) ([]byte, *scenario.Result, bool, error) {
 	var lastErr error
 	var lastRef packedRef
 	for attempt := 0; attempt < 2; attempt++ {
 		p.mu.RLock()
 		ref, ok := p.index[key]
-		var f *os.File
-		if ok {
-			if st := p.segs[ref.seg]; st != nil {
-				f = st.f
-			}
-		}
+		f := p.segFileLocked(ref)
 		p.mu.RUnlock()
 		if !ok {
-			return nil, packedRef{}, false, nil
+			return nil, nil, false, nil
 		}
 		if attempt > 0 && ref == lastRef {
 			break // nothing moved; the record really is damaged
 		}
-		payload, err := p.readRecord(f, key, ref)
+		data, res, err := p.record(f, key, ref)
 		if err == nil {
-			return payload, ref, true, nil
+			return data, res, true, nil
 		}
 		lastErr, lastRef = err, ref
 	}
-	return nil, lastRef, true, lastErr
+	p.dropRef(key, lastRef)
+	return nil, nil, false, lastErr
 }
 
-// Get implements Store. A record that fails verification is dropped
-// from the index (its bytes stay dead until compaction) so a later Put
-// can heal the key; the caller sees the standard error-degrades-to-miss
-// contract either way.
+// Get implements Store through the one verified read.
 func (p *Packed) Get(key Key) (*scenario.Result, bool, error) {
-	payload, ref, ok, err := p.getPayload(key)
-	if !ok {
-		return nil, false, nil
-	}
-	if err != nil {
-		p.dropRef(key, ref)
-		return nil, false, err
-	}
-	res, err := decodeEnvelope(key, payload)
-	if err != nil {
-		p.dropRef(key, ref)
-		return nil, false, err
-	}
-	return res, true, nil
+	_, res, ok, err := p.read(key)
+	return res, ok, err
 }
 
-// GetObject returns one entry's raw envelope bytes (the Backend seam;
-// disk reads ignore ctx). Framing damage drops the entry like Get does;
-// payload verification is the consumer's job (BackendStore decodes).
+// GetObject implements Backend through the one verified read (disk
+// reads ignore ctx): the envelope bytes it returns have passed the same
+// check Get applies.
 func (p *Packed) GetObject(_ context.Context, key Key) ([]byte, bool, error) {
-	payload, ref, ok, err := p.getPayload(key)
-	if !ok {
-		return nil, false, nil
-	}
-	if err != nil {
-		p.dropRef(key, ref)
-		return nil, false, err
-	}
-	return payload, true, nil
-}
-
-// readRecord fetches and frame-checks one record's payload bytes.
-func (p *Packed) readRecord(f *os.File, key Key, ref packedRef) ([]byte, error) {
-	if f == nil {
-		return nil, fmt.Errorf("store: entry %s: segment %d not open", key, ref.seg)
-	}
-	buf := make([]byte, ref.length)
-	if _, err := f.ReadAt(buf, ref.off); err != nil {
-		return nil, fmt.Errorf("store: entry %s: segment read: %w", key, err)
-	}
-	if int64(binary.BigEndian.Uint32(buf))+4 != ref.length {
-		return nil, fmt.Errorf("store: entry %s: malformed envelope frame", key)
-	}
-	return buf[4:], nil
+	data, _, ok, err := p.read(key)
+	return data, ok, err
 }
 
 // dropRef removes a damaged entry from the index — only if it still
@@ -516,8 +509,8 @@ func (p *Packed) sortedKeysLocked() []Key {
 
 // Verify reads and checks every indexed entry and reports files the
 // packed layout does not own (temporaries, foreign files, un-migrated
-// per-file entries) as stray. Report-only: unlike Get it never drops
-// damaged entries.
+// per-file entries) as stray. Report-only: unlike a read it never
+// drops damaged entries.
 func (p *Packed) Verify() (*VerifyReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -526,15 +519,7 @@ func (p *Packed) Verify() (*VerifyReport, error) {
 		ref := p.index[key]
 		rep.Entries++
 		rep.Bytes += ref.length - 4
-		var f *os.File
-		if st := p.segs[ref.seg]; st != nil {
-			f = st.f
-		}
-		payload, err := p.readRecord(f, key, ref)
-		if err == nil {
-			_, err = decodeEnvelope(key, payload)
-		}
-		if err != nil {
+		if _, _, err := p.record(p.segFileLocked(ref), key, ref); err != nil {
 			rep.Problems = append(rep.Problems, Problem{
 				Path: fmt.Sprintf("%s@%d", p.segPath(ref.seg), ref.off), Err: err.Error(),
 			})
@@ -641,15 +626,7 @@ func (p *Packed) GCWith(opts GCOptions) (*GCReport, error) {
 	// Pass 1: damaged records (framing or envelope) always go.
 	for _, key := range p.sortedKeysLocked() {
 		ref := p.index[key]
-		var f *os.File
-		if st := p.segs[ref.seg]; st != nil {
-			f = st.f
-		}
-		payload, err := p.readRecord(f, key, ref)
-		if err == nil {
-			_, err = decodeEnvelope(key, payload)
-		}
-		if err != nil {
+		if _, _, err := p.record(p.segFileLocked(ref), key, ref); err != nil {
 			delete(p.index, key)
 			p.deadBytes += ref.length
 			rep.RemovedCorrupt++

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -231,45 +233,79 @@ func TestPackedSegmentRoll(t *testing.T) {
 }
 
 // TestPackedGetSelfHeals: a bit-flipped record errors once, drops from
-// the index (subsequent Get is a clean miss), and a re-Put serves
+// the index (subsequent reads are clean misses), and a re-put serves
 // again — the engine's error-then-recompute-then-Put cycle heals the
-// corpus.
+// corpus. The script runs through both read verbs: Get with Put, and
+// GetObject (the share route's, replica's and sync's read) with
+// PutObject.
 func TestPackedGetSelfHeals(t *testing.T) {
-	dir := t.TempDir()
-	p, err := OpenPacked(dir)
-	if err != nil {
-		t.Fatal(err)
+	verbs := []struct {
+		name string
+		get  func(p *Packed, key Key) (bool, error)
+		put  func(p *Packed, key Key) error
+	}{
+		{
+			name: "Get",
+			get: func(p *Packed, key Key) (bool, error) {
+				_, ok, err := p.Get(key)
+				return ok, err
+			},
+			put: func(p *Packed, key Key) error { return p.Put(key, testResult(key.Seed)) },
+		},
+		{
+			name: "GetObject",
+			get: func(p *Packed, key Key) (bool, error) {
+				data, ok, err := p.GetObject(context.Background(), key)
+				if ok {
+					if _, derr := DecodeEnvelope(key, data); derr != nil {
+						return ok, fmt.Errorf("served bytes fail verification: %w", derr)
+					}
+				}
+				return ok, err
+			},
+			put: func(p *Packed, key Key) error {
+				env, err := EncodeEnvelope(key, testResult(key.Seed))
+				if err != nil {
+					return err
+				}
+				return p.PutObject(context.Background(), key, env)
+			},
+		},
 	}
-	keys := fillPacked(t, p, 2)
-	victim := keys[0]
-	ref := p.index[victim]
-	// Flip one byte inside the victim's payload, through the OS file.
-	f, err := os.OpenFile(p.segPath(ref.seg), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xff}, ref.off+10); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, v := range verbs {
+		t.Run(v.name, func(t *testing.T) {
+			p := openPackedTest(t)
+			keys := fillPacked(t, p, 2)
+			victim := keys[0]
+			ref := p.index[victim]
+			// Flip one byte inside the victim's payload, through the OS file.
+			f, err := os.OpenFile(p.segPath(ref.seg), os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte{0xff}, ref.off+10); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	if _, ok, err := p.Get(victim); err == nil || ok {
-		t.Fatalf("corrupt record served: ok=%v err=%v", ok, err)
+			if ok, err := v.get(p, victim); err == nil || ok {
+				t.Fatalf("corrupt record served: ok=%v err=%v", ok, err)
+			}
+			if ok, err := v.get(p, victim); ok || err != nil {
+				t.Fatalf("dropped record should be a clean miss: ok=%v err=%v", ok, err)
+			}
+			if err := v.put(p, victim); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := v.get(p, victim); !ok || err != nil {
+				t.Fatalf("re-put after self-heal: ok=%v err=%v", ok, err)
+			}
+			// The untouched neighbor was never affected.
+			if ok, err := v.get(p, keys[1]); !ok || err != nil {
+				t.Fatalf("neighbor entry: ok=%v err=%v", ok, err)
+			}
+		})
 	}
-	if _, ok, err := p.Get(victim); ok || err != nil {
-		t.Fatalf("dropped record should be a clean miss: ok=%v err=%v", ok, err)
-	}
-	if err := p.Put(victim, testResult(victim.Seed)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := p.Get(victim); !ok || err != nil {
-		t.Fatalf("re-put after self-heal: ok=%v err=%v", ok, err)
-	}
-	// The untouched neighbor was never affected.
-	if _, ok, err := p.Get(keys[1]); !ok || err != nil {
-		t.Fatalf("neighbor entry: ok=%v err=%v", ok, err)
-	}
-	p.Close()
 }
 
 // TestPackedGCCompacts: gc on a corpus with dropped records rewrites

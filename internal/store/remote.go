@@ -27,8 +27,8 @@ const defaultRemoteTimeout = 30 * time.Second
 
 // HTTPBackend is the remote half of the backend seam: an object client
 // for the /v1/store routes of a serve process (or anything speaking the
-// same three-verb protocol). It moves raw bytes only — Remote wraps it
-// in BackendStore so every fetched envelope is verified against its key
+// same three-verb protocol). It moves raw bytes only — OpenRemote wraps
+// it in BackendStore so every fetched envelope is verified against its key
 // before anyone trusts it, the same defense the distributed tier
 // applies to worker responses.
 //
@@ -56,9 +56,6 @@ func NewHTTPBackend(baseURL string, client *http.Client) (*HTTPBackend, error) {
 	}
 	return &HTTPBackend{base: strings.TrimRight(baseURL, "/"), client: client}, nil
 }
-
-// Base returns the backend's base URL.
-func (b *HTTPBackend) Base() string { return b.base }
 
 // objectURL is the entry route for key.
 func (b *HTTPBackend) objectURL(key Key) string {
@@ -146,40 +143,18 @@ func (b *HTTPBackend) ListObjects(ctx context.Context) ([]Entry, error) {
 	return out, nil
 }
 
-// Remote is an HTTP-backed Store: HTTPBackend for the bytes, a
-// RetryBackend for resilience, BackendStore for the verification.
-// `-store http://host:port` opens one, which is how a fleet shares a
-// corpus without a shared filesystem.
-type Remote struct {
-	*BackendStore
-	http  *HTTPBackend
-	retry *RetryBackend
-}
-
 // OpenRemote opens a remote store on a serve process sharing its
-// corpus at baseURL, with default retry/breaker policy.
-func OpenRemote(baseURL string, client *http.Client) (*Remote, error) {
+// corpus at baseURL: a BackendStore (the verification) over a
+// RetryBackend with the default retry/breaker policy (the resilience)
+// over an HTTPBackend (the bytes). `-store http://host:port` opens one,
+// which is how a fleet shares a corpus without a shared filesystem.
+func OpenRemote(baseURL string, client *http.Client) (*BackendStore, error) {
 	b, err := NewHTTPBackend(baseURL, client)
 	if err != nil {
 		return nil, err
 	}
-	rb := NewRetryBackend(b, RetryOptions{})
-	return &Remote{BackendStore: NewBackendStore(rb), http: b, retry: rb}, nil
+	return NewBackendStore(NewRetryBackend(b, RetryOptions{})), nil
 }
-
-// Base returns the remote's base URL.
-func (r *Remote) Base() string { return r.http.base }
-
-// Retry returns the retrying backend, for counter inspection.
-func (r *Remote) Retry() *RetryBackend { return r.retry }
-
-// TierStats implements TierStatter: the retry layer's counters.
-func (r *Remote) TierStats() TierStats {
-	return TierStats{Remote: r.retry.statsPtr()}
-}
-
-// List enumerates the remote corpus.
-func (r *Remote) List() ([]Entry, error) { return r.retry.ListObjects(context.Background()) }
 
 // maxListBytes bounds a remote listing response; a byzantine server
 // must not balloon coordinator memory through the index route.

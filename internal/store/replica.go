@@ -15,8 +15,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"ichannels/internal/scenario"
 )
 
 // defaultFlushQueue bounds the async upstream write queue. Overflow
@@ -27,8 +25,12 @@ const defaultFlushQueue = 256
 const flushPollInterval = 10 * time.Millisecond
 
 // ReplicaStore layers a local packed store over a remote backend.
-// It implements Store, ContextStore, Backend, and TierStatter.
+// It implements Backend and TierStatter itself; the embedded
+// BackendStore, wrapped around the replica's own raw read-through,
+// makes it a Store and ContextStore that decodes like every other
+// non-Packed tier.
 type ReplicaStore struct {
+	*BackendStore
 	local  *Packed
 	remote Backend
 
@@ -57,6 +59,7 @@ func OpenReplica(cacheDir string, remote Backend) (*ReplicaStore, error) {
 		return nil, err
 	}
 	r := &ReplicaStore{local: local, remote: remote, ch: make(chan flushItem, defaultFlushQueue)}
+	r.BackendStore = NewBackendStore(r)
 	r.wg.Add(1)
 	go r.flushLoop()
 	return r, nil
@@ -83,60 +86,9 @@ func (r *ReplicaStore) flushLoop() {
 // Local returns the local cache tier.
 func (r *ReplicaStore) Local() *Packed { return r.local }
 
-// Get implements Store.
-func (r *ReplicaStore) Get(key Key) (*scenario.Result, bool, error) {
-	return r.GetContext(context.Background(), key)
-}
-
-// GetContext implements ContextStore: local tier first (no network on
-// a hit), then the remote; a verified remote hit is persisted locally
-// so the next read is free.
-func (r *ReplicaStore) GetContext(ctx context.Context, key Key) (*scenario.Result, bool, error) {
-	if res, ok, err := r.local.Get(key); err == nil && ok {
-		r.count(func(s *ReplicaStats) { s.LocalHits++ })
-		return res, true, nil
-	}
-	// Local miss or locally damaged entry (the packed layout self-heals
-	// damaged refs): consult the remote.
-	data, ok, err := r.remote.GetObject(ctx, key)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		r.count(func(s *ReplicaStats) { s.RemoteMisses++ })
-		return nil, false, nil
-	}
-	res, err := decodeEnvelope(key, data)
-	if err != nil {
-		// Corrupt remote bytes are rejected and never cached.
-		r.count(func(s *ReplicaStats) { s.CorruptRemote++ })
-		return nil, false, err
-	}
-	// Verified once; stored verbatim.
-	if perr := r.local.PutObject(ctx, key, data); perr == nil {
-		r.count(func(s *ReplicaStats) { s.RemoteFills++ })
-	}
-	return res, true, nil
-}
-
-// Put implements Store.
-func (r *ReplicaStore) Put(key Key, res *scenario.Result) error {
-	return r.PutContext(context.Background(), key, res)
-}
-
-// PutContext implements ContextStore: local-first (the local write is
-// the durable one), then an async best-effort push upstream.
-func (r *ReplicaStore) PutContext(ctx context.Context, key Key, res *scenario.Result) error {
-	data, err := EncodeEnvelope(key, res)
-	if err != nil {
-		return err
-	}
-	return r.PutObject(ctx, key, data)
-}
-
-// PutObject implements Backend and is the shared write path:
-// local-first (the local write is the durable one), then the async
-// flush upstream.
+// PutObject implements Backend and is the one write path (Put encodes
+// through the embedded BackendStore): local-first (the local write is
+// the durable one), then the async best-effort flush upstream.
 func (r *ReplicaStore) PutObject(ctx context.Context, key Key, data []byte) error {
 	if err := r.local.PutObject(ctx, key, data); err != nil {
 		return err
@@ -157,7 +109,12 @@ func (r *ReplicaStore) PutObject(ctx context.Context, key Key, data []byte) erro
 	return nil
 }
 
-// GetObject implements Backend: the read-through in raw-bytes form, so
+// GetObject implements Backend and is the one read-through: the local
+// tier first (no network on a hit), then the remote. A locally damaged
+// record has already been dropped by the local read, so it falls
+// through to the remote too. Remote bytes are verified once — corrupt
+// ones are rejected and never cached — and persisted verbatim, so the
+// next read is free. Get decodes through the embedded BackendStore, and
 // a serve process can share a replica onward (proxy chains compose).
 func (r *ReplicaStore) GetObject(ctx context.Context, key Key) ([]byte, bool, error) {
 	if data, ok, err := r.local.GetObject(ctx, key); err == nil && ok {
@@ -171,7 +128,7 @@ func (r *ReplicaStore) GetObject(ctx context.Context, key Key) ([]byte, bool, er
 		}
 		return nil, false, err
 	}
-	if _, derr := decodeEnvelope(key, data); derr != nil {
+	if _, derr := DecodeEnvelope(key, data); derr != nil {
 		r.count(func(s *ReplicaStats) { s.CorruptRemote++ })
 		return nil, false, derr
 	}
@@ -313,10 +270,7 @@ func (r *ReplicaStore) GCWith(opts GCOptions) (*GCReport, error) {
 // TierStats implements TierStatter: the replica counters merged with
 // the remote's retry/breaker counters when it exposes them.
 func (r *ReplicaStore) TierStats() TierStats {
-	r.mu.Lock()
-	s := r.stats
-	s.FlushPending = r.pending
-	r.mu.Unlock()
+	s := r.Stats()
 	ts := TierStats{Replica: &s}
 	if t, ok := r.remote.(TierStatter); ok {
 		ts.Remote = t.TierStats().Remote

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -311,5 +312,72 @@ func TestWriteOnlyReplicaKeepsLifecycleAndTierStats(t *testing.T) {
 	// worker is gone and a second close is a no-op.
 	if err := r.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestReplicaHealsDamagedLocalRecords: a damaged local record is never
+// served, through either read verb. The local read drops it, the
+// remote's good bytes come back and refill the cache, and the replica
+// counts a remote fill, not a local hit.
+func TestReplicaHealsDamagedLocalRecords(t *testing.T) {
+	mb := newMemBackend()
+	getKey, objKey := seedRemote(t, mb, 1), seedRemote(t, mb, 2)
+	r := openTestReplica(t, mb)
+	for _, key := range []Key{getKey, objKey} {
+		if err := r.local.PutObject(context.Background(), key, mb.objects[key]); err != nil {
+			t.Fatal(err)
+		}
+		damageRecord(t, r.local, key)
+	}
+
+	res, ok, err := r.Get(getKey)
+	if err != nil || !ok || res.Seed != getKey.Seed {
+		t.Fatalf("Get over a damaged local record: res=%+v ok=%v err=%v", res, ok, err)
+	}
+	data, ok, err := r.GetObject(context.Background(), objKey)
+	if err != nil || !ok {
+		t.Fatalf("GetObject over a damaged local record: ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(data, mb.objects[objKey]) {
+		t.Fatal("GetObject served bytes other than the remote's good envelope")
+	}
+	if s := r.Stats(); s.RemoteFills != 2 || s.LocalHits != 0 {
+		t.Fatalf("stats: %+v, want 2 remote fills and 0 local hits", s)
+	}
+	// The refilled records are good: the next reads are local hits.
+	for _, key := range []Key{getKey, objKey} {
+		if _, ok, err := r.local.Get(key); !ok || err != nil {
+			t.Fatalf("refilled %s: ok=%v err=%v", key, ok, err)
+		}
+	}
+}
+
+// TestSyncDirNeverPushesDamagedRecords: sync reads each entry it pushes
+// through the verified read, so a damaged local record is counted as a
+// push error and dropped, never sent upstream; the next sync finds
+// nothing left to push.
+func TestSyncDirNeverPushesDamagedRecords(t *testing.T) {
+	p := openPackedTest(t)
+	keys := fillPacked(t, p, 2)
+	damageRecord(t, p, keys[0])
+	mb := newMemBackend()
+	ctx := context.Background()
+
+	rep, err := SyncDirToRemote(ctx, p, mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pushed != 1 || rep.PushErrors != 1 {
+		t.Fatalf("first sync: %+v, want 1 pushed and 1 push error", rep)
+	}
+	if mb.has(keys[0]) || mb.puts != 1 {
+		t.Fatalf("remote saw %d puts (damaged key present: %v), want only the good entry's", mb.puts, mb.has(keys[0]))
+	}
+	rep, err = SyncDirToRemote(ctx, p, mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pushed != 0 || rep.PushErrors != 0 {
+		t.Fatalf("second sync: %+v, want nothing pushed and 0 push errors", rep)
 	}
 }

@@ -256,10 +256,8 @@ func (r *RetryBackend) Stats() RemoteStats {
 	return s
 }
 
-func (r *RetryBackend) statsPtr() *RemoteStats {
-	s := r.Stats()
-	return &s
-}
-
 // TierStats implements TierStatter.
-func (r *RetryBackend) TierStats() TierStats { return TierStats{Remote: r.statsPtr()} }
+func (r *RetryBackend) TierStats() TierStats {
+	s := r.Stats()
+	return TierStats{Remote: &s}
+}

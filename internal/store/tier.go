@@ -61,7 +61,7 @@ type TierStats struct {
 }
 
 // TierStatter is implemented by stores with a remote path worth
-// reporting on (Remote, ReplicaStore, RetryBackend). The CLI's run
+// reporting on (BackendStore, ReplicaStore, RetryBackend). The CLI's run
 // commands read it after a run; serve includes it in /v1/stats.
 type TierStatter interface {
 	TierStats() TierStats
