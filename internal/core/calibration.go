@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
-
-	"ichannels/internal/stats"
 )
 
 // Calibration holds the receiver's learned decision rule: the mean
@@ -35,17 +34,36 @@ func NewCalibration(groups [NumSymbols][]float64) (*Calibration, error) {
 		mean     float64
 		min, max float64
 	}
-	clusters := make([]cluster, 0, NumSymbols)
+	// Only each group's mean and extremes matter. They are summed and
+	// compared in stats.Summarize's order, so the bits match it.
+	var clusters [NumSymbols]cluster
 	for s, g := range groups {
 		if len(g) == 0 {
 			return nil, fmt.Errorf("core: no calibration samples for symbol %d", s)
 		}
-		sum := stats.Summarize(g)
-		clusters = append(clusters, cluster{Symbol(s), sum.Mean, sum.Min, sum.Max})
+		c := cluster{sym: Symbol(s), min: math.Inf(1), max: math.Inf(-1)}
+		var sum float64
+		for _, x := range g {
+			sum += x
+			if x < c.min {
+				c.min = x
+			}
+			if x > c.max {
+				c.max = x
+			}
+		}
+		c.mean = sum / float64(len(g))
+		clusters[s] = c
 	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i].mean < clusters[j].mean })
+	// Insertion sort by mean: the order sort.Slice gives at this size,
+	// ties included, without its reflection-based swapper.
+	for i := 1; i < len(clusters); i++ {
+		for j := i; j > 0 && clusters[j].mean < clusters[j-1].mean; j-- {
+			clusters[j], clusters[j-1] = clusters[j-1], clusters[j]
+		}
+	}
 
-	cal := &Calibration{}
+	cal := &Calibration{Thresholds: make([]float64, 0, NumSymbols-1)}
 	gap := 0.0
 	for i, c := range clusters {
 		cal.MeanCycles[c.sym] = c.mean

@@ -109,6 +109,32 @@ type transition struct {
 	toFreq units.Hertz
 }
 
+// inFlight is one regulator's in-flight transition record. At most one
+// transition runs per regulator at a time (the serialization the paper's
+// cross-core channel exploits), so the state its continuations need fits
+// in one slot per regulator, and each continuation is a callback bound
+// once by AttachCores: a license cycle schedules without allocating.
+type inFlight struct {
+	tr transition
+	// tentative is a grant's license vector (one entry per core): the
+	// granted licenses with the requested class raised in place.
+	tentative []isa.Class
+	// pllTo and pllCont are the PLL relock's target and continuation.
+	// With per-core regulators two regulators can relock at once, so
+	// they live here rather than on the PMU.
+	pllTo   units.Hertz
+	pllCont func(units.Time)
+
+	// Prebound continuations.
+	finish   func(units.Time) // a retarget settled
+	grant    func(units.Time) // a grant's ramp settled
+	ramp     func(units.Time) // a protective downshift relocked: ramp for the grant
+	relax    func(units.Time) // a frequency-down relocked: relax the voltage
+	relock   func(units.Time) // a frequency-up's voltage settled: relock
+	restored func(units.Time) // a frequency-up relocked: the restore is done
+	pll      func(units.Time) // the PLL relock completed
+}
+
 // Stats counts PMU activity, exposed for experiments and tests.
 type Stats struct {
 	Grants          uint64
@@ -133,8 +159,11 @@ type PMU struct {
 	decayEv   []sched.EventRef
 	decayFn   []func(units.Time) // prebound per-core decay callbacks
 
-	busy  []bool
-	queue [][]transition
+	busy   []bool
+	queue  [][]transition
+	flight []inFlight
+
+	restoreFn func(units.Time) // prebound restore-check callback
 
 	curFreq       units.Hertz
 	lastDownshift units.Time
@@ -189,6 +218,27 @@ func (p *PMU) AttachCores(cores []Core) error {
 	}
 	p.busy = make([]bool, nregs)
 	p.queue = make([][]transition, nregs)
+	p.flight = make([]inFlight, nregs)
+	for i := range p.flight {
+		ri := i
+		fl := &p.flight[ri]
+		fl.tentative = make([]isa.Class, n)
+		fl.finish = func(units.Time) { p.finish(ri) }
+		fl.grant = func(now units.Time) { p.grant(ri, now) }
+		fl.ramp = func(units.Time) { p.rampForGrant(ri) }
+		fl.relax = func(now units.Time) { p.relax(ri, now) }
+		fl.relock = func(now units.Time) { p.switchFrequency(ri, fl.pllTo, now, fl.restored) }
+		fl.restored = func(units.Time) {
+			p.stats.FreqRestores++
+			p.restoreQueued = false
+			p.finish(ri)
+		}
+		fl.pll = func(now units.Time) { p.pllDone(ri, now) }
+	}
+	p.restoreFn = func(now units.Time) {
+		p.restoreEv = sched.EventRef{}
+		p.maybeRestoreFrequency(now)
+	}
 	p.regs = make([]*pdn.Regulator, nregs)
 	for i := range p.regs {
 		p.regs[i] = new(pdn.Regulator)
@@ -230,6 +280,13 @@ func (p *PMU) Reset(cfg Config) error {
 	for i := range p.busy {
 		p.busy[i] = false
 		p.queue[i] = p.queue[i][:0]
+		fl := &p.flight[i]
+		fl.tr = transition{}
+		for c := range fl.tentative {
+			fl.tentative[c] = isa.Scalar64
+		}
+		fl.pllTo = 0
+		fl.pllCont = nil
 	}
 	now := p.q.Now()
 	f := p.maxFreqAllowed(p.lic)
@@ -441,13 +498,6 @@ func (p *PMU) decayCheck(coreID int, now units.Time) {
 	}
 }
 
-// licSnapshot copies the granted licenses.
-func (p *PMU) licSnapshot() []isa.Class {
-	out := make([]isa.Class, len(p.lic))
-	copy(out, p.lic)
-	return out
-}
-
 // targetVoltage computes the voltage regulator ri should hold for the
 // given per-core licenses at frequency f.
 func (p *PMU) targetVoltage(ri int, licenses []isa.Class, f units.Hertz) units.Volt {
@@ -520,11 +570,14 @@ func (p *PMU) kick(ri int) {
 	if p.busy[ri] || len(p.queue[ri]) == 0 {
 		return
 	}
-	tr := p.queue[ri][0]
-	p.queue[ri] = p.queue[ri][1:]
+	// Pop the head in place so enqueue's append reuses the capacity.
+	q := p.queue[ri]
+	p.flight[ri].tr = q[0]
+	copy(q, q[1:])
+	p.queue[ri] = q[:len(q)-1]
 	p.busy[ri] = true
 	p.stats.Transitions++
-	p.process(ri, tr)
+	p.process(ri)
 }
 
 func (p *PMU) finish(ri int) {
@@ -533,44 +586,44 @@ func (p *PMU) finish(ri int) {
 	p.kick(ri)
 }
 
-func (p *PMU) process(ri int, tr transition) {
+// process starts regulator ri's in-flight transition. Every step it
+// schedules is one of the regulator's prebound continuations, reading its
+// state from the in-flight record.
+func (p *PMU) process(ri int) {
 	now := p.q.Now()
+	fl := &p.flight[ri]
+	tr := fl.tr
 	switch tr.kind {
 	case transGrant:
-		tentative := p.licSnapshot()
-		if tr.class > tentative[tr.core] {
-			tentative[tr.core] = tr.class
+		copy(fl.tentative, p.lic)
+		if tr.class > fl.tentative[tr.core] {
+			fl.tentative[tr.core] = tr.class
 		}
-		fOK := p.maxFreqAllowed(tentative)
+		fOK := p.maxFreqAllowed(fl.tentative)
 		if fOK <= 0 {
 			fOK = p.cfg.FreqStep
 		}
 		if fOK < p.curFreq {
 			// Iccmax/Vccmax protection: reduce frequency before
 			// raising the guardband (paper §5.3).
-			p.downshiftThen(fOK, func(units.Time) { p.rampForGrant(ri, tr, tentative) })
+			p.downshiftThen(ri, fOK, fl.ramp)
 			return
 		}
-		p.rampForGrant(ri, tr, tentative)
+		p.rampForGrant(ri)
 
 	case transRetarget:
 		target := p.targetVoltage(ri, p.lic, p.curFreq)
 		settle := p.regs[ri].SetTarget(now, target)
-		p.q.At(settle, func(units.Time) { p.finish(ri) })
+		p.q.At(settle, fl.finish)
 
 	case transFreqDown:
-		to := tr.toFreq
-		if to >= p.curFreq {
+		if tr.toFreq >= p.curFreq {
 			p.finish(ri)
 			return
 		}
 		// Switch the clock first, then relax the voltage to the new
 		// operating point.
-		p.switchFrequency(to, now, func(t2 units.Time) {
-			target := p.targetVoltage(ri, p.lic, to)
-			settle := p.regs[ri].SetTarget(t2, target)
-			p.q.At(settle, func(units.Time) { p.finish(ri) })
-		})
+		p.switchFrequency(ri, tr.toFreq, now, fl.relax)
 
 	case transFreqUp:
 		fOK := p.maxFreqAllowed(p.lic)
@@ -587,57 +640,74 @@ func (p *PMU) process(ri int, tr transition) {
 		// the PLL.
 		target := p.targetVoltage(ri, p.lic, to)
 		settle := p.regs[ri].SetTarget(now, target)
-		p.q.At(settle, func(t2 units.Time) {
-			p.switchFrequency(to, t2, func(units.Time) {
-				p.stats.FreqRestores++
-				p.restoreQueued = false
-				p.finish(ri)
-			})
-		})
+		fl.pllTo = to
+		p.q.At(settle, fl.relock)
 	}
 }
 
-func (p *PMU) rampForGrant(ri int, tr transition, tentative []isa.Class) {
+// rampForGrant raises regulator ri's voltage for its in-flight grant.
+func (p *PMU) rampForGrant(ri int) {
 	now := p.q.Now()
-	target := p.targetVoltage(ri, tentative, p.curFreq)
+	target := p.targetVoltage(ri, p.flight[ri].tentative, p.curFreq)
 	settle := p.regs[ri].SetTarget(now, target)
-	p.q.At(settle, func(t2 units.Time) {
-		if tr.class > p.lic[tr.core] {
-			p.lic[tr.core] = tr.class
-		}
-		p.stats.Grants++
-		p.cores[tr.core].GrantLicense(tr.class, t2)
-		p.finish(ri)
-	})
+	p.q.At(settle, p.flight[ri].grant)
+}
+
+// grant completes regulator ri's in-flight grant once its ramp settled.
+func (p *PMU) grant(ri int, now units.Time) {
+	tr := p.flight[ri].tr
+	if tr.class > p.lic[tr.core] {
+		p.lic[tr.core] = tr.class
+	}
+	p.stats.Grants++
+	p.cores[tr.core].GrantLicense(tr.class, now)
+	p.finish(ri)
+}
+
+// relax settles regulator ri's voltage at the operating point a
+// frequency-down transition just relocked to.
+func (p *PMU) relax(ri int, now units.Time) {
+	target := p.targetVoltage(ri, p.lic, p.flight[ri].pllTo)
+	settle := p.regs[ri].SetTarget(now, target)
+	p.q.At(settle, p.flight[ri].finish)
 }
 
 // downshiftThen halts all cores, relocks the PLL at the lower frequency,
 // resumes, and then continues with cont.
-func (p *PMU) downshiftThen(to units.Hertz, cont func(units.Time)) {
+func (p *PMU) downshiftThen(ri int, to units.Hertz, cont func(units.Time)) {
 	now := p.q.Now()
 	p.stats.FreqDownshifts++
 	p.lastDownshift = now
-	p.switchFrequency(to, now, cont)
+	p.switchFrequency(ri, to, now, cont)
 	// Plan a restore check once the protection window has passed.
 	p.scheduleRestoreCheck(now.Add(p.cfg.FreqRestoreDelay))
 }
 
-// switchFrequency performs the PLL relock: all cores halt for PLLRelock,
-// then run at the new frequency.
-func (p *PMU) switchFrequency(to units.Hertz, now units.Time, cont func(units.Time)) {
+// switchFrequency performs the PLL relock for regulator ri's transition:
+// all cores halt for PLLRelock, then run at the new frequency, and cont
+// follows.
+func (p *PMU) switchFrequency(ri int, to units.Hertz, now units.Time, cont func(units.Time)) {
 	for _, c := range p.cores {
 		c.SetHalted(true, now)
 	}
-	p.q.At(now.Add(p.cfg.PLLRelock), func(t2 units.Time) {
-		p.curFreq = to
-		for _, c := range p.cores {
-			c.SetFrequency(to, t2)
-			c.SetHalted(false, t2)
-		}
-		if cont != nil {
-			cont(t2)
-		}
-	})
+	fl := &p.flight[ri]
+	fl.pllTo, fl.pllCont = to, cont
+	p.q.At(now.Add(p.cfg.PLLRelock), fl.pll)
+}
+
+// pllDone ends regulator ri's PLL relock. The continuation is taken
+// off the record before it runs: it may finish the transition and start
+// the next one, which can relock again.
+func (p *PMU) pllDone(ri int, now units.Time) {
+	fl := &p.flight[ri]
+	to, cont := fl.pllTo, fl.pllCont
+	fl.pllCont = nil
+	p.curFreq = to
+	for _, c := range p.cores {
+		c.SetFrequency(to, now)
+		c.SetHalted(false, now)
+	}
+	cont(now)
 }
 
 func (p *PMU) scheduleRestoreCheck(at units.Time) {
@@ -645,10 +715,7 @@ func (p *PMU) scheduleRestoreCheck(at units.Time) {
 		return
 	}
 	p.q.Cancel(p.restoreEv)
-	p.restoreEv = p.q.At(at, func(now units.Time) {
-		p.restoreEv = sched.EventRef{}
-		p.maybeRestoreFrequency(now)
-	})
+	p.restoreEv = p.q.At(at, p.restoreFn)
 }
 
 // maybeRestoreFrequency queues a frequency-up transition when the

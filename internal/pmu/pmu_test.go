@@ -514,3 +514,172 @@ func TestResetMatchesFreshlyAttached(t *testing.T) {
 		t.Fatalf("script exercised too little: %s", pmuTranscript(fresh, fq, fcores))
 	}
 }
+
+// clearLogs empties the fake cores' callback logs in place, so a
+// measured loop's appends reuse their capacity.
+func clearLogs(cores []*fakeCore) {
+	for _, c := range cores {
+		c.granted, c.grantTimes, c.downgrades = c.granted[:0], c.grantTimes[:0], c.downgrades[:0]
+	}
+}
+
+// TestLicenseCycleAllocFree pins the license path's prebound
+// continuations: once warm, a license cycle schedules every step on
+// callbacks bound by AttachCores and allocates nothing. The three cases
+// together run every continuation: grant, decay retarget, protective
+// downshift with its relock and deferred ramp, and the frequency restore
+// (restore check, voltage raise, relock).
+func TestLicenseCycleAllocFree(t *testing.T) {
+	turbo := testConfig()
+	turbo.RequestedFrequency = 3.1 * units.GHz
+	settle := 300 * units.Microsecond
+	t.Run("grant then decay", func(t *testing.T) {
+		p, q, cores := newTestPMU(t, testConfig(), 1)
+		c := cores[0]
+		idle := 2 * testConfig().LicenseHysteresis
+		allocs := testing.AllocsPerRun(20, func() {
+			clearLogs(cores)
+			c.busy, c.active = true, isa.Vec256Heavy
+			p.RequestLicense(0, isa.Vec256Heavy)
+			q.RunUntil(q.Now().Add(settle))
+			c.busy, c.active = false, isa.Scalar64
+			q.RunUntil(q.Now().Add(idle))
+		})
+		if allocs != 0 {
+			t.Fatalf("license cycle allocated %v per run", allocs)
+		}
+		if st := p.Stats(); st.Grants != 21 || st.Downgrades != 21 {
+			t.Fatalf("stats %+v, want 21 grants and 21 downgrades", st)
+		}
+	})
+	t.Run("grant behind a protective downshift", func(t *testing.T) {
+		p, q, cores := newTestPMU(t, turbo, 2)
+		allocs := testing.AllocsPerRun(20, func() {
+			q.Reset()
+			if err := p.Reset(turbo); err != nil {
+				panic(err)
+			}
+			clearLogs(cores)
+			cores[0].busy, cores[0].active = true, isa.Vec512Heavy
+			cores[1].busy, cores[1].active = true, isa.Scalar64
+			p.RequestLicense(0, isa.Vec512Heavy)
+			q.RunUntil(q.Now().Add(settle))
+		})
+		if allocs != 0 {
+			t.Fatalf("downshift and grant allocated %v per run", allocs)
+		}
+		if st := p.Stats(); st.FreqDownshifts != 1 || st.Grants != 1 {
+			t.Fatalf("stats %+v, want one downshift and one grant", st)
+		}
+	})
+	t.Run("frequency restore after a downshift", func(t *testing.T) {
+		p, q, cores := newTestPMU(t, turbo, 2)
+		cores[1].busy, cores[1].active = true, isa.Scalar64
+		downshift := func() {
+			cores[0].busy, cores[0].active = true, isa.Vec512Heavy
+			p.RequestLicense(0, isa.Vec512Heavy)
+			q.RunUntil(q.Now().Add(settle))
+		}
+		downshift()
+		allocs := testing.AllocsPerRun(20, func() {
+			clearLogs(cores)
+			// Idle past the decay and the restore delay: the Turbo
+			// bin comes back. Then the next downshift.
+			cores[0].busy, cores[0].active = false, isa.Scalar64
+			q.RunUntil(q.Now().Add(2 * turbo.FreqRestoreDelay))
+			if p.Frequency() != turbo.RequestedFrequency {
+				panic(fmt.Sprintf("frequency not restored: %v", p.Frequency()))
+			}
+			downshift()
+		})
+		if allocs != 0 {
+			t.Fatalf("restore cycle allocated %v per run", allocs)
+		}
+		if st := p.Stats(); st.FreqRestores != 21 || st.FreqDownshifts != 22 {
+			t.Fatalf("stats %+v, want 21 restores and 22 downshifts", st)
+		}
+	})
+}
+
+// TestPerCoreVROverlappingGrants: per-core regulators run two grants at
+// once, each behind its own protective downshift when the second request
+// arrives inside the first's PLL relock (0 and 3 µs), behind none when
+// it arrives after (8 µs), or behind a second downshift (12 µs). Every
+// regulator keeps its own in-flight transition, license vector and
+// relock continuation, so each core gets its own class at the same
+// picosecond it always has. The 0 and 3 µs cases end at 3 GHz, above
+// the 2.1 GHz the two granted licenses allow (the 12 µs case): each
+// grant sizes its downshift from the licenses granted when it starts,
+// and the relock that completes last sets the clock. That is the
+// model's behaviour, pinned here so a change to it is deliberate.
+func TestPerCoreVROverlappingGrants(t *testing.T) {
+	cfg := testConfig()
+	cfg.PerCoreVR = true
+	cfg.VR = pdn.DefaultConfig(pdn.LDO)
+	cfg.RequestedFrequency = 3.1 * units.GHz
+	cases := []struct {
+		gap        units.Duration
+		grantAt    [2]units.Time
+		freq       units.Hertz
+		downshifts uint64
+	}{
+		{0, [2]units.Time{8735674, 7107354}, 3 * units.GHz, 2},
+		{3 * units.Microsecond, [2]units.Time{8735674, 10107354}, 3 * units.GHz, 2},
+		{8 * units.Microsecond, [2]units.Time{8735674, 9952341}, 2.6 * units.GHz, 1},
+		{12 * units.Microsecond, [2]units.Time{8735674, 22941099}, 2.1 * units.GHz, 2},
+	}
+	want := [2]isa.Class{isa.Vec512Heavy, isa.Vec256Heavy}
+	for _, tc := range cases {
+		p, q, cores := newTestPMU(t, cfg, 2)
+		for i, c := range cores {
+			c.busy, c.active = true, want[i]
+		}
+		p.RequestLicense(0, want[0])
+		q.RunUntil(q.Now().Add(tc.gap))
+		p.RequestLicense(1, want[1])
+		q.RunUntil(q.Now().Add(300 * units.Microsecond))
+		for i, c := range cores {
+			if len(c.granted) != 1 || c.granted[0] != want[i] || c.grantTimes[0] != tc.grantAt[i] {
+				t.Errorf("gap %v: core %d granted %v at %v, want %v at %v",
+					tc.gap, i, c.granted, c.grantTimes, want[i], tc.grantAt[i])
+			}
+		}
+		st := p.Stats()
+		if p.Frequency() != tc.freq || st.FreqDownshifts != tc.downshifts || st.SerializedWaits != 0 {
+			t.Errorf("gap %v: frequency %v, stats %+v; want %v and %d downshifts, no waits",
+				tc.gap, p.Frequency(), st, tc.freq, tc.downshifts)
+		}
+	}
+}
+
+// TestGrantQueuedBehindRestore: a grant that waits behind an in-flight
+// frequency restore starts from the restore's relock continuation and
+// immediately relocks again for its own protective downshift. The second
+// relock must keep its continuation: the first one's completion may not
+// clear it.
+func TestGrantQueuedBehindRestore(t *testing.T) {
+	cfg := testConfig()
+	cfg.RequestedFrequency = 3.1 * units.GHz
+	p, q, cores := newTestPMU(t, cfg, 2)
+	cores[1].busy, cores[1].active = true, isa.Scalar64
+	cores[0].busy, cores[0].active = true, isa.Vec512Heavy
+	p.RequestLicense(0, isa.Vec512Heavy)
+	q.RunUntil(q.Now().Add(300 * units.Microsecond))
+	down := p.Frequency()
+	cores[0].busy, cores[0].active = false, isa.Scalar64
+	for !p.restoreQueued {
+		if !q.Step() {
+			t.Fatal("no frequency restore started")
+		}
+	}
+	cores[0].busy, cores[0].active = true, isa.Vec512Heavy
+	p.RequestLicense(0, isa.Vec512Heavy)
+	q.RunUntil(q.Now().Add(300 * units.Microsecond))
+	st := p.Stats()
+	if st.FreqRestores != 1 || st.FreqDownshifts != 2 || st.Grants != 2 || st.SerializedWaits == 0 {
+		t.Fatalf("stats %+v, want the grant queued behind one restore and two downshifts", st)
+	}
+	if p.Frequency() != down || p.Licenses()[0] != isa.Vec512Heavy {
+		t.Fatalf("frequency %v license %v, want %v and %v", p.Frequency(), p.Licenses()[0], down, isa.Vec512Heavy)
+	}
+}

@@ -342,16 +342,19 @@ func (q *Queue) Run(maxEvents uint64) uint64 {
 // machine's next run schedules without allocating. Sequence numbers restart
 // at zero: a reset queue replays exactly like a fresh one.
 func (q *Queue) Reset() {
-	for b, e := range q.buckets {
-		for e != nil {
-			next := e.next
-			q.release(e)
-			e = next
+	// Only occupied buckets hold nodes: walk the bitmap, not the ring.
+	for w, word := range q.occupied {
+		for word != 0 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for e := q.buckets[b]; e != nil; {
+				next := e.next
+				q.release(e)
+				e = next
+			}
+			q.buckets[b] = nil
 		}
-		q.buckets[b] = nil
-	}
-	for i := range q.occupied {
-		q.occupied[i] = 0
+		q.occupied[w] = 0
 	}
 	for _, e := range q.overflow {
 		e.index = -1

@@ -351,6 +351,62 @@ func TestQueueReset(t *testing.T) {
 	}
 }
 
+// TestResetReleasesRingAndOverflow: Reset walks only the occupied
+// buckets, yet it must retire every pending node — ring buckets on both
+// sides of a bitmap word boundary, a bucket holding several nodes, and
+// the overflow heap — so the reset queue is empty, old handles are dead,
+// and the recycled nodes schedule and fire correctly without allocating.
+func TestResetReleasesRingAndOverflow(t *testing.T) {
+	q := NewQueue()
+	fn := func(units.Time) {}
+	var refs []EventRef
+	for _, b := range []int{1, 63, 64, 64, 200, 1023} {
+		refs = append(refs, q.At(units.Time(b<<tickBits), fn))
+	}
+	for _, ms := range []int64{5, 9, 100} {
+		refs = append(refs, q.At(units.Time(ms*int64(units.Millisecond)), fn))
+	}
+	q.Cancel(refs[4])
+	q.Step() // advance past bucket 1 so the ring window has moved
+	q.Reset()
+	if q.Pending() != 0 || q.Now() != 0 || q.Fired() != 0 {
+		t.Fatalf("after Reset: pending=%d now=%v fired=%d", q.Pending(), q.Now(), q.Fired())
+	}
+	for i, r := range refs {
+		if !r.Cancelled() {
+			t.Fatalf("handle %d survived Reset", i)
+		}
+	}
+	if q.Step() {
+		t.Fatal("a reset queue fired an event")
+	}
+	var got []units.Time
+	rec := func(now units.Time) { got = append(got, now) }
+	// Reuse the nine released nodes, in ring and overflow alike, in an
+	// order that is not their firing order. Each run resets the queue
+	// it just filled, so every run must schedule on recycled nodes.
+	times := []units.Time{
+		units.Time(50 * units.Millisecond), 30, units.Time(2 * units.Millisecond), 30, 10,
+		units.Time(700 * units.Microsecond), 20, units.Time(40 * units.Millisecond), 1 << tickBits,
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		q.Reset()
+		for _, tm := range times {
+			q.At(tm, rec)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reset and reschedule allocated %v per run", allocs)
+	}
+	if q.Pending() != len(times) {
+		t.Fatalf("pending %d, want %d", q.Pending(), len(times))
+	}
+	q.Run(0)
+	if len(got) != len(times) || !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+		t.Fatalf("recycled nodes fired out of order: %v", got)
+	}
+}
+
 // Property: any randomly scheduled set of events fires in nondecreasing
 // time order, on both implementations.
 func TestPropertyOrdering(t *testing.T) {

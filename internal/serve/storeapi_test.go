@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -305,6 +307,86 @@ func TestV1StoreDropsDamagedRecord(t *testing.T) {
 	}
 	if _, err := store.DecodeEnvelope(key, body); err != nil {
 		t.Fatalf("healed record fails verification: %v", err)
+	}
+}
+
+// TestV1StoreDamageIsPermanent: every class of damage to a shared
+// packed record under a live store — a flipped payload byte, a wrong
+// length prefix, a segment truncated after open — ends the same way: the
+// first GET answers 404 and /v1/stats counts one permanent store error
+// and no transient one, so a client neither retries the read nor counts
+// it toward opening its breaker.
+func TestV1StoreDamageIsPermanent(t *testing.T) {
+	key := store.Key{Hash: "0123456789abcdef", Seed: 3}
+	good, err := store.EncodeEnvelope(key, storeTestResult(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one record sits right after the segment's 8-byte magic: a
+	// 4-byte big-endian length prefix, then the envelope.
+	const recordOff = 8
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, seg string)
+	}{
+		{"payload flip", func(t *testing.T, seg string) {
+			i := bytes.Index(good, []byte(`"ber":`))
+			flipByte(t, seg, recordOff+4+int64(i)+6)
+		}},
+		{"length prefix", func(t *testing.T, seg string) {
+			flipByte(t, seg, recordOff+3)
+		}},
+		{"truncated after open", func(t *testing.T, seg string) {
+			if err := os.Truncate(seg, recordOff+4+int64(len(good))-10); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openTestStore(t)
+			if err := st.PutObject(context.Background(), key, good); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, filepath.Join(st.Dir(), store.SegmentsDirName, "00000001.seg"))
+
+			ts := httptest.NewServer(New(Options{Store: st, ShareStore: true}).Handler())
+			defer ts.Close()
+			if code, body := getBody(t, ts, store.StorePathPrefix+"/"+key.String()); code != http.StatusNotFound {
+				t.Fatalf("GET of a damaged record: status %d, want 404: %s", code, body)
+			}
+			_, body := getBody(t, ts, "/v1/stats")
+			var stats struct {
+				Store struct {
+					Transient int64 `json:"transient"`
+					Permanent int64 `json:"permanent"`
+				} `json:"store"`
+			}
+			if err := json.Unmarshal(body, &stats); err != nil {
+				t.Fatal(err)
+			}
+			if stats.Store.Permanent != 1 || stats.Store.Transient != 0 {
+				t.Fatalf("store stats %+v, want 1 permanent and 0 transient errors", stats.Store)
+			}
+		})
+	}
+}
+
+// flipByte flips the low bit of the byte at off in the file at path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x01
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -69,7 +69,7 @@ type Machine struct {
 
 	loadLine pdn.LoadLine
 	thermal  *power.Thermal
-	noise    *noiseInjector
+	noise    noiseInjector
 	opts     Options
 
 	// rng is constructed (or re-seeded after a Reset) lazily on first
@@ -171,6 +171,7 @@ func New(opts Options) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{Q: q, Proc: opts.Processor, PMU: unit, Cores: make([]*uarch.Core, ncores)}
+	m.noise.bind(m)
 	pmuCores := make([]pmu.Core, ncores)
 	for i := range m.Cores {
 		core, err := uarch.NewCore(coreConfig(opts, i), q, unit)
@@ -193,8 +194,9 @@ func New(opts Options) (*Machine, error) {
 // settled, counters cleared, randomness restarted from opts.Seed, the
 // secure-mode guardband ramp run, the noise injector armed — reusing
 // every long-lived structure: the event queue's node pool, the cores with
-// their prebound callbacks, the PMU's per-core slices, the regulators, and
-// retired SWThreads. It is the only code that sets a machine's state: New
+// their prebound callbacks, the PMU's per-core and per-regulator state,
+// the regulators, the noise injector's prebound arrivals, and retired
+// SWThreads. It is the only code that sets a machine's state: New
 // calls it, and a pooled machine calls it per run, so a reset machine
 // replays byte-identically to a fresh one (soc's reset determinism test
 // and the sweep conformance suites hold this line).
@@ -250,7 +252,7 @@ func (m *Machine) Reset(opts Options) error {
 		// transient (paper §7).
 		m.Q.RunUntil(m.Q.Now().Add(200 * units.Microsecond))
 	}
-	m.noise = newNoiseInjector(m, opts.Noise)
+	m.noise.reset(opts.Noise)
 	return nil
 }
 

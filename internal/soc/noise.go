@@ -46,32 +46,50 @@ func WithRates(interruptsPerSec, ctxSwitchesPerSec float64) NoiseConfig {
 	}
 }
 
+// noiseInjector arms the Poisson interrupt and context-switch arrivals.
+// A Machine holds one by value: bind prebinds its two arrival callbacks
+// once per machine, and reset re-arms them per run, so an arrival
+// schedules the next without allocating.
 type noiseInjector struct {
 	m   *Machine
 	cfg NoiseConfig
+
+	irqFn, ctxFn func(units.Time) // prebound arrival callbacks
 }
 
-func newNoiseInjector(m *Machine, cfg NoiseConfig) *noiseInjector {
-	n := &noiseInjector{m: m, cfg: cfg}
+// bind attaches the injector to m and binds its arrival callbacks. Each
+// arrival preempts a victim, then draws the gap to its successor.
+func (n *noiseInjector) bind(m *Machine) {
+	n.m = m
+	n.irqFn = func(units.Time) {
+		n.fire(n.cfg.InterruptMin, n.cfg.InterruptMax)
+		n.scheduleNext(n.cfg.InterruptRate, n.irqFn)
+	}
+	n.ctxFn = func(units.Time) {
+		n.fire(n.cfg.CtxSwitchMin, n.cfg.CtxSwitchMax)
+		n.scheduleNext(n.cfg.CtxSwitchRate, n.ctxFn)
+	}
+}
+
+// reset arms the first arrival of each enabled event type under cfg. The
+// machine's event queue must have been reset first.
+func (n *noiseInjector) reset(cfg NoiseConfig) {
+	n.cfg = cfg
 	if cfg.InterruptRate > 0 {
-		n.scheduleNext(cfg.InterruptRate, cfg.InterruptMin, cfg.InterruptMax)
+		n.scheduleNext(cfg.InterruptRate, n.irqFn)
 	}
 	if cfg.CtxSwitchRate > 0 {
-		n.scheduleNext(cfg.CtxSwitchRate, cfg.CtxSwitchMin, cfg.CtxSwitchMax)
+		n.scheduleNext(cfg.CtxSwitchRate, n.ctxFn)
 	}
-	return n
 }
 
-// scheduleNext arms the next Poisson arrival for one event type.
-func (n *noiseInjector) scheduleNext(rate float64, dmin, dmax units.Duration) {
+// scheduleNext arms the next Poisson arrival of one event type.
+func (n *noiseInjector) scheduleNext(rate float64, arrive func(units.Time)) {
 	gap := units.FromSeconds(n.exp(1 / rate))
 	if gap < 1 {
 		gap = 1
 	}
-	n.m.Q.After(gap, func(units.Time) {
-		n.fire(dmin, dmax)
-		n.scheduleNext(rate, dmin, dmax)
-	})
+	n.m.Q.After(gap, arrive)
 }
 
 // fire preempts one randomly chosen bound hardware thread for a uniformly

@@ -214,3 +214,45 @@ func TestNilPoolConstructs(t *testing.T) {
 		t.Fatalf("nil pool stats = %+v", st)
 	}
 }
+
+// TestNoiseArrivalsAllocFree: on a recycled machine the noise injector's
+// arrivals run on callbacks bound once per machine, so simulating across
+// hundreds of interrupts and context switches — each drawing a victim,
+// preempting it and arming its successor — allocates nothing.
+func TestNoiseArrivalsAllocFree(t *testing.T) {
+	opts := signatureOpts(11)
+	opts.Noise = WithRates(200000, 20000)
+	m, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = runSignature(t, m) // dirty the machine
+	if err := m.Reset(opts); err != nil {
+		t.Fatal(err)
+	}
+	// Two threads of scalar work long enough to outlast the measurement:
+	// no agent steps, only noise preempting them.
+	for slot := 0; slot < 2; slot++ {
+		busy := AgentFunc{AgentName: "busy", Fn: func(env *Env, prev *Result) Action {
+			if prev != nil {
+				return Stop()
+			}
+			return Exec(isa.Loop64b, 1<<40)
+		}}
+		if _, err := m.Bind(0, slot, busy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.RunFor(units.Millisecond) // warm the event free list
+	fired := m.Q.Fired()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() { m.RunFor(units.Millisecond) })
+	if allocs != 0 {
+		t.Fatalf("noise arrivals allocated %v per run", allocs)
+	}
+	// About 220 arrivals per simulated millisecond, each a preemption
+	// and its resume.
+	if n := m.Q.Fired() - fired; n < 200*(runs+1) {
+		t.Fatalf("only %d events fired in %d ms; the test is vacuous", n, runs+1)
+	}
+}

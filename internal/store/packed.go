@@ -3,7 +3,9 @@ package store
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -342,16 +344,25 @@ func (p *Packed) segFileLocked(ref packedRef) *os.File {
 // record reads one record from f, checks its frame and decodes its
 // envelope against key: the one integrity check every read, Verify and
 // gc apply. It returns the envelope bytes with the decoded result.
+// Damage to the record's bytes — a short read from a truncated segment,
+// a wrong length prefix, a failed envelope check — is tagged corrupt
+// (permanent); a segment that is not open and other I/O errors are not.
 func (p *Packed) record(f *os.File, key Key, ref packedRef) ([]byte, *scenario.Result, error) {
 	if f == nil {
 		return nil, nil, fmt.Errorf("store: entry %s: segment %d not open", key, ref.seg)
 	}
 	buf := make([]byte, ref.length)
 	if _, err := f.ReadAt(buf, ref.off); err != nil {
-		return nil, nil, fmt.Errorf("store: entry %s: segment read: %w", key, err)
+		err = fmt.Errorf("store: entry %s: segment read: %w", key, err)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			// The segment was truncated under the record: its bytes
+			// are gone, as permanently as a checksum mismatch.
+			err = markCorrupt(err)
+		}
+		return nil, nil, err
 	}
 	if int64(binary.BigEndian.Uint32(buf))+4 != ref.length {
-		return nil, nil, fmt.Errorf("store: entry %s: malformed envelope frame", key)
+		return nil, nil, markCorrupt(fmt.Errorf("store: entry %s: malformed envelope frame", key))
 	}
 	res, err := DecodeEnvelope(key, buf[4:])
 	if err != nil {
