@@ -1,21 +1,10 @@
-// Command ichannels regenerates the paper's figures and tables and runs
-// covert-channel demonstrations on the simulator.
-//
-// Usage:
-//
-//	ichannels list                      list available experiments
-//	ichannels exp <id> [-seed N]        run one experiment (e.g. fig10a)
-//	ichannels exp all [-seed N]         run every experiment serially
-//	ichannels run [ids...|--all] [-parallel N] [-seed N] [-json]
-//	                                    alias: scenario run over the experiments
-//	ichannels scenario run spec.json    run declarative scenario spec(s)
-//	ichannels scenario schema           print the scenario JSON schema
-//	ichannels sweep run sweep.json      expand and run a parameter grid
-//	ichannels sweep expand sweep.json   print a grid's expanded cells
-//	ichannels sweep schema              print the sweep JSON schema
-//	ichannels serve [-addr HOST:PORT]   serve the scenario API over HTTP
-//	ichannels demo [-kind K] [-seed N]  transmit a message covertly
-//	ichannels spy [-seed N]             instruction-class inference demo
+// Command ichannels regenerates the paper's figures and tables, runs
+// scenarios and sweeps, serves the scenario API over HTTP, and maintains
+// the result store. Every verb that simulates a cell runs scenarios:
+// run and exp run experiment-role specs, demo one channel-role spec and
+// spy one spy-role spec. Only trace drives a machine directly, because
+// it records a waveform, not a cell. `ichannels help` lists the verbs
+// and their flags.
 package main
 
 import (
@@ -86,7 +75,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ichannels list                      list available experiments
-  ichannels exp <id>|all [-seed N]    regenerate paper figures/tables (serial)
+  ichannels exp <id>|all [-seed N]    regenerate paper figures/tables (experiment-role scenarios)
   ichannels run [ids...] [--all] [scenario run flags]
                                       alias of scenario run over experiment-role specs (one per id);
                                       per-experiment seeds derive from -seed and the spec hash
@@ -132,7 +121,8 @@ func usage() {
                                       oversized uploads rejected at the door; config + last report
                                       are advertised on /v1/stats)
   ichannels demo [-kind thread|smt|cores|retire|clockmod] [-msg S] [-seed N]
-  ichannels spy [-seed N]
+                                      exfiltrate S as a channel-role scenario (ECC framing, OS noise)
+  ichannels spy [-seed N]             run one spy-role scenario (SMT sibling) and print each window
   ichannels trace [-proc NAME] [-class C] [-ghz F] [-us D]  CSV Vcc/Icc/IPC trace`)
 }
 
@@ -189,9 +179,9 @@ func scenarioCmd(args []string) error {
 	}
 }
 
-// splitFilesAndFlags separates positional file paths ("-" = stdin) from
-// flags, accepting them in any order, and parses the flags into fs —
-// the one arg loop the scenario and sweep subcommands share.
+// splitFilesAndFlags separates positional arguments (file paths, where
+// "-" is stdin, or ids) from flags, accepting them in any order, and
+// parses the flags into fs — the one arg loop every verb but serve uses.
 func splitFilesAndFlags(cmd string, args []string, fs *flag.FlagSet) ([]string, error) {
 	var files []string
 	rest := args
@@ -224,13 +214,7 @@ func scenarioRun(args []string) error {
 		}
 		var specs []ichannels.Scenario
 		for _, f := range files {
-			var data []byte
-			var err error
-			if f == "-" {
-				data, err = io.ReadAll(os.Stdin)
-			} else {
-				data, err = os.ReadFile(f)
-			}
+			data, err := readSpecFile(f)
 			if err != nil {
 				return nil, err
 			}
@@ -250,45 +234,30 @@ func scenarioRun(args []string) error {
 // Results go to stdout (deterministic for a fixed seed, regardless of
 // -parallel); per-scenario timing goes to stderr.
 func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(positional []string) ([]ichannels.Scenario, error)) error {
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size")
-	seed := fs.Int64("seed", 1, "base seed; 0 means the default, 1 (scenarios that pin no seed derive theirs from it)")
-	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON batch instead of the comparison table")
-	ndjsonOut := fs.Bool("ndjson", false, "emit one JSON outcome per line (the HTTP v1 batch framing)")
-	storeDir := fs.String("store", "", "persist results to this store directory")
-	cacheDir := fs.String("cache", "", "with a remote -store URL, keep a local read-through replica cache in this directory")
-	resume := fs.Bool("resume", false, "serve scenarios the store already holds instead of recomputing them")
+	rf := addRunFlags(fs, "scenarios")
 	positional, err := splitFilesAndFlags(cmd, args, fs)
 	if err != nil {
-		return err
-	}
-	if *jsonOut && *ndjsonOut {
-		return fmt.Errorf("%s: give either -json or -ndjson, not both", cmd)
-	}
-	if err := resolveSeed(cmd, seed); err != nil {
 		return err
 	}
 	specs, err := load(positional)
 	if err != nil {
 		return fmt.Errorf("%s: %w", cmd, err)
 	}
-	st, closeStore, err := openRunStore(cmd, *storeDir, *cacheDir, *resume)
+	ctx, st, done, err := rf.start(cmd)
 	if err != nil {
 		return err
 	}
-	defer closeStore()
-
-	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals...)
-	defer stop()
+	defer done()
 	batch, err := ichannels.RunScenarios(ctx, ichannels.ScenarioBatchOptions{
-		Scenarios: specs, BaseSeed: *seed, Parallel: *parallel, Store: st,
+		Scenarios: specs, BaseSeed: rf.seed, Parallel: rf.parallel, Store: st,
 	})
 	if err != nil {
 		return err
 	}
 	switch {
-	case *jsonOut:
+	case rf.json:
 		err = batch.WriteJSON(os.Stdout)
-	case *ndjsonOut:
+	case rf.ndjson:
 		err = batch.WriteNDJSON(os.Stdout)
 	default:
 		err = batch.WriteText(os.Stdout)
@@ -303,6 +272,70 @@ func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(pos
 			cmd, len(failed), len(batch.Results), failed[0].Scenario.Describe(), failed[0].Err)
 	}
 	return nil
+}
+
+// runFlags are the flags every batch verb (run, scenario run, sweep run)
+// shares.
+type runFlags struct {
+	parallel     int
+	seed         int64
+	json, ndjson bool
+	store, cache string
+	resume       bool
+}
+
+// addRunFlags registers the shared batch flags on fs. noun names what
+// the verb runs ("scenarios" or "cells") in their help text.
+func addRunFlags(fs *flag.FlagSet, noun string) *runFlags {
+	rf := &runFlags{}
+	fs.IntVar(&rf.parallel, "parallel", runtime.GOMAXPROCS(0), "worker-pool size")
+	fs.Int64Var(&rf.seed, "seed", 1, "base seed; 0 means the default, 1 ("+noun+" that pin no seed derive theirs from it)")
+	fs.BoolVar(&rf.json, "json", false, "emit a machine-readable JSON document instead of text")
+	fs.BoolVar(&rf.ndjson, "ndjson", false, "emit one JSON outcome per line (the HTTP v1 framing)")
+	fs.StringVar(&rf.store, "store", "", "persist results to this store directory or remote URL")
+	fs.StringVar(&rf.cache, "cache", "", "with a remote -store URL, keep a local read-through replica cache in this directory")
+	fs.BoolVar(&rf.resume, "resume", false, "serve "+noun+" the store already holds instead of recomputing them")
+	return rf
+}
+
+// start checks the parsed batch flags (-json and -ndjson exclude each
+// other, -seed follows the seed rule) and opens what the run needs: its
+// store and a context that shutdownSignals cancel. -store alone
+// persists but recomputes everything (re-verifying determinism), -store
+// with -resume serves already-materialized results. done must run after
+// the run drains: it seals packed segments and drains the replica flush
+// queue.
+func (rf *runFlags) start(cmd string) (ctx context.Context, st ichannels.ResultStore, done func(), err error) {
+	if rf.json && rf.ndjson {
+		return nil, nil, nil, fmt.Errorf("%s: give either -json or -ndjson, not both", cmd)
+	}
+	if err := resolveSeed(cmd, &rf.seed); err != nil {
+		return nil, nil, nil, err
+	}
+	if rf.resume && rf.store == "" {
+		return nil, nil, nil, fmt.Errorf("%s: -resume needs -store DIR|URL (nothing to resume from)", cmd)
+	}
+	opened, err := openStore(cmd, rf.store, rf.cache)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	st = opened
+	if !rf.resume {
+		st = ichannels.WriteOnlyStore(opened)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals...)
+	return ctx, st, func() {
+		stop()
+		ichannels.CloseResultStore(opened)
+	}, nil
+}
+
+// readSpecFile reads one spec file; "-" reads stdin.
+func readSpecFile(path string) ([]byte, error) {
+	if path == "-" {
+		return io.ReadAll(os.Stdin)
+	}
+	return os.ReadFile(path)
 }
 
 // decodeSpecs parses one spec file through the shared strict decoder
@@ -340,12 +373,7 @@ func loadSweep(cmd string, args []string, fs *flag.FlagSet) (ichannels.Sweep, er
 	if len(files) != 1 {
 		return ichannels.Sweep{}, fmt.Errorf("%s: give exactly one sweep spec file (or - for stdin); the axes provide the fan-out", cmd)
 	}
-	var data []byte
-	if files[0] == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(files[0])
-	}
+	data, err := readSpecFile(files[0])
 	if err != nil {
 		return ichannels.Sweep{}, fmt.Errorf("%s: %w", cmd, err)
 	}
@@ -364,37 +392,22 @@ func loadSweep(cmd string, args []string, fs *flag.FlagSet) (ichannels.Sweep, er
 // output for a fixed spec and seed.
 func sweepRun(args []string) error {
 	fs := flag.NewFlagSet("sweep run", flag.ContinueOnError)
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size")
-	seed := fs.Int64("seed", 1, "base seed; 0 means the default, 1 (cells that pin no seed derive theirs from it)")
-	jsonOut := fs.Bool("json", false, "emit the machine-readable summary (cells + aggregate) instead of text")
-	ndjsonOut := fs.Bool("ndjson", false, "stream one JSON outcome per cell plus a final aggregate line (the HTTP v1 framing)")
-	storeDir := fs.String("store", "", "persist cell results to this store directory")
-	cacheDir := fs.String("cache", "", "with a remote -store URL, keep a local read-through replica cache in this directory")
-	resume := fs.Bool("resume", false, "serve cells the store already holds instead of recomputing them (resume a killed sweep)")
+	rf := addRunFlags(fs, "cells")
 	refine := fs.Bool("refine", false, "require adaptive refinement: error unless the spec carries a refine block (a spec with one always runs refined)")
 	workers := fs.String("workers", "", "comma-separated worker base URLs (ichannels serve -worker nodes) to dispatch cells to")
 	sw, err := loadSweep("sweep run", args, fs)
 	if err != nil {
 		return err
 	}
-	if *jsonOut && *ndjsonOut {
-		return errors.New("sweep run: give either -json or -ndjson, not both")
-	}
-	if err := resolveSeed("sweep run", seed); err != nil {
-		return err
-	}
 	if *refine && sw.Refine == nil {
 		return errors.New("sweep run: -refine given but the spec has no refine block (see 'ichannels sweep schema')")
 	}
-	st, closeStore, err := openRunStore("sweep run", *storeDir, *cacheDir, *resume)
+	ctx, st, done, err := rf.start("sweep run")
 	if err != nil {
 		return err
 	}
-	defer closeStore()
-
-	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals...)
-	defer stop()
-	opts := ichannels.SweepOptions{BaseSeed: *seed, Parallel: *parallel}.WithStore(st)
+	defer done()
+	opts := ichannels.SweepOptions{BaseSeed: rf.seed, Parallel: rf.parallel}.WithStore(st)
 	var pool *ichannels.WorkerPool
 	if *workers != "" {
 		if pool, err = ichannels.NewWorkerPool(strings.Split(*workers, ","), ichannels.WorkerPoolOptions{}); err != nil {
@@ -402,9 +415,8 @@ func sweepRun(args []string) error {
 		}
 		opts.Runner = pool
 	}
-	var enc *json.Encoder
-	if *ndjsonOut {
-		enc = json.NewEncoder(os.Stdout)
+	if rf.ndjson {
+		enc := json.NewEncoder(os.Stdout)
 		opts.OnCell = func(o ichannels.SweepCellOutcome) error {
 			return enc.Encode(ichannels.SweepCellLine(o))
 		}
@@ -417,9 +429,9 @@ func sweepRun(args []string) error {
 		return err
 	}
 	switch {
-	case *ndjsonOut:
+	case rf.ndjson:
 		err = res.WriteAggregateLine(os.Stdout)
-	case *jsonOut:
+	case rf.json:
 		err = res.WriteJSON(os.Stdout)
 	default:
 		err = res.WriteText(os.Stdout)
@@ -436,7 +448,7 @@ func sweepRun(args []string) error {
 		// fault, permanent the bytes' fault (all wall-clock metadata —
 		// the aggregate bytes never depend on them).
 		storeHits, storeMisses := 0, 0
-		if *storeDir != "" {
+		if rf.store != "" {
 			storeHits = res.Cached
 			storeMisses = len(res.Cells) - res.Cached
 		}
@@ -501,15 +513,20 @@ func sweepExpand(args []string) error {
 		for i, c := range cells {
 			specs[i] = c.Scenario
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(specs)
+		return writeIndented(specs)
 	}
 	for _, c := range cells {
 		fmt.Printf("%4d  %-16s  %s\n", c.Index, c.Scenario.Hash(), c.Scenario.Name)
 	}
 	fmt.Printf("%d cells (hash %s, group by %s)\n", len(cells), sw.Hash(), strings.Join(sw.EffectiveGroupBy(), ", "))
 	return nil
+}
+
+// writeIndented writes v to stdout as indented JSON.
+func writeIndented(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // openStore opens the optional -store/-cache pair the run commands and
@@ -530,27 +547,6 @@ func openStore(cmd, spec, cache string) (ichannels.ResultStore, error) {
 		return nil, fmt.Errorf("%s: %w", cmd, err)
 	}
 	return st, nil
-}
-
-// openRunStore adds -resume to openStore for the scenario and sweep run
-// commands: -store alone persists but recomputes everything
-// (re-verifying determinism), -store with -resume serves
-// already-materialized results. The returned closer seals packed
-// segments and drains the replica flush queue, and must run after the
-// run drains.
-func openRunStore(cmd, spec, cache string, resume bool) (ichannels.ResultStore, func() error, error) {
-	if resume && spec == "" {
-		return nil, nil, fmt.Errorf("%s: -resume needs -store DIR|URL (nothing to resume from)", cmd)
-	}
-	st, err := openStore(cmd, spec, cache)
-	if err != nil {
-		return nil, nil, err
-	}
-	closeStore := func() error { return ichannels.CloseResultStore(st) }
-	if !resume {
-		return ichannels.WriteOnlyStore(st), closeStore, nil
-	}
-	return st, closeStore, nil
 }
 
 // storeCmd dispatches the result-store maintenance subcommands. Every
@@ -586,18 +582,13 @@ func storeCmd(args []string) error {
 	if _, err := os.Stat(dirs[0]); err != nil {
 		return fmt.Errorf("store %s: %w", sub, err)
 	}
-	emit := func(v any) error {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	}
 	if sub == "pack" {
 		rep, err := ichannels.PackStore(dirs[0])
 		if err != nil {
 			return err
 		}
 		if *jsonOut {
-			return emit(rep)
+			return writeIndented(rep)
 		}
 		for _, p := range rep.Problems {
 			fmt.Printf("SKIPPED %s\n", p)
@@ -618,7 +609,7 @@ func storeCmd(args []string) error {
 			return err
 		}
 		if *jsonOut {
-			return emit(entries)
+			return writeIndented(entries)
 		}
 		var total int64
 		for _, e := range entries {
@@ -632,7 +623,7 @@ func storeCmd(args []string) error {
 			return err
 		}
 		if *jsonOut {
-			if err := emit(rep); err != nil {
+			if err := writeIndented(rep); err != nil {
 				return err
 			}
 		} else {
@@ -651,7 +642,7 @@ func storeCmd(args []string) error {
 			return err
 		}
 		if *jsonOut {
-			return emit(rep)
+			return writeIndented(rep)
 		}
 		fmt.Printf("removed %d corrupt entries, %d stray files, %d expired, %d over budget (%d bytes); %d entries kept, %d foreign files skipped\n",
 			rep.RemovedCorrupt, rep.RemovedStray, rep.RemovedExpired, rep.RemovedOverBudget, rep.ReclaimedBytes, rep.Kept, rep.Skipped)
@@ -688,9 +679,7 @@ func storeSync(args []string) error {
 		return fmt.Errorf("store sync: %w", err)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+		return writeIndented(rep)
 	}
 	fmt.Printf("synced %s -> %s: %d local, %d remote, %d pushed, %d push errors\n",
 		dirs[0], *remote, rep.LocalEntries, rep.RemoteEntries, rep.Pushed, rep.PushErrors)
@@ -772,124 +761,75 @@ func resolveSeed(cmd string, seed *int64) error {
 	return nil
 }
 
-func runExp(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("exp: missing experiment id (try 'ichannels list')")
+// parseVerb parses a single-run verb's flags, given in any order among
+// at most maxArgs positional arguments, and applies the seed rule to
+// its -seed flag.
+func parseVerb(cmd string, args []string, fs *flag.FlagSet, seed *int64, maxArgs int) ([]string, error) {
+	positional, err := splitFilesAndFlags(cmd, args, fs)
+	if err != nil {
+		return nil, err
 	}
-	id := args[0]
-	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
-	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
+	if len(positional) > maxArgs {
+		return nil, fmt.Errorf("%s: unexpected argument %q", cmd, positional[maxArgs])
 	}
-	if err := resolveSeed("exp", seed); err != nil {
-		return err
-	}
-	run := func(id string) error {
-		rep, err := ichannels.RunExperiment(id, *seed)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		fmt.Println(rep)
-		return nil
-	}
-	if id == "all" {
-		for _, e := range ichannels.Experiments() {
-			if err := run(e.ID); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return run(id)
+	return positional, resolveSeed(cmd, seed)
 }
 
-func demo(args []string) error {
-	fs := flag.NewFlagSet("demo", flag.ContinueOnError)
-	kindName := fs.String("kind", "cores",
-		"channel kind: "+strings.Join(ichannels.ChannelKindNames(), ", "))
-	msg := fs.String("msg", "IChannels", "message to exfiltrate")
+// runExp regenerates one registered experiment, or all of them in
+// registry order, as experiment-role scenarios pinned to -seed, and
+// prints each report.
+func runExp(args []string) error {
+	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
-	if err := fs.Parse(args); err != nil {
+	ids, err := parseVerb("exp", args, fs, seed, 1)
+	if err != nil {
 		return err
 	}
-	if err := resolveSeed("demo", seed); err != nil {
-		return err
+	if len(ids) == 0 {
+		return errors.New("exp: missing experiment id (try 'ichannels list')")
 	}
-	var kind ichannels.ChannelKind
-	switch *kindName {
-	case "thread":
-		kind = ichannels.SameThread
-	case "smt":
-		kind = ichannels.SMT
-	case "cores":
-		kind = ichannels.CrossCore
-	default:
-		if ichannels.ChannelKindDescribe(*kindName) != "" {
-			// An adopted family (retire, clockmod): run it through the
-			// scenario path, which knows how to build and decode it.
-			return demoScenario(*kindName, *msg, *seed)
+	specs := []ichannels.Scenario{ichannels.ScenarioFromExperiment(ids[0])}
+	if ids[0] == "all" {
+		specs = ichannels.AllExperimentScenarios()
+	}
+	for _, s := range specs {
+		s.Seed = *seed
+		res, err := ichannels.RunScenario(context.Background(), s)
+		if err != nil {
+			return fmt.Errorf("exp: %s: %w", s.Experiment, err)
 		}
-		return fmt.Errorf("demo: unknown kind %q (%s)", *kindName,
-			strings.Join(ichannels.ChannelKindNames(), ", "))
+		fmt.Println(res.Report)
 	}
-
-	proc := ichannels.CannonLake8121U()
-	m, err := ichannels.NewMachine(ichannels.MachineOptions{
-		Processor:       proc,
-		Noise:           ichannels.NoiseWithRates(500, 100),
-		TSCJitterCycles: 200,
-		Seed:            *seed,
-	})
-	if err != nil {
-		return err
-	}
-	ch, err := ichannels.NewChannel(m, ichannels.DefaultChannelParams(kind, proc))
-	if err != nil {
-		return err
-	}
-	if _, err := ch.Calibrate(8); err != nil {
-		return err
-	}
-	cal := ch.Calibration()
-	fmt.Printf("%v on %s: calibrated, level means %v cycles (gap %.0f)\n",
-		kind, proc.Name, cal.MeanCycles, cal.Gap)
-
-	frame, err := ichannels.EncodeFrame([]byte(*msg), 7)
-	if err != nil {
-		return err
-	}
-	res, err := ch.Transmit(frame)
-	if err != nil {
-		return err
-	}
-	payload, corrected, err := ichannels.DecodeFrame(res.DecodedBits, 7)
-	if err != nil {
-		return fmt.Errorf("frame unrecoverable after channel errors: %w", err)
-	}
-	fmt.Printf("sent %d bits in %v (%.0f b/s raw, channel BER %.4f, %d bits ECC-corrected)\n",
-		len(frame), res.Elapsed, res.ThroughputBPS, res.BER, corrected)
-	fmt.Printf("exfiltrated message: %q\n", string(payload))
 	return nil
 }
 
-// demoScenario exfiltrates the message over a registry channel family
-// (retire, clockmod) via the declarative scenario path.
-func demoScenario(kind, msg string, seed int64) error {
-	res, err := ichannels.RunScenario(context.Background(), ichannels.Scenario{
-		Role:    "channel",
-		Kind:    kind,
-		Payload: msg,
-		Seed:    seed,
-	})
-	if err != nil {
+// demo exfiltrates a message over any registered channel kind as one
+// channel-role scenario: ECC-framed payload, classic OS noise.
+func demo(args []string) error {
+	fs := flag.NewFlagSet("demo", flag.ContinueOnError)
+	kind := fs.String("kind", "cores", "channel kind: "+strings.Join(ichannels.ChannelKindNames(), ", "))
+	msg := fs.String("msg", "IChannels", "message to exfiltrate")
+	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
+	if _, err := parseVerb("demo", args, fs, seed, 0); err != nil {
 		return err
 	}
-	fmt.Printf("%s (%s; %s): calibration gap %.0f cycles\n",
-		kind, ichannels.ChannelKindDescribe(kind), ichannels.ChannelKindSource(kind),
-		res.Extra["calibration_gap_cycles"])
-	fmt.Printf("sent %d bits in %.0f µs (%.0f b/s raw, channel BER %.4f)\n",
-		res.Bits, res.ElapsedSimUS, res.ThroughputBPS, res.BER)
+	res, err := ichannels.RunScenario(context.Background(), ichannels.Scenario{
+		Role:      "channel",
+		Processor: "Cannon Lake",
+		Kind:      *kind,
+		Payload:   *msg,
+		Coding:    &ichannels.ScenarioCoding{InterleaveDepth: 7},
+		Noise:     &ichannels.ScenarioNoise{InterruptsPerSec: 500, CtxSwitchesPerSec: 100, TSCJitterCycles: 200},
+		Seed:      *seed,
+	})
+	if err != nil {
+		return fmt.Errorf("demo: %w", err)
+	}
+	fmt.Printf("%s (%s; %s) on %s: calibration gap %.0f cycles\n",
+		res.Kind, ichannels.ChannelKindDescribe(res.Kind), ichannels.ChannelKindSource(res.Kind),
+		res.Processor, res.Extra["calibration_gap_cycles"])
+	fmt.Printf("sent %d bits in %.0f µs (%.0f b/s raw, channel BER %.4f, %.0f bits ECC-corrected)\n",
+		res.Bits, res.ElapsedSimUS, res.ThroughputBPS, res.BER, res.Extra["ecc_corrected_bits"])
 	if res.DecodedPayload != "" {
 		fmt.Printf("exfiltrated message: %q\n", res.DecodedPayload)
 	} else {
@@ -908,10 +848,7 @@ func traceCmd(args []string) error {
 	durUS := fs.Float64("us", 60, "trace duration in microseconds")
 	sampleNS := fs.Float64("sample", 200, "sampling interval in nanoseconds")
 	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := resolveSeed("trace", seed); err != nil {
+	if _, err := parseVerb("trace", args, fs, seed, 0); err != nil {
 		return err
 	}
 	proc, err := ichannels.ProcessorByName(*procName)
@@ -950,47 +887,30 @@ func traceCmd(args []string) error {
 	return rec.WriteCSV(os.Stdout)
 }
 
+// spy runs the instruction-class inference side channel as one
+// spy-role scenario and prints each window's victim width beside the
+// width the spy on the SMT sibling inferred.
 func spy(args []string) error {
 	fs := flag.NewFlagSet("spy", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulation seed; 0 means the default, 1")
-	if err := fs.Parse(args); err != nil {
+	if _, err := parseVerb("spy", args, fs, seed, 0); err != nil {
 		return err
 	}
-	if err := resolveSeed("spy", seed); err != nil {
-		return err
-	}
-	proc := ichannels.CannonLake8121U()
-	m, err := ichannels.NewMachine(ichannels.MachineOptions{Processor: proc, Seed: *seed})
+	res, err := ichannels.RunScenario(context.Background(), ichannels.Scenario{
+		Role: "spy", Processor: "Cannon Lake", Kind: "smt", Seed: *seed,
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("spy: %w", err)
 	}
-	s, err := ichannels.NewSpy(m, ichannels.SMT)
-	if err != nil {
-		return err
-	}
-	if err := s.Calibrate(6); err != nil {
-		return err
-	}
-	// A "victim" alternating between instruction widths; the spy on the
-	// SMT sibling identifies each window's width.
-	victim := []ichannels.Class{
-		ichannels.Vec256Heavy, ichannels.Scalar64, ichannels.Vec512Heavy,
-		ichannels.Vec128Heavy, ichannels.Vec256Heavy, ichannels.Scalar64,
-		ichannels.Vec512Heavy, ichannels.Vec512Heavy, ichannels.Vec128Heavy,
-		ichannels.Scalar64,
-	}
-	res, err := s.Infer(victim)
-	if err != nil {
-		return err
-	}
+	actual, inferred := scenario.SpyWindows(res.SentBits), scenario.SpyWindows(res.DecodedBits)
 	fmt.Println("victim executed → spy inferred:")
-	for i := range res.Actual {
+	for i := range actual {
 		mark := "✓"
-		if res.Actual[i] != res.Inferred[i] {
+		if actual[i] != inferred[i] {
 			mark = "✗"
 		}
-		fmt.Printf("  %-12s → %-12s %s\n", res.Actual[i], res.Inferred[i], mark)
+		fmt.Printf("  %-12s → %-12s %s\n", actual[i], inferred[i], mark)
 	}
-	fmt.Printf("accuracy: %.0f%%\n", res.Accuracy*100)
+	fmt.Printf("accuracy: %.0f%%\n", res.Extra["accuracy"]*100)
 	return nil
 }

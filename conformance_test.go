@@ -486,3 +486,58 @@ func TestConformanceSeedRule(t *testing.T) {
 		}
 	}
 }
+
+// TestConformanceCLIVerbs: exp, demo and spy run scenarios and print
+// from their results — exp prints exactly the report RunExperiment
+// renders, demo recovers the message over every registered kind, spy
+// reports its accuracy — and every single-run verb rejects a stray
+// argument instead of ignoring it, whatever the order of its flags.
+func TestConformanceCLIVerbs(t *testing.T) {
+	exec1 := func(args ...string) (stdout, stderr string, err error) {
+		cmd := exec.Command(buildCLI(t), args...)
+		var out, errb bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		err = cmd.Run()
+		return out.String(), errb.String(), err
+	}
+	rep, err := ichannels.RunExperiment("fig13", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"exp", "fig13", "-seed", "3"}, {"exp", "-seed", "3", "fig13"}} {
+		got, stderr, err := exec1(args...)
+		if err != nil {
+			t.Fatalf("ichannels %s: %v\n%s", strings.Join(args, " "), err, stderr)
+		}
+		if want := rep.String() + "\n"; got != want {
+			t.Errorf("ichannels %s:\n%s\nwant RunExperiment's report:\n%s", strings.Join(args, " "), got, want)
+		}
+	}
+	for _, kind := range ichannels.ChannelKindNames() {
+		out, stderr, err := exec1("demo", "-kind", kind)
+		if err != nil || !strings.Contains(out, `exfiltrated message: "IChannels"`) {
+			t.Errorf("demo -kind %s (err %v): message not recovered:\n%s%s", kind, err, out, stderr)
+		}
+	}
+	if out, stderr, err := exec1("spy"); err != nil || !regexp.MustCompile(`(?m)^accuracy: \d+%$`).MatchString(out) {
+		t.Errorf("spy (err %v): no accuracy line:\n%s%s", err, out, stderr)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"exp", "fig13", "fig6a"}, `exp: unexpected argument "fig6a"`},
+		{[]string{"exp", "fig13", "-seed", "3", "fig6a"}, `exp: unexpected argument "fig6a"`},
+		{[]string{"demo", "-kind", "cores", "junk"}, `demo: unexpected argument "junk"`},
+		{[]string{"spy", "extra"}, `spy: unexpected argument "extra"`},
+		{[]string{"trace", "junk"}, `trace: unexpected argument "junk"`},
+	} {
+		out, stderr, err := exec1(tc.args...)
+		if err == nil || !strings.Contains(stderr, tc.want) {
+			t.Errorf("ichannels %s: err %v, stderr %q; want a failure naming %s", strings.Join(tc.args, " "), err, stderr, tc.want)
+		}
+		if out != "" {
+			t.Errorf("ichannels %s printed %q before rejecting its arguments", strings.Join(tc.args, " "), out)
+		}
+	}
+}

@@ -20,7 +20,7 @@ import (
 
 // newWorker starts an in-process worker: the real serve handler with
 // the cell endpoint enabled.
-func newWorker(t *testing.T) *httptest.Server {
+func newWorker(t testing.TB) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(serve.New(serve.Options{Worker: true}).Handler())
 	t.Cleanup(srv.Close)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ichannels/internal/core"
 	"ichannels/internal/ecc"
@@ -338,23 +339,7 @@ func runSpy(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.
 	if err != nil {
 		return err
 	}
-	widthIndex := func(c isa.Class) int {
-		for i, w := range widths {
-			if w == c {
-				return i
-			}
-		}
-		return 0
-	}
-	toBits := func(cs []isa.Class) []int {
-		out := make([]int, 0, 2*len(cs))
-		for _, c := range cs {
-			i := widthIndex(c)
-			out = append(out, i>>1&1, i&1)
-		}
-		return out
-	}
-	sent, decoded := toBits(inf.Actual), toBits(inf.Inferred)
+	sent, decoded := widthBits(inf.Actual), widthBits(inf.Inferred)
 	elapsed := units.Duration(windows) * spy.Window
 	bps := 0.0
 	if elapsed > 0 {
@@ -363,6 +348,30 @@ func runSpy(ctx context.Context, n Scenario, seed int64, res *Result, pool *soc.
 	finishTransmission(res, sent, decoded, stats.BER(sent, decoded), bps, elapsed)
 	res.extra("accuracy", inf.Accuracy)
 	return nil
+}
+
+// widthBits encodes each spy window's class as the 2-bit index of its
+// width in core.VictimWidths, high bit first.
+func widthBits(cs []isa.Class) []int {
+	widths := core.VictimWidths()
+	out := make([]int, 0, 2*len(cs))
+	for _, c := range cs {
+		i := max(slices.Index(widths, c), 0)
+		out = append(out, i>>1&1, i&1)
+	}
+	return out
+}
+
+// SpyWindows is the inverse of the spy role's bit encoding: it reads a
+// spy Result's SentBits (or DecodedBits) back as the victim width class
+// of each observation window.
+func SpyWindows(bits []int) []isa.Class {
+	widths := core.VictimWidths()
+	out := make([]isa.Class, 0, len(bits)/2)
+	for i := 0; i+1 < len(bits); i += 2 {
+		out = append(out, widths[(bits[i]&1)<<1|bits[i+1]&1])
+	}
+	return out
 }
 
 // runMitigation grades one channel kind under one defense via the

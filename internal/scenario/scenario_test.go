@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"ichannels/internal/core"
 	"ichannels/internal/exp"
+	"ichannels/internal/isa"
 )
 
 // TestEveryRunPathReachable is the tentpole acceptance check at the
@@ -309,5 +312,33 @@ func TestCancelledBetweenCalibrationAndTransmit(t *testing.T) {
 		if _, err := Run(ctx, s); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", s.Describe(), err)
 		}
+	}
+}
+
+// TestSpyWindowsInvertsWidthBits: SpyWindows reads a spy result's bit
+// streams back as the window classes they encode, and a spy run's
+// windows agree with its recorded accuracy.
+func TestSpyWindowsInvertsWidthBits(t *testing.T) {
+	widths := core.VictimWidths()
+	classes := append(append([]isa.Class(nil), widths...), widths[2], widths[0])
+	if got := SpyWindows(widthBits(classes)); !slices.Equal(got, classes) {
+		t.Fatalf("SpyWindows(widthBits(%v)) = %v", classes, got)
+	}
+	res, err := Run(context.Background(), Scenario{Role: RoleSpy, Kind: KindSMT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	actual, inferred := SpyWindows(res.SentBits), SpyWindows(res.DecodedBits)
+	if len(actual) != res.Bits/2 || len(inferred) != len(actual) {
+		t.Fatalf("%d bits decoded to %d and %d windows", res.Bits, len(actual), len(inferred))
+	}
+	hits := 0
+	for i := range actual {
+		if actual[i] == inferred[i] {
+			hits++
+		}
+	}
+	if acc := float64(hits) / float64(len(actual)); acc != res.Extra["accuracy"] {
+		t.Errorf("windows agree at %v, result records accuracy %v", acc, res.Extra["accuracy"])
 	}
 }

@@ -311,8 +311,9 @@ func TestV1StoreDropsDamagedRecord(t *testing.T) {
 }
 
 // TestV1StoreDamageIsPermanent: every class of damage to a shared
-// packed record under a live store — a flipped payload byte, a wrong
-// length prefix, a segment truncated after open — ends the same way: the
+// packed record under a live store — a flipped payload byte, a flipped
+// case bit in a field name, a wrong length prefix, a segment truncated
+// after open — ends the same way: the
 // first GET answers 404 and /v1/stats counts one permanent store error
 // and no transient one, so a client neither retries the read nor counts
 // it toward opening its breaker.
@@ -331,10 +332,14 @@ func TestV1StoreDamageIsPermanent(t *testing.T) {
 	}{
 		{"payload flip", func(t *testing.T, seg string) {
 			i := bytes.Index(good, []byte(`"ber":`))
-			flipByte(t, seg, recordOff+4+int64(i)+6)
+			flipByte(t, seg, recordOff+4+int64(i)+6, 0x01)
+		}},
+		{"field name case", func(t *testing.T, seg string) {
+			i := bytes.Index(good, []byte(`"checksum"`))
+			flipByte(t, seg, recordOff+4+int64(i)+1, 0x20)
 		}},
 		{"length prefix", func(t *testing.T, seg string) {
-			flipByte(t, seg, recordOff+3)
+			flipByte(t, seg, recordOff+3, 0x01)
 		}},
 		{"truncated after open", func(t *testing.T, seg string) {
 			if err := os.Truncate(seg, recordOff+4+int64(len(good))-10); err != nil {
@@ -372,8 +377,8 @@ func TestV1StoreDamageIsPermanent(t *testing.T) {
 	}
 }
 
-// flipByte flips the low bit of the byte at off in the file at path.
-func flipByte(t *testing.T, path string, off int64) {
+// flipByte XORs the byte at off in the file at path with mask.
+func flipByte(t *testing.T, path string, off int64, mask byte) {
 	t.Helper()
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
@@ -384,7 +389,7 @@ func flipByte(t *testing.T, path string, off int64) {
 	if _, err := f.ReadAt(b, off); err != nil {
 		t.Fatal(err)
 	}
-	b[0] ^= 0x01
+	b[0] ^= mask
 	if _, err := f.WriteAt(b, off); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -40,11 +41,16 @@ func TestDecodeEnvelopeFailurePaths(t *testing.T) {
 		{"truncated", good[:len(good)/2], "malformed envelope"},
 		{"not-json", []byte("junk"), "malformed envelope"},
 		{"bit-flip", flipResultByte(t, good), "checksum mismatch"},
+		// encoding/json would decode these to the checksummed result.
+		{"field-name-case", bytes.Replace(good, []byte(`"checksum"`), []byte(`"Checksum"`), 1), "canonical"},
+		{"leading-space", append([]byte(" "), good...), "canonical"},
+		{"trailing-newline", append(append([]byte(nil), good...), '\n'), "canonical"},
+		{"spaced-colon", bytes.Replace(good, []byte(`"seed":`), []byte(`"seed": `), 1), "canonical"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := DecodeEnvelope(key, c.data); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("err = %v, want %q", err, c.want)
+			if _, err := DecodeEnvelope(key, c.data); !IsCorrupt(err) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want a corrupt %q error", err, c.want)
 			}
 		})
 	}
@@ -52,6 +58,26 @@ func TestDecodeEnvelopeFailurePaths(t *testing.T) {
 	// a coordinator must reject a worker answering for another cell.
 	if _, err := DecodeEnvelope(Key{Hash: "fedcba9876543210", Seed: 3}, good); err == nil || !strings.Contains(err.Error(), "identifies") {
 		t.Errorf("wrong key: err = %v, want identity error", err)
+	}
+}
+
+// TestEnvelopeRoundTripsEscapedBytes: the canonical-bytes check
+// matches the encoder's escaping, in the result payload and in the key.
+func TestEnvelopeRoundTripsEscapedBytes(t *testing.T) {
+	res := testResult(3)
+	res.DecodedPayload = "<&>"
+	for _, key := range []Key{{Hash: "0123456789abcdef", Seed: 3}, {Hash: "a<b>&\"c\u00e9", Seed: -7}} {
+		good, err := EncodeEnvelope(key, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeEnvelope(key, good)
+		if err != nil {
+			t.Fatalf("key %v: DecodeEnvelope(intact): %v", key, err)
+		}
+		if again, _ := EncodeEnvelope(key, got); !bytes.Equal(again, good) {
+			t.Fatalf("key %v: round trip changed bytes:\n%s\nwant:\n%s", key, again, good)
+		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"ichannels/internal/scenario"
@@ -80,11 +82,50 @@ func DecodeEnvelope(key Key, data []byte) (*scenario.Result, error) {
 	if got := checksumOf(env.Result); got != env.Checksum {
 		return nil, markCorrupt(fmt.Errorf("store: entry %s: checksum mismatch (corrupt result payload)", key))
 	}
+	// encoding/json matches field names case-insensitively and skips
+	// whitespace, so a damaged envelope can decode to the checksummed
+	// result. Only the exact bytes EncodeEnvelope writes verify.
+	if !canonical(data, &env) {
+		return nil, markCorrupt(fmt.Errorf("store: entry %s: envelope differs from its canonical encoding", key))
+	}
 	var res scenario.Result
 	if err := json.Unmarshal(env.Result, &res); err != nil {
 		return nil, markCorrupt(fmt.Errorf("store: entry %s: malformed result: %w", key, err))
 	}
 	return &res, nil
+}
+
+// canonical reports whether data is exactly EncodeEnvelope's encoding
+// of env: {"version":V,"hash":"H","seed":S,"checksum":"C","result":R}.
+// It builds the prefix in a stack buffer instead of re-marshaling, so a
+// verified read allocates nothing more.
+func canonical(data []byte, env *envelope) bool {
+	var buf [256]byte
+	b := append(buf[:0], `{"version":`...)
+	b = strconv.AppendInt(b, int64(env.Version), 10)
+	b = append(b, `,"hash":`...)
+	b = appendJSONString(b, env.Hash)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendInt(b, env.Seed, 10)
+	b = append(b, `,"checksum":`...)
+	b = appendJSONString(b, env.Checksum)
+	b = append(b, `,"result":`...)
+	n := len(b) + len(env.Result)
+	return len(data) == n+1 && data[n] == '}' &&
+		bytes.Equal(data[:len(b)], b) && bytes.Equal(data[len(b):n], env.Result)
+}
+
+// appendJSONString appends s as encoding/json encodes it: printable
+// ASCII that needs no escape (every hex hash and checksum) is quoted in
+// place; anything else goes through the encoder.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	return strconv.AppendQuote(b, s)
 }
 
 // Entry describes one stored result for listings.

@@ -17,11 +17,9 @@ const damageRecords = 4
 // read contract for every key:
 //
 //   - a record whose bytes are intact reads back as the bytes written;
-//   - a damaged record either misses with an IsCorrupt error, or still
-//     verifies — encoding/json matches field names case-insensitively,
-//     so a flipped case bit in a field name leaves an envelope that
-//     decodes to the same checksummed result — and then serves bytes
-//     that decode to exactly the result written;
+//   - a damaged record misses with an IsCorrupt error — including a
+//     flipped case bit in a field name, which encoding/json alone would
+//     accept;
 //   - Verify names exactly the records whose reads miss;
 //   - a re-put heals every key that missed.
 //
@@ -140,11 +138,14 @@ func FuzzPackedReadDamage(f *testing.F) {
 			if !first.ok || !second.ok || second.err != nil {
 				t.Fatalf("key %v: reads gave %+v then %+v", k, first, second)
 			}
+			if !intact[k] {
+				t.Fatalf("key %v: damaged record still verifies", k)
+			}
 			if named[path] {
 				t.Fatalf("key %v: Verify named %s, but it reads back", k, path)
 			}
 			for _, r := range []envRead{first, second} {
-				if intact[k] && r.raw != nil && !bytes.Equal(r.raw, want[k]) {
+				if r.raw != nil && !bytes.Equal(r.raw, want[k]) {
 					t.Fatalf("key %v: intact record read back as %s", k, r.raw)
 				}
 				if !bytes.Equal(r.canon, want[k]) {
