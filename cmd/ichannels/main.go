@@ -700,7 +700,7 @@ func serveCmd(args []string) error {
 	gcEvery := fs.Duration("gc-every", 0, "run store retention on this interval (0 = never; requires -store)")
 	gcMaxAge := fs.Duration("max-age", 0, "retention: remove intact entries older than this (0 = keep all ages)")
 	gcMaxBytes := fs.Int64("max-bytes", 0, "retention: evict oldest entries until the store fits this many bytes, and reject larger uploads (0 = unbounded)")
-	if err := fs.Parse(args); err != nil {
+	if _, err := parseVerb("serve", args, fs, nil, 0); err != nil {
 		return err
 	}
 	if *share && *storeSpec == "" {
@@ -761,9 +761,9 @@ func resolveSeed(cmd string, seed *int64) error {
 	return nil
 }
 
-// parseVerb parses a single-run verb's flags, given in any order among
-// at most maxArgs positional arguments, and applies the seed rule to
-// its -seed flag.
+// parseVerb parses a verb's flags, given in any order among at most
+// maxArgs positional arguments, and applies the seed rule to its -seed
+// flag (nil for a verb without one).
 func parseVerb(cmd string, args []string, fs *flag.FlagSet, seed *int64, maxArgs int) ([]string, error) {
 	positional, err := splitFilesAndFlags(cmd, args, fs)
 	if err != nil {
@@ -771,6 +771,9 @@ func parseVerb(cmd string, args []string, fs *flag.FlagSet, seed *int64, maxArgs
 	}
 	if len(positional) > maxArgs {
 		return nil, fmt.Errorf("%s: unexpected argument %q", cmd, positional[maxArgs])
+	}
+	if seed == nil {
+		return positional, nil
 	}
 	return positional, resolveSeed(cmd, seed)
 }

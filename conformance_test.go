@@ -494,7 +494,11 @@ func TestConformanceSeedRule(t *testing.T) {
 // argument instead of ignoring it, whatever the order of its flags.
 func TestConformanceCLIVerbs(t *testing.T) {
 	exec1 := func(args ...string) (stdout, stderr string, err error) {
-		cmd := exec.Command(buildCLI(t), args...)
+		// A verb that wrongly accepts its arguments may not exit at all
+		// (serve), so each run has a deadline.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, buildCLI(t), args...)
 		var out, errb bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &out, &errb
 		err = cmd.Run()
@@ -531,6 +535,7 @@ func TestConformanceCLIVerbs(t *testing.T) {
 		{[]string{"demo", "-kind", "cores", "junk"}, `demo: unexpected argument "junk"`},
 		{[]string{"spy", "extra"}, `spy: unexpected argument "extra"`},
 		{[]string{"trace", "junk"}, `trace: unexpected argument "junk"`},
+		{[]string{"serve", "-addr", "127.0.0.1:0", "junk"}, `serve: unexpected argument "junk"`},
 	} {
 		out, stderr, err := exec1(tc.args...)
 		if err == nil || !strings.Contains(stderr, tc.want) {

@@ -24,6 +24,9 @@ type Calibration struct {
 	// adjacent clusters observed during calibration (Fig. 13's >2K-cycle
 	// separation when positive).
 	Gap float64
+
+	// thresholds backs Thresholds, so a calibration is one allocation.
+	thresholds [NumSymbols - 1]float64
 }
 
 // NewCalibration builds a calibration from per-symbol measurement groups
@@ -63,7 +66,8 @@ func NewCalibration(groups [NumSymbols][]float64) (*Calibration, error) {
 		}
 	}
 
-	cal := &Calibration{Thresholds: make([]float64, 0, NumSymbols-1)}
+	cal := &Calibration{}
+	cal.Thresholds = cal.thresholds[:0]
 	gap := 0.0
 	for i, c := range clusters {
 		cal.MeanCycles[c.sym] = c.mean

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ichannels/internal/soc"
 	"ichannels/internal/stats"
@@ -13,11 +14,47 @@ type Channel struct {
 	m   *soc.Machine
 	p   Params
 	cal *Calibration
+}
 
-	// schedule is the symbol stream of the run in progress; send is
-	// c.sendSymbol, bound once in New so a run allocates no closure.
+// runScratch is the working memory channel runs keep on their machine
+// (soc.Machine.Scratch), so a recycled machine runs a cell without
+// rebuilding it: the slot agents, the symbol stream the sender plays,
+// and calibration's schedule, readings and per-symbol groups. Every
+// channel on a machine shares it; runs on one machine are sequential,
+// and each run re-initialises what it takes. Nothing a run returns
+// aliases it.
+type runScratch struct {
+	// rcv and snd are the last completed run's agents, nil while a run
+	// holds them; a run that fails may leave them bound, so it does not
+	// return them.
+	rcv *SlotReceiver
+	snd *SlotSender
+	// schedule and iters are the run in progress's symbols and sender
+	// loop length; send plays them, bound once per machine so a run
+	// allocates no closure.
 	schedule []Symbol
+	iters    int64
 	send     SlotAction
+
+	calSchedule []Symbol
+	calMeasures []float64
+	groups      [NumSymbols][]float64
+}
+
+// scratchOf returns m's runScratch, creating it on m's first run.
+func scratchOf(m *soc.Machine) *runScratch {
+	if sc, ok := m.Scratch.(*runScratch); ok {
+		return sc
+	}
+	sc := &runScratch{}
+	sc.send = sc.sendSymbol
+	m.Scratch = sc
+	return sc
+}
+
+// sendSymbol runs the sender's PHI loop for slot k's symbol.
+func (sc *runScratch) sendSymbol(k int) (soc.Action, bool) {
+	return soc.Exec(sc.schedule[k].Kernel(), sc.iters), true
 }
 
 // New validates the placement against the machine and returns a channel.
@@ -28,14 +65,7 @@ func New(m *soc.Machine, p Params) (*Channel, error) {
 	if err := p.Validate(len(m.Cores), m.Proc.SMTWays); err != nil {
 		return nil, err
 	}
-	c := &Channel{m: m, p: p}
-	c.send = c.sendSymbol
-	return c, nil
-}
-
-// sendSymbol runs the sender's PHI loop for slot k's symbol.
-func (c *Channel) sendSymbol(k int) (soc.Action, bool) {
-	return soc.Exec(c.schedule[k].Kernel(), c.p.SenderIters), true
+	return &Channel{m: m, p: p}, nil
 }
 
 // Params returns the channel's transaction parameters.
@@ -53,6 +83,12 @@ func (c *Channel) SetCalibration(cal *Calibration) { c.cal = cal }
 // the primitive under Calibrate and Transmit; experiments also use it
 // directly (e.g. the Fig. 13 distributions).
 func (c *Channel) RunSymbols(schedule []Symbol) ([]float64, error) {
+	return c.runSymbols(schedule, nil)
+}
+
+// runSymbols is RunSymbols recording into buf's storage when it has room
+// for every slot (nil allocates a fresh slice).
+func (c *Channel) runSymbols(schedule []Symbol, buf []float64) ([]float64, error) {
 	if len(schedule) == 0 {
 		return nil, fmt.Errorf("core: empty schedule")
 	}
@@ -61,24 +97,36 @@ func (c *Channel) RunSymbols(schedule []Symbol) ([]float64, error) {
 			return nil, fmt.Errorf("core: invalid symbol %d in schedule", int(s))
 		}
 	}
+	sc := scratchOf(c.m)
+	rcv, snd := sc.rcv, sc.snd
+	if rcv == nil {
+		rcv, snd = new(SlotReceiver), new(SlotSender)
+	}
+	sc.rcv, sc.snd = nil, nil
+	sc.schedule, sc.iters = schedule, c.p.SenderIters
 	// First slot starts shortly after "now" so both sides can reach
 	// their spin loops.
 	slots := Slots{Base: c.m.Now().Add(20 * units.Microsecond), Period: c.p.SlotPeriod, N: len(schedule)}
-	c.schedule = schedule
-	rcv := &SlotReceiver{Label: "ichannels.receiver", Slots: slots, Offset: c.p.ReceiverOffset,
-		Kernel: c.p.Kind.ReceiverKernel(), Iters: c.p.ReceiverIters}
+	*rcv = SlotReceiver{Label: "ichannels.receiver", Slots: slots, Offset: c.p.ReceiverOffset,
+		Kernel: c.p.Kind.ReceiverKernel(), Iters: c.p.ReceiverIters, Measures: buf[:0]}
+	agents := []Placed{{Core: c.p.SenderCore, Slot: c.p.SenderSlot, Agent: rcv}}
 	if c.p.Kind == SameThread {
 		// IccThreadCovert interleaves sending and measuring on one
 		// hardware thread: the symbol's PHI loop runs right at the slot
 		// boundary, then the 512b_Heavy measurement loop.
-		rcv.Label, rcv.Offset, rcv.Before = "ichannels.samethread", 0, c.send
-		return RunSlots(c.m, slots, 100*units.Microsecond, &rcv.Measures,
-			Placed{Core: c.p.SenderCore, Slot: c.p.SenderSlot, Agent: rcv})
+		rcv.Label, rcv.Offset, rcv.Before = "ichannels.samethread", 0, sc.send
+	} else {
+		*snd = SlotSender{Label: "ichannels.sender", Slots: slots, Send: sc.send}
+		agents = []Placed{
+			{Core: c.p.SenderCore, Slot: c.p.SenderSlot, Agent: snd},
+			{Core: c.p.ReceiverCore, Slot: c.p.ReceiverSlot, Agent: rcv},
+		}
 	}
-	snd := &SlotSender{Label: "ichannels.sender", Slots: slots, Send: c.send}
-	return RunSlots(c.m, slots, 100*units.Microsecond, &rcv.Measures,
-		Placed{Core: c.p.SenderCore, Slot: c.p.SenderSlot, Agent: snd},
-		Placed{Core: c.p.ReceiverCore, Slot: c.p.ReceiverSlot, Agent: rcv})
+	measures, err := RunSlots(c.m, slots, 100*units.Microsecond, &rcv.Measures, agents...)
+	if err == nil {
+		sc.rcv, sc.snd = rcv, snd
+	}
+	return measures, err
 }
 
 // Calibrate learns the decision thresholds by transmitting a known
@@ -89,25 +137,30 @@ func (c *Channel) Calibrate(perSymbol int) (gap float64, err error) {
 	if perSymbol <= 0 {
 		return 0, fmt.Errorf("core: perSymbol must be positive")
 	}
-	schedule := make([]Symbol, 0, NumSymbols*perSymbol)
+	sc := scratchOf(c.m)
+	schedule := sc.calSchedule[:0]
 	for i := 0; i < perSymbol; i++ {
 		for s := 0; s < NumSymbols; s++ {
 			schedule = append(schedule, Symbol(s))
 		}
 	}
-	measures, err := c.RunSymbols(schedule)
+	sc.calSchedule = schedule
+	measures, err := c.runSymbols(schedule, sc.calMeasures)
 	if err != nil {
+		// A receiver left bound may still write into the buffer.
+		sc.calMeasures = nil
 		return 0, err
 	}
-	var groups [NumSymbols][]float64
+	sc.calMeasures = measures
+	groups := &sc.groups
 	for s := range groups {
-		groups[s] = make([]float64, 0, perSymbol)
+		groups[s] = slices.Grow(groups[s][:0], perSymbol)
 	}
 	for i, m := range measures {
 		s := schedule[i]
 		groups[s] = append(groups[s], m)
 	}
-	cal, err := NewCalibration(groups)
+	cal, err := NewCalibration(*groups)
 	if err != nil {
 		return 0, err
 	}
@@ -148,7 +201,7 @@ func (c *Channel) Transmit(bits []int) (*TransmitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	measures, err := c.RunSymbols(syms)
+	measures, err := c.runSymbols(syms, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -385,5 +387,58 @@ func TestSpyValidation(t *testing.T) {
 	}
 	if _, err := spy.Infer([]isa.Class{isa.Vec512Light}); err == nil {
 		t.Fatal("non-calibrated width accepted")
+	}
+}
+
+// TestResultsOutliveLaterRuns checks that what a channel returns does
+// not alias the working memory channel runs keep on their machine: a
+// transmission, its calibration and a RunSymbols reading stay as they
+// were while other channels calibrate and transmit on the same machine.
+func TestResultsOutliveLaterRuns(t *testing.T) {
+	proc := model.CannonLake8121U()
+	m := newQuietMachine(t, 5)
+	first, err := New(m, DefaultParams(SameThread, proc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Calibrate(6); err != nil {
+		t.Fatal(err)
+	}
+	res, err := first.Transmit([]int{1, 0, 0, 1, 1, 1, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings, err := first.RunSymbols([]Symbol{0, 3, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := first.Calibration()
+	want := *res
+	want.Sent, want.Decoded, want.Measures = slices.Clone(res.Sent), slices.Clone(res.Decoded), slices.Clone(res.Measures)
+	want.SentBits, want.DecodedBits = slices.Clone(res.SentBits), slices.Clone(res.DecodedBits)
+	wantCal := *cal
+	wantCal.Thresholds = slices.Clone(cal.Thresholds)
+	wantReadings := slices.Clone(readings)
+
+	for _, kind := range []Kind{SameThread, SMT, CrossCore} {
+		ch, err := New(m, DefaultParams(kind, proc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ch.Calibrate(4); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ch.Transmit([]int{0, 1, 1, 0, 0, 0, 1, 1, 1, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(*res, want) {
+		t.Errorf("transmission changed by later runs:\n%+v\nwant\n%+v", *res, want)
+	}
+	if !reflect.DeepEqual(*cal, wantCal) {
+		t.Errorf("calibration changed by later runs:\n%+v\nwant\n%+v", *cal, wantCal)
+	}
+	if !slices.Equal(readings, wantReadings) {
+		t.Errorf("RunSymbols readings changed by later runs: %v, want %v", readings, wantReadings)
 	}
 }

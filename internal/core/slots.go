@@ -83,8 +83,9 @@ type SlotReceiver struct {
 	// Read turns the measurement loop's result into the slot's reading;
 	// nil reads its elapsed TSC cycles.
 	Read func(*soc.Result) float64
-	// Measures holds one reading per measured slot, in slot order; the
-	// receiver allocates it for Slots.N readings when it starts.
+	// Measures holds one reading per measured slot, in slot order. The
+	// receiver empties it when it starts, first allocating room for
+	// Slots.N readings unless the slice it was given already has it.
 	Measures []float64
 
 	k    int
@@ -116,7 +117,10 @@ func (r *SlotReceiver) Next(env *soc.Env, prev *soc.Result) soc.Action {
 		r.Measures = append(r.Measures, reading)
 		r.k++
 	case stepStart:
-		r.Measures = make([]float64, 0, r.Slots.N)
+		if cap(r.Measures) < r.Slots.N {
+			r.Measures = make([]float64, 0, r.Slots.N)
+		}
+		r.Measures = r.Measures[:0]
 	}
 	if r.k >= r.Slots.N {
 		return soc.Stop()

@@ -15,6 +15,16 @@ import (
 // in flight or awaiting emission at once.
 const DefaultStreamWindowFactor = 4
 
+// StreamWindow returns the reorder window a stream runs with for the
+// given StreamOptions.Parallel and Window settings.
+func StreamWindow(parallel, window int) int {
+	workers := max(parallel, 1)
+	if window == 0 {
+		window = DefaultStreamWindowFactor * workers
+	}
+	return max(window, workers)
+}
+
 // StreamOptions configures a streaming scenario run. Unlike
 // ScenarioOptions there is no materialized batch: scenarios are pulled
 // one at a time from Next and outcomes are pushed in stream order to
@@ -160,17 +170,8 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 	if runner == nil {
 		runner = ScenarioRunFunc(scenario.Runner{}.RunSeeded)
 	}
-	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	window := opts.Window
-	if window == 0 {
-		window = DefaultStreamWindowFactor * workers
-	}
-	if window < workers {
-		window = workers
-	}
+	workers := max(opts.Parallel, 1)
+	window := StreamWindow(opts.Parallel, opts.Window)
 
 	var (
 		pending = make(chan *streamSlot, window) // dispatch order, bounds memory

@@ -267,17 +267,25 @@ func All() []Processor {
 // the server extension), in definition order.
 var registry = []func() Processor{Haswell4770K, CoffeeLake9700K, CannonLake8121U, XeonPlatinum8160}
 
-// ctorByName indexes marketing and code names to constructors once; the
-// lookup itself still calls the constructor, so every caller keeps
-// getting a fresh profile it may mutate freely (the scenario layer
-// resolves names on every cell of a sweep — rebuilding all four
-// profiles per lookup was a measurable slice of the per-cell cost).
-var ctorByName = sync.OnceValue(func() map[string]func() Processor {
-	m := make(map[string]func() Processor, 2*len(registry))
+// profileEntry is one name's index entry: the constructor ByName calls,
+// and the profile SharedByName hands out.
+type profileEntry struct {
+	ctor   func() Processor
+	shared *Processor
+}
+
+// byName indexes marketing and code names once; ByName still calls the
+// constructor, so every caller keeps getting a fresh profile it may
+// mutate freely (the scenario layer resolves names on every cell of a
+// sweep — rebuilding all four profiles per lookup was a measurable slice
+// of the per-cell cost).
+var byName = sync.OnceValue(func() map[string]profileEntry {
+	m := make(map[string]profileEntry, 2*len(registry))
 	for _, ctor := range registry {
 		p := ctor()
-		m[p.Name] = ctor
-		m[p.CodeName] = ctor
+		e := profileEntry{ctor: ctor, shared: &p}
+		m[p.Name] = e
+		m[p.CodeName] = e
 	}
 	return m
 })
@@ -286,8 +294,20 @@ var ctorByName = sync.OnceValue(func() map[string]func() Processor {
 // server extension profile. The returned profile is freshly constructed
 // (never shared), so callers may adjust it.
 func ByName(name string) (Processor, error) {
-	if ctor, ok := ctorByName()[name]; ok {
-		return ctor(), nil
+	if e, ok := byName()[name]; ok {
+		return e.ctor(), nil
 	}
 	return Processor{}, fmt.Errorf("model: unknown processor %q", name)
+}
+
+// SharedByName is ByName without the construction: every caller gets
+// the same profile, built once per process, so it is read-only. It
+// serves lookups that only read a profile (a name's code name, its
+// topology); a caller that adjusts the profile takes its own from
+// ByName.
+func SharedByName(name string) (*Processor, error) {
+	if e, ok := byName()[name]; ok {
+		return e.shared, nil
+	}
+	return nil, fmt.Errorf("model: unknown processor %q", name)
 }

@@ -163,7 +163,7 @@ func machineFor(n Scenario, proc model.Processor, seed int64, pool *soc.Pool) (*
 	opts := soc.Options{
 		Processor:     proc,
 		RequestedFreq: effectiveFreq(n, proc),
-		Cores:         effectiveCores(n, proc),
+		Cores:         effectiveCores(n, proc.Cores),
 		Seed:          seed,
 	}
 	if no := n.Noise; no != nil {
@@ -384,7 +384,7 @@ func runMitigation(ctx context.Context, n Scenario, seed int64, res *Result, poo
 	}
 	// Bound the machine like every other role (mitigate builds its own
 	// machine from the profile, so shrink the profile).
-	proc.Cores = effectiveCores(n, proc)
+	proc.Cores = effectiveCores(n, proc.Cores)
 	mk, err := mitigationKind(n.Mitigation)
 	if err != nil {
 		return err

@@ -244,7 +244,7 @@ func (s Scenario) Normalized() Scenario {
 		if n.Processor == "" {
 			n.Processor = DefaultProcessor
 		}
-		if p, err := model.ByName(n.Processor); err == nil {
+		if p, err := model.SharedByName(n.Processor); err == nil {
 			n.Processor = p.CodeName
 		}
 	}
@@ -383,11 +383,11 @@ func (n Scenario) validate() error {
 		return fmt.Errorf("scenario: experiment is only valid with role experiment")
 	}
 
-	proc, err := model.ByName(n.Processor)
+	proc, err := model.SharedByName(n.Processor)
 	if err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	cores := effectiveCores(n, proc)
+	cores := effectiveCores(n, proc.Cores)
 
 	switch n.Role {
 	case RoleChannel, RoleMitigation:
@@ -510,16 +510,14 @@ func (n Scenario) validate() error {
 }
 
 // effectiveCores returns the core count the scenario's machine gets:
-// the override, else min(2, profile) — two cores cover every topology
-// the run paths need while keeping big parts (the 24-core Xeon) cheap.
-func effectiveCores(n Scenario, proc model.Processor) int {
+// the override, else min(2, the profile's cores) — two cores cover every
+// topology the run paths need while keeping big parts (the 24-core Xeon)
+// cheap.
+func effectiveCores(n Scenario, profileCores int) int {
 	if n.Params != nil && n.Params.Cores > 0 {
 		return n.Params.Cores
 	}
-	if proc.Cores < 2 {
-		return proc.Cores
-	}
-	return 2
+	return min(profileCores, 2)
 }
 
 // effectiveCalibReps returns the calibration repetition count.

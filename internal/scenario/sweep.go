@@ -447,11 +447,20 @@ func (sw Sweep) AxisLabels() (map[string][]string, error) {
 // order, without materializing the grid — the pull source the streaming
 // engine consumes. Obtain one from Sweep.Cells.
 type CellIterator struct {
-	sw      Sweep
-	axes    []sweepAxis
-	odo     []int // current axis indices; nil once exhausted
-	started bool
-	next    int // post-filter index of the next yielded cell
+	sw     Sweep
+	axes   []sweepAxis
+	labels [][]string // per axis, each value's label, computed once
+	// namePrefix starts every cell's name: "<sweep name>: ", or empty.
+	namePrefix string
+	odo        []int // current axis indices; nil once exhausted
+	started    bool
+	next       int // post-filter index of the next yielded cell
+	// spec is the cell being assembled: the axis setters write through
+	// a pointer, so it lives here rather than escaping once per cell.
+	spec *Scenario
+	// bare skips the cells' axis labels and names, for a pass that only
+	// counts and validates the cells (CountCells).
+	bare bool
 }
 
 // Cells validates the sweep's structure and returns an iterator over
@@ -464,7 +473,18 @@ func (sw Sweep) Cells() (*CellIterator, error) {
 		return nil, err
 	}
 	axes := n.axes()
-	return &CellIterator{sw: n, axes: axes, odo: make([]int, len(axes))}, nil
+	labels := make([][]string, len(axes))
+	for ai, ax := range axes {
+		labels[ai] = make([]string, ax.n)
+		for i := range labels[ai] {
+			labels[ai][i] = ax.label(i)
+		}
+	}
+	it := &CellIterator{sw: n, axes: axes, labels: labels, odo: make([]int, len(axes)), spec: new(Scenario)}
+	if n.Name != "" {
+		it.namePrefix = n.Name + ": "
+	}
+	return it, nil
 }
 
 // Next returns the next cell. ok is false when the grid is exhausted or
@@ -491,60 +511,93 @@ func (it *CellIterator) Next() (cell Cell, ok bool, err error) {
 		}
 		it.started = true
 
-		s := it.sw.Base
-		labels := make(map[string]string, len(it.axes))
-		var parts []string
+		*it.spec = it.sw.Base
 		for ai, ax := range it.axes {
-			ax.apply(&s, it.odo[ai])
-			labels[ax.name] = ax.label(it.odo[ai])
+			ax.apply(it.spec, it.odo[ai])
 		}
-		n := s.Normalized()
-		// Re-label scalar axes with their normalized cell values so the
-		// aggregation key matches the result envelope ("Cannon Lake" the
-		// marketing name and "Cannon Lake" the code name are one group).
-		relabel := map[string]string{
-			AxisProcessor: n.Processor, AxisKind: n.Kind,
-			AxisBaseline: n.Baseline, AxisMitigation: n.Mitigation,
-		}
-		for name, v := range relabel {
-			if _, usesAxis := labels[name]; usesAxis {
-				labels[name] = v
-			}
-		}
-		filtered := false
-		for _, f := range it.sw.Filters {
-			if f.matches(n) {
-				filtered = true
-				break
-			}
-		}
-		if filtered {
+		n := it.spec.Normalized()
+		if it.filtered(n) {
 			continue
 		}
-		for _, ax := range it.axes {
-			parts = append(parts, ax.name+"="+labels[ax.name])
-		}
-		name := strings.Join(parts, " ")
-		if it.sw.Name != "" {
-			name = it.sw.Name + ": " + name
-		}
-		n.Name = name
 		if err := n.validate(); err != nil {
-			return Cell{}, false, fmt.Errorf("sweep: cell %d (%s): %w (add a filter to drop the combination)", it.next, strings.Join(parts, " "), err)
+			return Cell{}, false, fmt.Errorf("sweep: cell %d (%s): %w (add a filter to drop the combination)", it.next, it.coordinates(n, ""), err)
 		}
-		cell = Cell{Index: it.next, Scenario: n, Axes: labels}
+		cell = Cell{Index: it.next, Scenario: n}
 		it.next++
+		if it.bare {
+			return cell, true, nil
+		}
+		cell.Axes = make(map[string]string, len(it.axes))
+		for ai, ax := range it.axes {
+			cell.Axes[ax.name] = it.label(n, ai)
+		}
+		cell.Scenario.Name = it.coordinates(n, it.namePrefix)
 		return cell, true, nil
 	}
+}
+
+// filtered reports whether a filter drops the normalized cell n.
+func (it *CellIterator) filtered(n Scenario) bool {
+	for _, f := range it.sw.Filters {
+		if f.matches(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// label returns axis ai's label for the current cell. Scalar axes are
+// re-labelled with the normalized cell's values, so the aggregation key
+// matches the result envelope ("Cannon Lake" the marketing name and
+// "Cannon Lake" the code name are one group).
+func (it *CellIterator) label(n Scenario, ai int) string {
+	switch it.axes[ai].name {
+	case AxisProcessor:
+		return n.Processor
+	case AxisKind:
+		return n.Kind
+	case AxisBaseline:
+		return n.Baseline
+	case AxisMitigation:
+		return n.Mitigation
+	}
+	return it.labels[ai][it.odo[ai]]
+}
+
+// coordinates renders the current cell's axis assignments as
+// "axis=label" pairs joined by spaces, in axis order, after prefix.
+func (it *CellIterator) coordinates(n Scenario, prefix string) string {
+	size := len(prefix) + len(it.axes) - 1
+	for ai, ax := range it.axes {
+		size += len(ax.name) + 1 + len(it.label(n, ai))
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(prefix)
+	for ai, ax := range it.axes {
+		if ai > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(ax.name)
+		b.WriteByte('=')
+		b.WriteString(it.label(n, ai))
+	}
+	return b.String()
 }
 
 // EachCell streams the sweep's cells through fn in expansion order,
 // stopping at the first error (an invalid cell, or fn's own).
 func (sw Sweep) EachCell(fn func(Cell) error) error {
+	return sw.eachCell(false, fn)
+}
+
+// eachCell is EachCell; bare cells carry no axis labels or name.
+func (sw Sweep) eachCell(bare bool, fn func(Cell) error) error {
 	it, err := sw.Cells()
 	if err != nil {
 		return err
 	}
+	it.bare = bare
 	for {
 		cell, ok, err := it.Next()
 		if err != nil {
@@ -584,7 +637,7 @@ func (sw Sweep) Validate() error {
 // single pass.
 func (sw Sweep) CountCells() (int, error) {
 	n := 0
-	if err := sw.EachCell(func(Cell) error { n++; return nil }); err != nil {
+	if err := sw.eachCell(true, func(Cell) error { n++; return nil }); err != nil {
 		return 0, err
 	}
 	if n == 0 {

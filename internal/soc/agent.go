@@ -128,6 +128,7 @@ type SWThread struct {
 	res        Result
 	onDone     func(units.Time) // completes ActExec / ActSpinUntil
 	onIdleDone func(units.Time) // completes ActIdleFor
+	onBind     func(units.Time) // asks a newly bound agent for its first action
 }
 
 // Agent returns the bound agent.
@@ -168,7 +169,7 @@ func (m *Machine) Bind(coreID, slot int, a Agent) (*SWThread, error) {
 	t.agent = a
 	t.env = Env{M: m, CoreID: coreID, Slot: slot}
 	m.threads = append(m.threads, t)
-	m.Q.After(0, func(units.Time) { m.step(t, nil) })
+	m.Q.After(0, t.onBind)
 	return t, nil
 }
 
@@ -190,8 +191,12 @@ func (m *Machine) newThread() *SWThread {
 	t := &SWThread{m: m}
 	t.onDone = t.completeMeasured
 	t.onIdleDone = t.completeIdle
+	t.onBind = t.start
 	return t
 }
+
+// start steps a newly bound agent for its first action.
+func (t *SWThread) start(units.Time) { t.m.step(t, nil) }
 
 // retire removes a stopped thread from the live list, preserving bind
 // order for the remaining threads (the noise injector's victim draw

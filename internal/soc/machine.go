@@ -93,6 +93,15 @@ type Machine struct {
 	// actScratch is the reusable per-probe activity buffer; its values
 	// are consumed before the probe returns, never retained.
 	actScratch []uarch.ThreadActivity
+
+	// Scratch is the channel layer's working memory (internal/core keeps
+	// its slot agents, schedules and measurement buffers here), so a
+	// machine recycled through a Pool hands it to its next holder. It is
+	// not simulator state: New leaves it nil, Reset leaves it as it is,
+	// and the simulator never reads it. Only the channel layer touches
+	// it; it re-initialises what it takes before use, and nothing that
+	// outlives the machine's Release may alias it.
+	Scratch any
 }
 
 // deriveShape validates opts and resolves the derived build parameters

@@ -1,13 +1,16 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ichannels/internal/engine"
 	"ichannels/internal/scenario"
+	"ichannels/internal/soc"
 )
 
 // loadSpec reads one checked-in sweep spec from examples/sweeps/specs.
@@ -28,7 +31,9 @@ func loadSpec(t *testing.T, name string) scenario.Sweep {
 // which perfbench reports as machines_built and machines_reused: the
 // default executor recycles machines through one pool per run, the
 // counts span every refinement pass, and a Runner override (which
-// brings its own compute path) reports none.
+// brings its own compute path) reports none. A pool a caller keeps
+// across runs (as the server does) hands a later run the machines an
+// earlier one released, without leaking state between them.
 func TestMachineCounts(t *testing.T) {
 	t.Run("dense", func(t *testing.T) {
 		res, err := Run(context.Background(), loadSpec(t, "table6_processor_mitigation.json"), Options{BaseSeed: 1, Parallel: 1})
@@ -56,6 +61,52 @@ func TestMachineCounts(t *testing.T) {
 				len(res.Cells), len(passes), res.MachinesConstructed, res.MachinesReused)
 		}
 	})
+	t.Run("pool shared across runs", func(t *testing.T) {
+		pool := soc.NewPool()
+		shared := Options{Runner: engine.ScenarioRunFunc(scenario.Runner{Machines: pool}.RunSeeded)}
+		run := func(spec string, baseSeed int64, parallel int) *Result {
+			t.Helper()
+			opts := shared
+			opts.BaseSeed, opts.Parallel = baseSeed, parallel
+			res, err := Run(context.Background(), loadSpec(t, spec), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		// Leave one idle machine of every Table 6 shape: a serial run
+		// holds one machine at a time.
+		run("table6_processor_mitigation.json", 2, 1)
+		first := run("fig14_noise_refined.json", 1, 2)
+		firstCells, err := json.Marshal(first.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		firstAgg := indentedTable(t, first.Aggregate)
+
+		before := pool.Stats()
+		second := run("table6_processor_mitigation.json", 1, 1)
+		after := pool.Stats()
+		if built, reused := after.Constructed-before.Constructed, after.Reused-before.Reused; built != 0 || reused != uint64(len(second.Cells)) {
+			t.Errorf("second run: %d machines built, %d reused over %d cells; want 0 built, every cell reused",
+				built, reused, len(second.Cells))
+		}
+		golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "table6_aggregate.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := indentedTable(t, second.Aggregate); !bytes.Equal(got, golden) {
+			t.Errorf("Table 6 on recycled machines drifted from the golden aggregate:\n%s", got)
+		}
+		// Nothing the first run returned may alias a buffer the second
+		// run's machines reused.
+		if got, err := json.Marshal(first.Cells); err != nil || !bytes.Equal(got, firstCells) {
+			t.Errorf("the first run's cells changed while the second run ran (%v)", err)
+		}
+		if got := indentedTable(t, first.Aggregate); !bytes.Equal(got, firstAgg) {
+			t.Errorf("the first run's aggregate changed while the second run ran:\n%s\nwant:\n%s", got, firstAgg)
+		}
+	})
 	t.Run("runner override", func(t *testing.T) {
 		res, err := Run(context.Background(), loadSpec(t, "table6_processor_mitigation.json"),
 			Options{BaseSeed: 1, Parallel: 1, Runner: engine.ScenarioRunFunc(fakeRun)})
@@ -66,4 +117,14 @@ func TestMachineCounts(t *testing.T) {
 			t.Errorf("runner override: %d machines built, %d reused; want 0/0", res.MachinesConstructed, res.MachinesReused)
 		}
 	})
+}
+
+// indentedTable renders an aggregate as the goldens store it.
+func indentedTable(t *testing.T, tab *Table) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(tab, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
 }

@@ -167,7 +167,8 @@ func Run(ctx context.Context, sw scenario.Sweep, opts Options) (*Result, error) 
 	// fail-whole contract), then the execution pass streams. Spec-level
 	// work is microseconds per cell against milliseconds of simulation,
 	// so the duplication is noise.
-	if err := nsw.Validate(); err != nil {
+	cells, err := nsw.CountCells()
+	if err != nil {
 		return nil, err
 	}
 	if nsw.Refine != nil {
@@ -178,6 +179,7 @@ func Run(ctx context.Context, sw scenario.Sweep, opts Options) (*Result, error) 
 		return nil, err
 	}
 	st := newExecState(nsw, opts)
+	st.res.Cells = make([]CellSummary, 0, cells)
 	if err := st.execute(ctx, it.Next, 0); err != nil {
 		return nil, err
 	}
@@ -222,7 +224,7 @@ func (st *execState) execute(ctx context.Context, next func() (scenario.Cell, bo
 	// mutex-guarded.
 	var (
 		queueMu   sync.Mutex
-		cellQueue []scenario.Cell
+		cellQueue = newCellFIFO(engine.StreamWindow(opts.Parallel, opts.Window))
 		iterErr   error
 	)
 	stats, err := engine.StreamScenarios(ctx, engine.StreamOptions{
@@ -236,7 +238,7 @@ func (st *execState) execute(ctx context.Context, next func() (scenario.Cell, bo
 				return scenario.Scenario{}, false
 			}
 			queueMu.Lock()
-			cellQueue = append(cellQueue, cell)
+			cellQueue.push(cell)
 			queueMu.Unlock()
 			return cell.Scenario, true
 		},
@@ -247,8 +249,7 @@ func (st *execState) execute(ctx context.Context, next func() (scenario.Cell, bo
 		Store:    opts.Store,
 		Emit: func(o engine.ScenarioOutcome) error {
 			queueMu.Lock()
-			cell := cellQueue[0]
-			cellQueue = cellQueue[1:]
+			cell := cellQueue.pop()
 			queueMu.Unlock()
 			hash := o.Hash // computed once per slot by the engine dispatcher
 			out := CellOutcome{Cell: cell, Hash: hash, Seed: o.Seed, Pass: pass, Result: o.Result, Err: o.Err, Cached: o.Cached, Elapsed: o.Elapsed}
@@ -285,6 +286,36 @@ func (st *execState) execute(ctx context.Context, next func() (scenario.Cell, bo
 	st.res.StorePermanent += stats.StorePermanent
 	st.res.Elapsed += stats.Elapsed
 	return nil
+}
+
+// cellFIFO is the pending-cell queue: one slice consumed from its front
+// and compacted before an append would grow it.
+type cellFIFO struct {
+	buf  []scenario.Cell
+	head int
+}
+
+// newCellFIFO sizes the queue for a stream with the given reorder
+// window, so it never grows: at most the window's slots, the one the
+// engine is emitting and the one it is dispatching are pending at once.
+func newCellFIFO(window int) cellFIFO {
+	return cellFIFO{buf: make([]scenario.Cell, 0, window+2)}
+}
+
+func (q *cellFIFO) push(c scenario.Cell) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, c)
+}
+
+func (q *cellFIFO) pop() scenario.Cell {
+	c := q.buf[q.head]
+	q.buf[q.head] = scenario.Cell{}
+	q.head++
+	return c
 }
 
 // finish renders the run's aggregate, reads the machine pool's
@@ -367,6 +398,7 @@ type Aggregator struct {
 	groups  map[string]*groupAcc
 	cells   int
 	errors  int
+	idBuf   []byte // scratch for looking a cell's group up
 }
 
 // NewAggregator builds an aggregator grouping by the given axis names
@@ -378,28 +410,32 @@ func NewAggregator(groupBy []string) *Aggregator {
 // groupID encodes a cell's group_by coordinates as the aggregator's
 // (and the refinement controller's) canonical group key.
 func groupID(groupBy []string, axes map[string]string) string {
-	var sb strings.Builder
+	return string(appendGroupID(nil, groupBy, axes))
+}
+
+// appendGroupID appends groupID's encoding to dst.
+func appendGroupID(dst []byte, groupBy []string, axes map[string]string) []byte {
 	for _, g := range groupBy {
-		sb.WriteString(g)
-		sb.WriteByte('\x00')
-		sb.WriteString(axes[g])
-		sb.WriteByte('\x00')
+		dst = append(dst, g...)
+		dst = append(dst, 0)
+		dst = append(dst, axes[g]...)
+		dst = append(dst, 0)
 	}
-	return sb.String()
+	return dst
 }
 
 // Add folds one cell outcome in. axes labels the cell's coordinates;
 // res may be nil when err is set (the cell still counts, toward Errors).
 func (a *Aggregator) Add(axes map[string]string, res *scenario.Result, err error) {
-	key := make(map[string]string, len(a.groupBy))
-	for _, g := range a.groupBy {
-		key[g] = axes[g]
-	}
-	id := groupID(a.groupBy, axes)
-	acc := a.groups[id]
+	a.idBuf = appendGroupID(a.idBuf[:0], a.groupBy, axes)
+	acc := a.groups[string(a.idBuf)]
 	if acc == nil {
+		key := make(map[string]string, len(a.groupBy))
+		for _, g := range a.groupBy {
+			key[g] = axes[g]
+		}
 		acc = &groupAcc{key: key}
-		a.groups[id] = acc
+		a.groups[string(a.idBuf)] = acc
 	}
 	acc.cells++
 	a.cells++
