@@ -28,7 +28,7 @@ const noopStreamCells = 64
 // and emit) through a runner that returns one fixed result.
 func BenchmarkStreamNoopRunner(b *testing.B) {
 	fixed := &ichannels.ScenarioResult{Role: "channel", Bits: 8}
-	runner := engine.ScenarioRunFunc(func(context.Context, ichannels.Scenario, int64) (*ichannels.ScenarioResult, error) {
+	runner := engine.ScenarioRunFunc(func(context.Context, ichannels.Scenario, string, int64) (*ichannels.ScenarioResult, error) {
 		return fixed, nil
 	})
 	b.ReportAllocs()

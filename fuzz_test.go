@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ichannels"
@@ -53,9 +54,17 @@ func FuzzParseSpecs(f *testing.F) {
 		for i, s := range specs {
 			norm[i] = s.Normalized()
 			// Validate and Hash must never panic, valid spec or not.
-			_ = norm[i].Validate()
+			verr := norm[i].Validate()
 			_ = norm[i].Hash()
 			_ = norm[i].Describe()
+			// Identify is the three calls in one pass.
+			n, hash, err := s.Identify()
+			if (err == nil) != (verr == nil) || (err != nil && err.Error() != verr.Error()) {
+				t.Fatalf("Identify error %v, Validate error %v", err, verr)
+			}
+			if err == nil && (!reflect.DeepEqual(n, norm[i]) || hash != s.Hash()) {
+				t.Fatalf("Identify = (%+v, %s), want Normalized, Hash = (%+v, %s)", n, hash, norm[i], s.Hash())
+			}
 		}
 		blob := marshalSpecs(t, norm, isArray)
 		specs2, isArray2, err := ichannels.ParseScenarioSpecs(blob)
@@ -129,11 +138,11 @@ func FuzzParseCellDispatch(f *testing.F) {
 		if err != nil {
 			return // rejected frames only need to not panic
 		}
-		n := d.Normalized()
 		// Validate recomputes the scenario hash — the version-skew
 		// check — and must be panic-free on anything the parser admits.
-		_ = n.Validate()
-		blob, err := json.Marshal(n)
+		_, _ = d.Validate()
+		d.Scenario = d.Scenario.Normalized()
+		blob, err := json.Marshal(d)
 		if err != nil {
 			t.Fatalf("marshal of parsed dispatch failed: %v", err)
 		}
@@ -141,7 +150,8 @@ func FuzzParseCellDispatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse of normalized marshal failed: %v\n%s", err, blob)
 		}
-		blob2, err := json.Marshal(d2.Normalized())
+		d2.Scenario = d2.Scenario.Normalized()
+		blob2, err := json.Marshal(d2)
 		if err != nil {
 			t.Fatal(err)
 		}

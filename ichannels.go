@@ -584,12 +584,12 @@ func WriteSweepAggregateLine(w io.Writer, t *SweepTable) error {
 // on ScenarioBatchOptions/ScenarioStreamOptions/SweepOptions (the
 // Runner field; nil computes in-process) to delegate each cell's
 // compute — the distributed tier's WorkerPool is the remote
-// implementation. RunCell returns a CellResult: the result, whether
-// the runner served it without computing it (Cached), and the cell's
-// own cost (Elapsed), which the engine reports as elapsed_us.
-// Implementations must honor the determinism contract: for a fixed
-// (spec, seed) the returned result's JSON encoding is byte-identical
-// to a local run's.
+// implementation. RunCell gets a normalized, validated spec and its
+// hash (Scenario.Identify's), trusts both, and returns a CellResult:
+// the result, filed under that hash; Cached, whether the runner served
+// it without computing it; and Elapsed, the cell's cost (elapsed_us). For a
+// fixed (spec, seed) the result's JSON encoding must be byte-identical
+// to a local run's (the determinism contract).
 type CellRunner = engine.CellRunner
 
 // CellResult is what a CellRunner reports for one cell: the result,

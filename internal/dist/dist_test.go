@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -245,7 +246,7 @@ func TestPoolRunFailedRecomputesLocally(t *testing.T) {
 	var localRuns atomic.Int64
 	wantErr := fmt.Errorf("deterministic local failure")
 	pool, err := dist.New([]string{srv.URL}, dist.Options{
-		Run: func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Run: func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 			localRuns.Add(1)
 			return nil, wantErr
 		},
@@ -367,11 +368,13 @@ func TestParseCellDispatchStrictness(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseCellDispatch(round-trip): %v", err)
 	}
-	if err := got.Validate(); err != nil {
+	n, err := got.Validate()
+	if err != nil {
 		t.Fatalf("Validate(round-trip): %v", err)
 	}
-	// Fixed point: parse → normalize → marshal is stable.
-	again, err := json.Marshal(got.Normalized())
+	// Fixed point: parse → validate → marshal is stable.
+	got.Scenario = n
+	again, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,17 +397,22 @@ func TestParseCellDispatchStrictness(t *testing.T) {
 
 	wrongVersion := d
 	wrongVersion.V = 99
-	if err := wrongVersion.Validate(); err == nil {
-		t.Error("Validate accepted an unknown wire version")
+	if _, err := wrongVersion.Validate(); err == nil || errors.Is(err, dist.ErrInvalidScenario) || errors.Is(err, dist.ErrHashMismatch) {
+		t.Errorf("unknown wire version: err = %v, want a plain frame error", err)
 	}
 	wrongSeed := d
 	wrongSeed.Seed = 0
-	if err := wrongSeed.Validate(); err == nil {
-		t.Error("Validate accepted a zero seed")
+	if _, err := wrongSeed.Validate(); err == nil || errors.Is(err, dist.ErrInvalidScenario) || errors.Is(err, dist.ErrHashMismatch) {
+		t.Errorf("zero seed: err = %v, want a plain frame error", err)
+	}
+	badSpec := d
+	badSpec.Scenario = scenario.Scenario{Role: "warp"}
+	if _, err := badSpec.Validate(); !errors.Is(err, dist.ErrInvalidScenario) {
+		t.Errorf("unrunnable scenario: err = %v, want ErrInvalidScenario", err)
 	}
 	wrongHash := d
 	wrongHash.Hash = "deadbeef"
-	if err := wrongHash.Validate(); err == nil {
-		t.Error("Validate accepted a mismatched hash")
+	if _, err := wrongHash.Validate(); !errors.Is(err, dist.ErrHashMismatch) {
+		t.Errorf("mismatched hash: err = %v, want ErrHashMismatch", err)
 	}
 }

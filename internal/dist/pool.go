@@ -44,8 +44,8 @@ type Options struct {
 	// DefaultMaxResponseBytes.
 	MaxResponseBytes int64
 	// Run overrides the local fallback executor (nil means
-	// scenario.Run) — injected by tests to observe fallback.
-	Run func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error)
+	// scenario.Runner{}.RunCell); tests inject it to observe fallback.
+	Run func(ctx context.Context, s scenario.Scenario, hash string, seed int64) (*scenario.Result, error)
 }
 
 // Stats summarizes a pool's activity. All counters are cumulative over
@@ -124,7 +124,7 @@ func New(workers []string, opts Options) (*Pool, error) {
 		p.maxResp = DefaultMaxResponseBytes
 	}
 	if p.runLocal == nil {
-		p.runLocal = scenario.Runner{}.RunSeeded
+		p.runLocal = scenario.Runner{}.RunCell
 	}
 	seen := map[string]bool{}
 	for _, raw := range workers {

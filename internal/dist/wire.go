@@ -30,6 +30,7 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"ichannels/internal/scenario"
@@ -57,32 +58,33 @@ type CellDispatch struct {
 	Scenario scenario.Scenario `json:"scenario"`
 }
 
-// Normalized returns the dispatch with its scenario normalized — the
-// canonical wire form (ParseCellDispatch callers re-marshal this; the
-// encoding is a fixed point under parse → normalize → marshal).
-func (d CellDispatch) Normalized() CellDispatch {
-	d.Scenario = d.Scenario.Normalized()
-	return d
-}
+// Validate's failure classes beyond a malformed frame, matched with
+// errors.Is: an unrunnable scenario, and a hash this side does not
+// compute from the scenario (coordinator/worker version skew).
+var (
+	ErrInvalidScenario = errors.New("dist: dispatch scenario")
+	ErrHashMismatch    = errors.New("dist: dispatch hash does not match the scenario")
+)
 
-// Validate checks the frame: known version, a positive effective seed
-// (derived seeds are always positive; zero would silently re-derive on
-// the worker), a runnable scenario, and a hash that matches the spec.
-func (d CellDispatch) Validate() error {
+// Validate is the one check of a frame: a known version, a positive
+// effective seed (derived seeds are always positive; zero would
+// silently re-derive on the worker), a runnable scenario and a hash
+// that matches it. It returns the normalized scenario to run.
+func (d CellDispatch) Validate() (scenario.Scenario, error) {
 	if d.V != DispatchVersion {
-		return fmt.Errorf("dist: dispatch version %d, want %d", d.V, DispatchVersion)
+		return scenario.Scenario{}, fmt.Errorf("dist: dispatch version %d, want %d", d.V, DispatchVersion)
 	}
 	if d.Seed <= 0 {
-		return fmt.Errorf("dist: dispatch seed %d: effective seeds are positive", d.Seed)
+		return scenario.Scenario{}, fmt.Errorf("dist: dispatch seed %d: effective seeds are positive", d.Seed)
 	}
-	n := d.Scenario.Normalized()
-	if err := n.Validate(); err != nil {
-		return fmt.Errorf("dist: dispatch scenario: %w", err)
+	n, h, err := d.Scenario.Identify()
+	if err != nil {
+		return scenario.Scenario{}, fmt.Errorf("%w: %w", ErrInvalidScenario, err)
 	}
-	if h := n.Hash(); d.Hash != h {
-		return fmt.Errorf("dist: dispatch hash %q does not match the scenario (%s): coordinator/worker version skew", d.Hash, h)
+	if d.Hash != h {
+		return scenario.Scenario{}, fmt.Errorf("%w: dispatched %q, this side computes %s (coordinator/worker version skew)", ErrHashMismatch, d.Hash, h)
 	}
-	return nil
+	return n, nil
 }
 
 // NewCellDispatch frames one cell for the wire.

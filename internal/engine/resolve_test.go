@@ -119,7 +119,7 @@ func TestResolveStoreHitSkipsRunner(t *testing.T) {
 	if err := st.Put(store.Key{Hash: hash, Seed: 3}, want); err != nil {
 		t.Fatal(err)
 	}
-	runner := engine.ScenarioRunFunc(func(context.Context, scenario.Scenario, int64) (*scenario.Result, error) {
+	runner := engine.ScenarioRunFunc(func(context.Context, scenario.Scenario, string, int64) (*scenario.Result, error) {
 		t.Error("runner called for a stored cell")
 		return nil, errors.New("unreachable")
 	})
@@ -147,13 +147,13 @@ func TestResolvePersistsOnlySuccesses(t *testing.T) {
 		wantErr string
 		puts    int
 	}{
-		{"error", func(context.Context, scenario.Scenario, int64) (*scenario.Result, error) {
+		{"error", func(context.Context, scenario.Scenario, string, int64) (*scenario.Result, error) {
 			return nil, errors.New("run failed")
 		}, "run failed", 0},
-		{"panic", func(context.Context, scenario.Scenario, int64) (*scenario.Result, error) {
+		{"panic", func(context.Context, scenario.Scenario, string, int64) (*scenario.Result, error) {
 			panic("boom")
 		}, "engine: scenario " + hash + " panicked: boom", 0},
-		{"success", func(_ context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		{"success", func(_ context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 			return &scenario.Result{Role: s.Role, Seed: seed}, nil
 		}, "", 1},
 	}

@@ -125,14 +125,27 @@ func deriveSeed(base int64, label string) int64 {
 }
 
 // deriveSeedFromHash is DeriveScenarioSeed for callers that already
-// hold the content hash (the stream dispatcher computes it once per
-// slot).
+// hold the content hash (identify).
 func deriveSeedFromHash(base int64, hash string) int64 {
 	d := deriveSeed(base, "scenario:"+hash) & math.MaxInt64
 	if d == 0 {
 		d = 1
 	}
 	return d
+}
+
+// identify checks s through scenario.Identify and returns its cell's
+// outcome slot: spec, hash, and seed (the spec's, else derived).
+func identify(s scenario.Scenario, base int64) (ScenarioOutcome, error) {
+	n, hash, err := s.Identify()
+	if err != nil {
+		return ScenarioOutcome{}, err
+	}
+	seed := n.Seed
+	if seed == 0 {
+		seed = deriveSeedFromHash(base, hash)
+	}
+	return ScenarioOutcome{Scenario: n, Hash: hash, Seed: seed}, nil
 }
 
 // RunScenarios executes a batch of scenarios and collects every
@@ -185,17 +198,9 @@ func RunScenarios(ctx context.Context, opts ScenarioOptions) (*ScenarioBatch, er
 			// batch contract by populating the abandoned slots with the
 			// context error.
 			for i := emitted; i < len(opts.Scenarios); i++ {
-				n := opts.Scenarios[i].Normalized()
-				hash := n.Hash()
-				seed := n.Seed
-				if seed == 0 {
-					seed = deriveSeedFromHash(opts.BaseSeed, hash)
-				}
-				r := &b.Results[i]
-				r.Scenario = n
-				r.Hash = hash
-				r.Seed = seed
-				r.Err = ctxErr
+				o, _ := identify(opts.Scenarios[i], opts.BaseSeed) // validated up front
+				o.Err = ctxErr
+				b.Results[i] = o
 				if opts.OnResult != nil {
 					opts.OnResult(i)
 				}

@@ -90,7 +90,7 @@ func TestScenarioSeedDerivation(t *testing.T) {
 	c := scenario.Scenario{Role: scenario.RoleSpy, Bits: 8}
 	pinned := scenario.Scenario{Role: scenario.RoleChannel, Kind: scenario.KindThread, Bits: 8, Seed: 77}
 
-	fake := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+	fake := func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 		return &scenario.Result{Role: s.Role, Hash: s.Hash(), Seed: seed}, nil
 	}
 	fwd, err := RunScenarios(context.Background(), ScenarioOptions{
@@ -156,7 +156,7 @@ func TestScenarioPanicIsolationAndOnResult(t *testing.T) {
 	b, err := RunScenarios(context.Background(), ScenarioOptions{
 		Scenarios: specs,
 		Parallel:  2,
-		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 			if s.Bits == 10 {
 				panic("boom")
 			}
@@ -306,7 +306,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // run concurrently.
 func TestParallelIsFaster(t *testing.T) {
 	var cur, peak int64
-	slow := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+	slow := func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 		n := atomic.AddInt64(&cur, 1)
 		for {
 			old := atomic.LoadInt64(&peak)
@@ -344,7 +344,7 @@ func TestParallelIsFaster(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+	run := func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 		once.Do(cancel) // first job cancels the rest
 		return &scenario.Result{Role: s.Role, Seed: seed}, nil
 	}
@@ -376,7 +376,7 @@ func TestUnknownIDRejectedUpfront(t *testing.T) {
 	var calls int64
 	_, err := RunScenarios(context.Background(), ScenarioOptions{
 		Scenarios: []scenario.Scenario{scenario.FromExperiment("fig13"), scenario.FromExperiment("nope")},
-		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 			atomic.AddInt64(&calls, 1)
 			return &scenario.Result{Role: s.Role, Seed: seed}, nil
 		}),
@@ -418,7 +418,7 @@ func TestDeriveSeed(t *testing.T) {
 // TestWriteTextSkipsFailures: a failed scenario shows as an ERROR row
 // and contributes no report rendering; the successful ones still print.
 func TestWriteTextSkipsFailures(t *testing.T) {
-	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+	run := func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 		if s.Experiment == "fig6a" {
 			return nil, errors.New("synthetic failure")
 		}

@@ -17,7 +17,7 @@ import (
 // countingStoreRun is a cheap deterministic executor that counts
 // invocations, for asserting what the store saved.
 func countingStoreRun(calls *atomic.Int64) ScenarioRunFunc {
-	return func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+	return func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 		calls.Add(1)
 		return &scenario.Result{
 			Role: s.Role, Processor: s.Processor, Kind: s.Kind,

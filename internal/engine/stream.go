@@ -70,9 +70,10 @@ type StreamOptions struct {
 
 // CellRunner executes one scenario cell identified by its content hash
 // and effective seed — the one compute seam StreamScenarios runs every
-// cell through (StreamOptions.Runner). The hash is the same value
-// the store keys on and the wire frames carry, computed once per cell
-// by the stream dispatcher. Implementations must honor the determinism
+// cell through (StreamOptions.Runner). It receives a normalized,
+// validated spec and its hash as scenario.Identify returns them, and
+// trusts both; the hash is the store key, the wire frame's, and the
+// result's. Implementations must honor the determinism
 // contract: for a fixed (spec, seed) the returned result's JSON
 // encoding is byte-identical to scenario.Run's, no matter where or how
 // the cell was computed. The in-process default is scenario.Runner
@@ -95,16 +96,16 @@ type CellResult struct {
 }
 
 // ScenarioRunFunc adapts an ordinary executor function to a CellRunner
-// that ignores the cell hash and times the call — the http.HandlerFunc
-// pattern. The method value scenario.Runner{Machines: pool}.RunSeeded
-// is one; tests wrap fakes in it.
-type ScenarioRunFunc func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error)
+// that times the call — the http.HandlerFunc pattern. The method value
+// scenario.Runner{Machines: pool}.RunCell is the in-process runner;
+// tests wrap fakes in it.
+type ScenarioRunFunc func(ctx context.Context, s scenario.Scenario, hash string, seed int64) (*scenario.Result, error)
 
-// RunCell implements CellRunner by calling f(ctx, s, seed), reporting
-// the call's duration as the cell's cost.
-func (f ScenarioRunFunc) RunCell(ctx context.Context, s scenario.Scenario, _ string, seed int64) (CellResult, error) {
+// RunCell implements CellRunner by calling f(ctx, s, hash, seed),
+// reporting the call's duration as the cell's cost.
+func (f ScenarioRunFunc) RunCell(ctx context.Context, s scenario.Scenario, hash string, seed int64) (CellResult, error) {
 	t0 := time.Now()
-	res, err := f(ctx, s, seed)
+	res, err := f(ctx, s, hash, seed)
 	return CellResult{Result: res, Elapsed: time.Since(t0)}, err
 }
 
@@ -168,7 +169,7 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 	}
 	runner := opts.Runner
 	if runner == nil {
-		runner = ScenarioRunFunc(scenario.Runner{}.RunSeeded)
+		runner = ScenarioRunFunc(scenario.Runner{}.RunCell)
 	}
 	workers := max(opts.Parallel, 1)
 	window := StreamWindow(opts.Parallel, opts.Window)
@@ -216,18 +217,12 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 			if !ok {
 				return
 			}
-			n := s.Normalized()
-			if err := n.Validate(); err != nil {
+			o, err := identify(s, opts.BaseSeed)
+			if err != nil {
 				srcErr = fmt.Errorf("engine: stream scenario %d: %w", i, err)
 				return
 			}
-			sl := &streamSlot{ready: make(chan struct{})}
-			sl.outcome.Scenario = n
-			sl.outcome.Hash = n.Hash() // once per slot; seed, store, and framing reuse it
-			sl.outcome.Seed = n.Seed
-			if sl.outcome.Seed == 0 {
-				sl.outcome.Seed = deriveSeedFromHash(opts.BaseSeed, sl.outcome.Hash)
-			}
+			sl := &streamSlot{outcome: o, ready: make(chan struct{})}
 			// The pending send blocks once Window slots await emission —
 			// that back-pressure is the memory bound.
 			select {

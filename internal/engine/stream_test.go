@@ -26,7 +26,7 @@ func streamSource(n int) func() (scenario.Scenario, bool) {
 }
 
 // fakeStreamRun is a cheap deterministic executor for pipeline tests.
-func fakeStreamRun(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+func fakeStreamRun(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 	return &scenario.Result{Role: s.Role, Hash: s.Hash(), Seed: seed, Bits: s.Bits}, nil
 }
 
@@ -209,14 +209,14 @@ func TestStreamRunFailuresDoNotStop(t *testing.T) {
 	stats, err := StreamScenarios(context.Background(), StreamOptions{
 		Next:     streamSource(10),
 		Parallel: 3,
-		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Runner: ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 			if s.Bits%4 == 0 {
 				return nil, fmt.Errorf("synthetic failure")
 			}
 			if s.Bits == 6 {
 				panic("boom")
 			}
-			return fakeStreamRun(ctx, s, seed)
+			return fakeStreamRun(ctx, s, "", seed)
 		}),
 	})
 	if err != nil {

@@ -51,7 +51,11 @@ func reuseSpec(proc string, b []byte) scenario.Scenario {
 // under heavy noise can).
 func outcome(t *testing.T, runner scenario.Runner, s scenario.Scenario) []byte {
 	t.Helper()
-	res, err := runner.Run(context.Background(), s)
+	n, hash, err := s.Identify()
+	if err != nil {
+		return []byte("error: " + err.Error())
+	}
+	res, err := runner.RunCell(context.Background(), n, hash, n.Seed)
 	if err != nil {
 		return []byte("error: " + err.Error())
 	}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -100,37 +101,29 @@ type Runner struct {
 	Machines *soc.Pool
 }
 
-// Run executes one scenario with the default Runner. The context is
+// Run checks one scenario through Identify and executes it with the
+// default Runner at its spec seed, else DefaultSeed. The context is
 // checked between simulation phases (the discrete-event simulator
 // itself is not interruptible mid-phase).
 func Run(ctx context.Context, s Scenario) (*Result, error) {
-	return Runner{}.Run(ctx, s)
-}
-
-// Run executes one scenario: normalize, validate, pick the effective
-// seed (spec seed, else DefaultSeed), and dispatch on role.
-func (r Runner) Run(ctx context.Context, s Scenario) (*Result, error) {
-	seed := s.Seed
-	if seed == 0 {
-		seed = DefaultSeed
-	}
-	return r.RunSeeded(ctx, s, seed)
-}
-
-// RunSeeded executes one scenario with an explicit seed, overriding the
-// spec's Seed field. Batch executors use it to hand out derived seeds.
-func (r Runner) RunSeeded(ctx context.Context, s Scenario, seed int64) (*Result, error) {
-	n := s.Normalized()
-	if err := n.validate(); err != nil {
+	n, hash, err := s.Identify()
+	if err != nil {
 		return nil, err
 	}
+	return Runner{}.RunCell(ctx, n, hash, cmp.Or(n.Seed, DefaultSeed))
+}
+
+// RunCell executes one cell at an explicit seed. It trusts its inputs,
+// a normalized, validated spec and its hash as Identify returns them,
+// and files the result under that hash, the store's and the wire's key.
+func (r Runner) RunCell(ctx context.Context, n Scenario, hash string, seed int64) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Role: n.Role, Processor: n.Processor, Kind: n.Kind,
 		Baseline: n.Baseline, Mitigation: n.Mitigation, Experiment: n.Experiment,
-		Hash: n.Hash(), Seed: seed,
+		Hash: hash, Seed: seed,
 	}
 	var err error
 	switch n.Role {

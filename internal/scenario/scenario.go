@@ -3,7 +3,7 @@
 // run — an IChannels covert-channel transmission, one of the four
 // baseline channels, the instruction-class-inference side channel, a
 // mitigation evaluation, or a registered paper experiment — and
-// Run/Runner.Run is the single entry point that executes any of them.
+// Run/Runner.RunCell is the single entry point that executes any of them.
 //
 // Every run path that used to need its own Go call sequence
 // (core.New+Calibrate+Transmit, baselines.New*, core.NewSpy,
@@ -286,7 +286,11 @@ func (s Scenario) Normalized() Scenario {
 // effective seed it identifies a run's result bytes, which is what the
 // serve layer's single-flight cache keys on.
 func (s Scenario) Hash() string {
-	n := s.Normalized()
+	return s.Normalized().hash()
+}
+
+// hash is Hash on an already-normalized spec.
+func (n Scenario) hash() string {
 	n.Name = ""
 	n.Seed = 0
 	b, err := json.Marshal(n)
@@ -348,6 +352,17 @@ func mitigationKind(name string) (mitigate.Kind, error) {
 // raw user spec can be validated directly.
 func (s Scenario) Validate() error {
 	return s.Normalized().validate()
+}
+
+// Identify returns what Normalized, Hash and Validate return, from one
+// normalization: a cell's identity, checked once at the trust boundary.
+// Runner.RunCell, the engine's runners and the store trust the result.
+func (s Scenario) Identify() (Scenario, string, error) {
+	n := s.Normalized()
+	if err := n.validate(); err != nil {
+		return Scenario{}, "", err
+	}
+	return n, n.hash(), nil
 }
 
 // validate checks an already-normalized spec.

@@ -238,7 +238,11 @@ func TestExperimentGenerators(t *testing.T) {
 		gotID, gotSeed = id, seed
 		return exp.NewReport(id, "fake"), nil
 	}}
-	res, err := r.Run(context.Background(), all[3])
+	n, hash, err := all[3].Identify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunCell(context.Background(), n, hash, DefaultSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

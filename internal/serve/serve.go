@@ -52,6 +52,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -208,7 +209,7 @@ func New(opts Options) *Server {
 		maxCache = DefaultMaxCacheEntries
 	}
 	machines := soc.NewPool()
-	sim := &simulator{run: scenario.Runner{ExpRun: opts.Run, Machines: machines}.RunSeeded}
+	sim := &simulator{run: scenario.Runner{ExpRun: opts.Run, Machines: machines}.RunCell}
 	switch c := opts.MaxConcurrent; {
 	case c == 0:
 		sim.sem = make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -564,16 +565,12 @@ func (s *Server) v1Scenarios(w http.ResponseWriter, r *http.Request) {
 		s.runBatch(w, r, specs, baseSeed)
 		return
 	}
-	n := specs[0].Normalized()
-	if err := n.Validate(); err != nil {
+	n, hash, err := specs[0].Identify()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidScenario, "%v", err)
 		return
 	}
-	seed := n.Seed
-	if seed == 0 {
-		seed = baseSeed
-	}
-	hash := n.Hash()
+	seed := cmp.Or(n.Seed, baseSeed)
 	c, err := s.RunCell(r.Context(), n, hash, seed)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, CodeRunFailed,
@@ -598,7 +595,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, specs []scenar
 	// Validate everything up front: a malformed batch fails whole,
 	// before any simulation runs.
 	for i, spec := range specs {
-		if err := spec.Normalized().Validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, CodeInvalidScenario, "scenarios[%d]: %v", i, err)
 			return
 		}

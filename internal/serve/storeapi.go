@@ -17,6 +17,7 @@ package serve
 // the cache and store tallies whether or not the corpus is shared.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -158,7 +159,7 @@ func (s *Server) v1StoreEntry(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		data, ok, err := b.GetObject(r.Context(), key)
 		s.tally.Read(ok, err)
-		if store.IsCorrupt(err) {
+		if errors.Is(err, store.ErrCorrupt) {
 			// The record failed verification and the store's read
 			// dropped it: the key is a miss now. A 5xx would make the
 			// client retry the same damage and count it toward opening

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"net/http"
 
 	"ichannels/internal/dist"
@@ -39,27 +40,16 @@ func (s *Server) v1Cells(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v (wire version %d)", err, dist.DispatchVersion)
 		return
 	}
-	if d.V != dist.DispatchVersion {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			"dispatch version %d; this worker speaks %d", d.V, dist.DispatchVersion)
-		return
-	}
-	if d.Seed <= 0 {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			"dispatch seed %d: effective seeds are positive", d.Seed)
-		return
-	}
-	n := d.Scenario.Normalized()
-	if err := n.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidScenario, "%v", err)
-		return
-	}
-	// Recompute the identity instead of trusting the frame: a
-	// coordinator whose normalization or hashing drifted from this
-	// worker's must not get results filed under its idea of the hash.
-	if h := n.Hash(); h != d.Hash {
-		writeError(w, http.StatusConflict, CodeHashMismatch,
-			"dispatched hash %s, this worker computes %s: coordinator/worker version skew", d.Hash, h)
+	n, err := d.Validate()
+	if err != nil {
+		status, code := http.StatusBadRequest, CodeBadRequest
+		switch {
+		case errors.Is(err, dist.ErrHashMismatch):
+			status, code = http.StatusConflict, CodeHashMismatch
+		case errors.Is(err, dist.ErrInvalidScenario):
+			code = CodeInvalidScenario
+		}
+		writeError(w, status, code, "%v", err)
 		return
 	}
 	c, err := s.RunCell(r.Context(), n, d.Hash, d.Seed)

@@ -62,7 +62,7 @@ func TestWorkerEndpointServesVerifiableEnvelope(t *testing.T) {
 	}
 	// The envelope's payload is the canonical result encoding: the
 	// bytes a local run marshals to.
-	want, err := scenario.Runner{}.RunSeeded(t.Context(), scenario.Scenario{Role: scenario.RoleChannel, Kind: scenario.KindCores, Bits: 8}.Normalized(), 42)
+	want, err := scenario.Runner{}.RunCell(t.Context(), scenario.Scenario{Role: scenario.RoleChannel, Kind: scenario.KindCores, Bits: 8}.Normalized(), key.Hash, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

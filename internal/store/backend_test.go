@@ -22,7 +22,7 @@ func backendFixtures(t *testing.T) map[string]Backend {
 	}
 	fill := func(s Store) {
 		for _, key := range keys {
-			if err := s.Put(key, testResult(key.Seed)); err != nil {
+			if err := s.Put(key, testResult(key)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -101,7 +101,7 @@ func TestBackendRoundTrip(t *testing.T) {
 			}
 			// Put through the verifying store, read back.
 			put := Key{Hash: "00aa00aa00aa00aa", Seed: 5}
-			if err := st.Put(put, testResult(5)); err != nil {
+			if err := st.Put(put, testResult(put)); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok, err := st.Get(put); !ok || err != nil {
@@ -123,7 +123,7 @@ func TestBackendRoundTrip(t *testing.T) {
 // backend defense.
 func TestBackendStoreRejectsCorruptBytes(t *testing.T) {
 	key := Key{Hash: "0123456789abcdef", Seed: 1}
-	good, err := EncodeEnvelope(key, testResult(1))
+	good, err := EncodeEnvelope(key, testResult(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,8 @@ func TestBackendStoreRejectsCorruptBytes(t *testing.T) {
 	}
 	// And a backend serving someone else's (intact) envelope is caught
 	// by the identity check.
-	other, _ := EncodeEnvelope(Key{Hash: "fedcba9876543210", Seed: 2}, testResult(2))
+	otherKey := Key{Hash: "fedcba9876543210", Seed: 2}
+	other, _ := EncodeEnvelope(otherKey, testResult(otherKey))
 	st = NewBackendStore(fakeBackend{data: other})
 	if _, ok, err := st.Get(key); err == nil || ok {
 		t.Fatalf("misidentified envelope accepted: ok=%v err=%v", ok, err)

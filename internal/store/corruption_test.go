@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 func TestGetRejectsTruncatedEnvelope(t *testing.T) {
 	p := openPackedTest(t)
 	key := Key{Hash: "0123456789abcdef", Seed: 3}
-	if err := p.Put(key, testResult(3)); err != nil {
+	if err := p.Put(key, testResult(key)); err != nil {
 		t.Fatal(err)
 	}
 	tearRecord(t, p, key)
@@ -25,7 +26,7 @@ func TestGetRejectsTruncatedEnvelope(t *testing.T) {
 // and worker responses alike) through every rejection class directly.
 func TestDecodeEnvelopeFailurePaths(t *testing.T) {
 	key := Key{Hash: "0123456789abcdef", Seed: 3}
-	good, err := EncodeEnvelope(key, testResult(3))
+	good, err := EncodeEnvelope(key, testResult(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +47,13 @@ func TestDecodeEnvelopeFailurePaths(t *testing.T) {
 		{"leading-space", append([]byte(" "), good...), "canonical"},
 		{"trailing-newline", append(append([]byte(nil), good...), '\n'), "canonical"},
 		{"spaced-colon", bytes.Replace(good, []byte(`"seed":`), []byte(`"seed": `), 1), "canonical"},
+		// A checksummed envelope whose result names another cell.
+		{"result-other-hash", foreignResult(t, key, "fedcba9876543210", key.Seed), "result identifies"},
+		{"result-other-seed", foreignResult(t, key, key.Hash, key.Seed+1), "result identifies"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := DecodeEnvelope(key, c.data); !IsCorrupt(err) || !strings.Contains(err.Error(), c.want) {
+			if _, err := DecodeEnvelope(key, c.data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("err = %v, want a corrupt %q error", err, c.want)
 			}
 		})
@@ -64,9 +68,9 @@ func TestDecodeEnvelopeFailurePaths(t *testing.T) {
 // TestEnvelopeRoundTripsEscapedBytes: the canonical-bytes check
 // matches the encoder's escaping, in the result payload and in the key.
 func TestEnvelopeRoundTripsEscapedBytes(t *testing.T) {
-	res := testResult(3)
-	res.DecodedPayload = "<&>"
 	for _, key := range []Key{{Hash: "0123456789abcdef", Seed: 3}, {Hash: "a<b>&\"c\u00e9", Seed: -7}} {
+		res := testResult(key)
+		res.DecodedPayload = "<&>"
 		good, err := EncodeEnvelope(key, res)
 		if err != nil {
 			t.Fatal(err)
@@ -79,6 +83,17 @@ func TestEnvelopeRoundTripsEscapedBytes(t *testing.T) {
 			t.Fatalf("key %v: round trip changed bytes:\n%s\nwant:\n%s", key, again, good)
 		}
 	}
+}
+
+// foreignResult encodes, under key, a result that names the cell
+// (hash, seed): envelope identity and checksum both verify.
+func foreignResult(t *testing.T, key Key, hash string, seed int64) []byte {
+	t.Helper()
+	data, err := EncodeEnvelope(key, testResult(Key{Hash: hash, Seed: seed}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // flipResultByte flips one digit inside the result payload, leaving the

@@ -61,13 +61,13 @@ func EncodeEnvelope(key Key, res *scenario.Result) ([]byte, error) {
 }
 
 // DecodeEnvelope validates one envelope's bytes against the key the
-// caller expects — version, identity, and result checksum — and returns
-// the result. It is the read half of EncodeEnvelope, shared by the
-// packed store's record check, BackendStore, `store pack`, the share
-// route's PUT and the distributed coordinator (worker-response
-// verification). Every failure is tagged with ErrCorrupt: the bytes
-// themselves are wrong, so no amount of retrying the same source helps
-// — callers classify these as permanent.
+// caller expects — version, identity (the envelope's and its result's),
+// and result checksum — and returns the result. It is the read half of
+// EncodeEnvelope, shared by the packed store's record check,
+// BackendStore, `store pack`, the share route's PUT and the distributed
+// coordinator (worker-response verification). Every failure is tagged
+// with ErrCorrupt: the bytes themselves are wrong, so no amount of
+// retrying the same source helps — callers classify these as permanent.
 func DecodeEnvelope(key Key, data []byte) (*scenario.Result, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -91,6 +91,11 @@ func DecodeEnvelope(key Key, data []byte) (*scenario.Result, error) {
 	var res scenario.Result
 	if err := json.Unmarshal(env.Result, &res); err != nil {
 		return nil, markCorrupt(fmt.Errorf("store: entry %s: malformed result: %w", key, err))
+	}
+	// The checksum vouches for the payload, not for whose it is: a
+	// result naming another cell is as wrong as a flipped byte.
+	if res.Hash != key.Hash || res.Seed != key.Seed {
+		return nil, markCorrupt(fmt.Errorf("store: entry %s: result identifies %s-%d", key, res.Hash, res.Seed))
 	}
 	return &res, nil
 }

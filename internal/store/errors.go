@@ -50,9 +50,6 @@ type remoteStatusError struct {
 
 func (e *remoteStatusError) Error() string { return e.msg }
 
-// IsCorrupt reports whether err marks a permanently damaged envelope.
-func IsCorrupt(err error) bool { return errors.Is(err, ErrCorrupt) }
-
 // IsPermanentError reports whether a store failure is permanent:
 // retrying cannot help (corrupt envelope, 4xx from the remote).
 // Everything else — transport errors, 5xx, timeouts, an open breaker —
@@ -62,7 +59,7 @@ func IsPermanentError(err error) bool {
 	if err == nil {
 		return false
 	}
-	if IsCorrupt(err) {
+	if errors.Is(err, ErrCorrupt) {
 		return true
 	}
 	var se *remoteStatusError

@@ -30,7 +30,7 @@ func TestGCUnderLoadPacked(t *testing.T) {
 	}
 	const seedEntries = 64
 	for i := 0; i < seedEntries; i++ {
-		if err := st.Put(key(i), testResult(int64(i))); err != nil {
+		if err := st.Put(key(i), testResult(key(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestGCUnderLoadPacked(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := seedEntries; !stop.Load(); i++ {
-			if err := st.Put(key(i), testResult(int64(i))); err != nil {
+			if err := st.Put(key(i), testResult(key(i))); err != nil {
 				fail(fmt.Errorf("put %d: %w", i, err))
 				return
 			}

@@ -12,7 +12,7 @@ import (
 // returns the entry's path and bytes.
 func writePerFile(t *testing.T, dir string, key Key) (string, []byte) {
 	t.Helper()
-	data, err := EncodeEnvelope(key, testResult(key.Seed))
+	data, err := EncodeEnvelope(key, testResult(key))
 	if err != nil {
 		t.Fatal(err)
 	}

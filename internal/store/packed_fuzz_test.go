@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -17,7 +18,7 @@ const damageRecords = 4
 // read contract for every key:
 //
 //   - a record whose bytes are intact reads back as the bytes written;
-//   - a damaged record misses with an IsCorrupt error — including a
+//   - a damaged record misses with an ErrCorrupt error — including a
 //     flipped case bit in a field name, which encoding/json alone would
 //     accept;
 //   - Verify names exactly the records whose reads miss;
@@ -32,7 +33,7 @@ func FuzzPackedReadDamage(f *testing.F) {
 		want := make(map[Key][]byte, damageRecords)
 		for i := range keys {
 			keys[i] = Key{Hash: "0123456789abcdef", Seed: int64(i + 1)}
-			env, err := EncodeEnvelope(keys[i], testResult(keys[i].Seed))
+			env, err := EncodeEnvelope(keys[i], testResult(keys[i]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,8 +121,8 @@ func FuzzPackedReadDamage(f *testing.F) {
 			// Alternate which verb meets the damage first.
 			first, second := readEnvelope(p, k, i%2 == 0), readEnvelope(p, k, i%2 != 0)
 			if first.err != nil {
-				if !IsCorrupt(first.err) || first.ok {
-					t.Fatalf("key %v: damaged read gave ok=%v err=%v, want an IsCorrupt miss", k, first.ok, first.err)
+				if !errors.Is(first.err, ErrCorrupt) || first.ok {
+					t.Fatalf("key %v: damaged read gave ok=%v err=%v, want an ErrCorrupt miss", k, first.ok, first.err)
 				}
 				if intact[k] {
 					t.Fatalf("key %v: intact record failed: %v", k, first.err)

@@ -28,7 +28,7 @@ func fillPacked(t *testing.T, p *Packed, n int) []Key {
 	keys := make([]Key, 0, n)
 	for i := 1; i <= n; i++ {
 		key := Key{Hash: "0123456789abcdef", Seed: int64(i)}
-		if err := p.Put(key, testResult(key.Seed)); err != nil {
+		if err := p.Put(key, testResult(key)); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, key)
@@ -42,7 +42,7 @@ func TestPackedPutGetRoundTrip(t *testing.T) {
 	if _, ok, err := p.Get(key); ok || err != nil {
 		t.Fatalf("empty store: ok=%v err=%v", ok, err)
 	}
-	want := testResult(7)
+	want := testResult(key)
 	if err := p.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func TestPackedPutGetRoundTrip(t *testing.T) {
 func TestPackedPutDedupes(t *testing.T) {
 	p := openPackedTest(t)
 	key := Key{Hash: "0123456789abcdef", Seed: 1}
-	if err := p.Put(key, testResult(1)); err != nil {
+	if err := p.Put(key, testResult(key)); err != nil {
 		t.Fatal(err)
 	}
 	size0 := p.active.size
 	for i := 0; i < 5; i++ {
-		if err := p.Put(key, testResult(1)); err != nil {
+		if err := p.Put(key, testResult(key)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestPackedStaleSidecarRescans(t *testing.T) {
 
 	// Append a third, valid record directly to the segment file.
 	extra := Key{Hash: "0123456789abcdef", Seed: 99}
-	env, err := EncodeEnvelope(extra, testResult(99))
+	env, err := EncodeEnvelope(extra, testResult(extra))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPackedGetSelfHeals(t *testing.T) {
 				_, ok, err := p.Get(key)
 				return ok, err
 			},
-			put: func(p *Packed, key Key) error { return p.Put(key, testResult(key.Seed)) },
+			put: func(p *Packed, key Key) error { return p.Put(key, testResult(key)) },
 		},
 		{
 			name: "GetObject",
@@ -264,7 +264,7 @@ func TestPackedGetSelfHeals(t *testing.T) {
 				return ok, err
 			},
 			put: func(p *Packed, key Key) error {
-				env, err := EncodeEnvelope(key, testResult(key.Seed))
+				env, err := EncodeEnvelope(key, testResult(key))
 				if err != nil {
 					return err
 				}
@@ -373,7 +373,7 @@ func TestPackedGCMaxAge(t *testing.T) {
 	old := fillPacked(t, p, 2)
 	p.now = func() time.Time { return base }
 	fresh := Key{Hash: "fedcba9876543210", Seed: 1}
-	if err := p.Put(fresh, testResult(1)); err != nil {
+	if err := p.Put(fresh, testResult(fresh)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -401,7 +401,7 @@ func TestPackedGCMaxBytes(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		p.now = func() time.Time { return base.Add(time.Duration(i) * time.Hour) }
 		key := Key{Hash: "0123456789abcdef", Seed: int64(i)}
-		if err := p.Put(key, testResult(key.Seed)); err != nil {
+		if err := p.Put(key, testResult(key)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -87,7 +87,7 @@ func replicaKey(seed int64) Key {
 func seedRemote(t *testing.T, m *memBackend, seed int64) Key {
 	t.Helper()
 	key := replicaKey(seed)
-	data, err := EncodeEnvelope(key, testResult(seed))
+	data, err := EncodeEnvelope(key, testResult(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestReplicaWritesLocallyAndFlushesUpstream(t *testing.T) {
 	mb := newMemBackend()
 	r := openTestReplica(t, mb)
 	key := replicaKey(3)
-	if err := r.Put(key, testResult(3)); err != nil {
+	if err := r.Put(key, testResult(key)); err != nil {
 		t.Fatal(err)
 	}
 	// The local write is durable immediately.
@@ -195,7 +195,7 @@ func TestReplicaFlushFailureStaysLocalAndSyncRecovers(t *testing.T) {
 	mb.setPutErr(errors.New("remote down"))
 	r := openTestReplica(t, mb)
 	key := replicaKey(4)
-	if err := r.Put(key, testResult(4)); err != nil {
+	if err := r.Put(key, testResult(key)); err != nil {
 		t.Fatalf("a dead remote must not fail local writes: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -234,7 +234,7 @@ func TestReplicaListUnionAndDeadRemoteDegrade(t *testing.T) {
 	remoteKey := seedRemote(t, mb, 1)
 	r := openTestReplica(t, mb)
 	localKey := replicaKey(2)
-	if err := r.Put(localKey, testResult(2)); err != nil {
+	if err := r.Put(localKey, testResult(localKey)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

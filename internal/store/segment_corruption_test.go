@@ -244,7 +244,7 @@ func buildSegmentImageF(f *testing.F, n int) ([]byte, []Key) {
 	var keys []Key
 	for i := 1; i <= n; i++ {
 		key := Key{Hash: "0123456789abcdef", Seed: int64(i)}
-		if err := p.Put(key, testResult(key.Seed)); err != nil {
+		if err := p.Put(key, testResult(key)); err != nil {
 			f.Fatal(err)
 		}
 		keys = append(keys, key)

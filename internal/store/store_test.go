@@ -12,10 +12,10 @@ import (
 	"ichannels/internal/scenario"
 )
 
-func testResult(seed int64) *scenario.Result {
+func testResult(key Key) *scenario.Result {
 	return &scenario.Result{
 		Role: scenario.RoleChannel, Processor: "Cannon Lake", Kind: scenario.KindCores,
-		Hash: "0123456789abcdef", Seed: seed,
+		Hash: key.Hash, Seed: key.Seed,
 		Bits: 4, SentBits: []int{1, 0, 1, 1}, DecodedBits: []int{1, 0, 1, 1},
 		ThroughputBPS: 3000.25, BER: 0.125, ElapsedSimUS: 1234.5,
 		Extra: map[string]float64{"calibration_gap_cycles": 4200},
@@ -58,7 +58,7 @@ func putAt(t *testing.T, p *Packed, key Key, at time.Time) {
 	t.Helper()
 	p.now = func() time.Time { return at }
 	defer func() { p.now = time.Now }()
-	if err := p.Put(key, testResult(key.Seed)); err != nil {
+	if err := p.Put(key, testResult(key)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -66,7 +66,7 @@ func putAt(t *testing.T, p *Packed, key Key, at time.Time) {
 func TestPutGetRoundTrip(t *testing.T) {
 	p := openPackedTest(t)
 	key := Key{Hash: "0123456789abcdef", Seed: 7}
-	want := testResult(7)
+	want := testResult(key)
 	if err := p.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestPutLeavesNoTemporaries(t *testing.T) {
 	p := openPackedTest(t)
 	for seed := int64(1); seed <= 4; seed++ {
-		if err := p.Put(Key{Hash: "aabb304958aabbcc", Seed: seed}, testResult(seed)); err != nil {
+		key := Key{Hash: "aabb304958aabbcc", Seed: seed}
+		if err := p.Put(key, testResult(key)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +115,7 @@ func TestPutLeavesNoTemporaries(t *testing.T) {
 func TestGetRejectsCorruption(t *testing.T) {
 	p := openPackedTest(t)
 	key := Key{Hash: "0123456789abcdef", Seed: 3}
-	if err := p.Put(key, testResult(3)); err != nil {
+	if err := p.Put(key, testResult(key)); err != nil {
 		t.Fatal(err)
 	}
 	damageRecord(t, p, key)
@@ -128,7 +129,7 @@ func TestGetRejectsCorruption(t *testing.T) {
 // format version are both rejected, never served.
 func TestGetRejectsWrongKeyAndVersion(t *testing.T) {
 	key := Key{Hash: "0123456789abcdef", Seed: 3}
-	data, err := EncodeEnvelope(key, testResult(3))
+	data, err := EncodeEnvelope(key, testResult(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestListSorted(t *testing.T) {
 		{Hash: "aa00000000000000", Seed: 1},
 	}
 	for _, k := range keys {
-		if err := p.Put(k, testResult(k.Seed)); err != nil {
+		if err := p.Put(k, testResult(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +182,7 @@ func TestVerifyAndGC(t *testing.T) {
 	good := Key{Hash: "0123456789abcdef", Seed: 1}
 	bad := Key{Hash: "0123456789abcdef", Seed: 2}
 	for _, k := range []Key{good, bad} {
-		if err := p.Put(k, testResult(k.Seed)); err != nil {
+		if err := p.Put(k, testResult(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +240,7 @@ func TestWriteOnly(t *testing.T) {
 	p := openPackedTest(t)
 	wo := WriteOnly(p)
 	key := Key{Hash: "0123456789abcdef", Seed: 5}
-	if err := wo.Put(key, testResult(5)); err != nil {
+	if err := wo.Put(key, testResult(key)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := wo.Get(key); ok || err != nil {

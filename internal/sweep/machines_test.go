@@ -63,7 +63,7 @@ func TestMachineCounts(t *testing.T) {
 	})
 	t.Run("pool shared across runs", func(t *testing.T) {
 		pool := soc.NewPool()
-		shared := Options{Runner: engine.ScenarioRunFunc(scenario.Runner{Machines: pool}.RunSeeded)}
+		shared := Options{Runner: engine.ScenarioRunFunc(scenario.Runner{Machines: pool}.RunCell)}
 		run := func(spec string, baseSeed int64, parallel int) *Result {
 			t.Helper()
 			opts := shared

@@ -13,7 +13,7 @@ import (
 // kneeRun fabricates a BER sigmoid over the bits axis: flat zero below
 // 40, a linear knee from 40 to 48, saturated 0.5 above — cheap cells
 // with a known transition zone the controller must find.
-func kneeRun(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+func kneeRun(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 	ber := 0.0
 	switch {
 	case s.Bits >= 48:

@@ -41,9 +41,9 @@ func testSweepResume(t *testing.T) {
 	}
 	defer st.Close()
 	var calls atomic.Int64
-	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+	run := func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 		calls.Add(1)
-		return fakeRun(ctx, s, seed)
+		return fakeRun(ctx, s, "", seed)
 	}
 	opts := func() Options { return Options{BaseSeed: 3, Parallel: 2, Runner: engine.ScenarioRunFunc(run)} }
 
@@ -124,9 +124,9 @@ func TestSweepWriteOnlyStoreRecomputes(t *testing.T) {
 	}
 	defer st.Close()
 	var calls atomic.Int64
-	run := func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+	run := func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 		calls.Add(1)
-		return fakeRun(ctx, s, seed)
+		return fakeRun(ctx, s, "", seed)
 	}
 	for round := 1; round <= 2; round++ {
 		calls.Store(0)

@@ -207,7 +207,7 @@ func newExecState(nsw scenario.Sweep, opts Options) *execState {
 	// and gets no pool.
 	if opts.Runner == nil {
 		st.machines = soc.NewPool()
-		st.opts.Runner = engine.ScenarioRunFunc(scenario.Runner{Machines: st.machines}.RunSeeded)
+		st.opts.Runner = engine.ScenarioRunFunc(scenario.Runner{Machines: st.machines}.RunCell)
 	}
 	return st
 }
@@ -251,11 +251,10 @@ func (st *execState) execute(ctx context.Context, next func() (scenario.Cell, bo
 			queueMu.Lock()
 			cell := cellQueue.pop()
 			queueMu.Unlock()
-			hash := o.Hash // computed once per slot by the engine dispatcher
-			out := CellOutcome{Cell: cell, Hash: hash, Seed: o.Seed, Pass: pass, Result: o.Result, Err: o.Err, Cached: o.Cached, Elapsed: o.Elapsed}
+			out := CellOutcome{Cell: cell, Hash: o.Hash, Seed: o.Seed, Pass: pass, Result: o.Result, Err: o.Err, Cached: o.Cached, Elapsed: o.Elapsed}
 			s := CellSummary{
 				Index: cell.Index, Name: cell.Scenario.Name, Axes: cell.Axes,
-				Hash: hash, Seed: o.Seed, Pass: pass,
+				Hash: o.Hash, Seed: o.Seed, Pass: pass,
 			}
 			if o.Err != nil {
 				s.Error = o.Err.Error()

@@ -14,7 +14,7 @@ import (
 
 // fakeRun is a cheap deterministic executor: BER and throughput are
 // pure functions of the spec and seed, so aggregates are checkable.
-func fakeRun(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+func fakeRun(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 	ber := 0.0
 	if s.Mitigation == scenario.MitigationSecureMode {
 		ber = 0.5
@@ -110,11 +110,11 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 func TestRunCellFailuresCounted(t *testing.T) {
 	res, err := Run(context.Background(), testSweep(), Options{
 		BaseSeed: 1, Parallel: 2,
-		Runner: engine.ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, seed int64) (*scenario.Result, error) {
+		Runner: engine.ScenarioRunFunc(func(ctx context.Context, s scenario.Scenario, _ string, seed int64) (*scenario.Result, error) {
 			if s.Processor == "Haswell" {
 				return nil, fmt.Errorf("synthetic")
 			}
-			return fakeRun(ctx, s, seed)
+			return fakeRun(ctx, s, "", seed)
 		}),
 	})
 	if err != nil {
