@@ -252,7 +252,7 @@ func runScenarioBatch(cmd string, args []string, fs *flag.FlagSet, load func(pos
 		Scenarios: specs, BaseSeed: rf.seed, Parallel: rf.parallel, Store: st,
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", cmd, err)
 	}
 	switch {
 	case rf.json:

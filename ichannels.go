@@ -333,7 +333,9 @@ type ScenarioBatch = engine.ScenarioBatch
 
 // RunScenarios executes scenarios on a worker pool with derived
 // per-scenario seeds. For a fixed BaseSeed the results are
-// byte-identical regardless of Parallel.
+// byte-identical regardless of Parallel. The batch is checked whole
+// before any of it runs; OnResult(i, outcome) streams each outcome in
+// batch order as it completes.
 func RunScenarios(ctx context.Context, opts ScenarioBatchOptions) (*ScenarioBatch, error) {
 	return engine.RunScenarios(ctx, opts)
 }
@@ -500,7 +502,8 @@ type ScenarioStreamStats = engine.StreamStats
 
 // StreamScenarios executes a lazily produced scenario sequence on a
 // worker pool with bounded memory, emitting outcomes in stream order.
-// RunScenarios is its collect-all wrapper; sweeps are its main client.
+// RunScenarios is its collect-all sibling on the same core; sweeps are
+// its main client.
 func StreamScenarios(ctx context.Context, opts ScenarioStreamOptions) (*ScenarioStreamStats, error) {
 	return engine.StreamScenarios(ctx, opts)
 }

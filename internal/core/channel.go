@@ -74,10 +74,6 @@ func (c *Channel) Params() Params { return c.p }
 // Calibration returns the current calibration (nil before Calibrate).
 func (c *Channel) Calibration() *Calibration { return c.cal }
 
-// SetCalibration installs an externally learned calibration (used by the
-// mitigation study to reuse a baseline calibration).
-func (c *Channel) SetCalibration(cal *Calibration) { c.cal = cal }
-
 // RunSymbols performs one transaction per symbol in schedule and returns
 // the receiver's raw measurements (TSC cycles), in slot order. This is
 // the primitive under Calibrate and Transmit; experiments also use it

@@ -70,19 +70,6 @@ func EncodeFrame(payload []byte, interleaveDepth int) ([]int, error) {
 	return inter, nil
 }
 
-// FrameBits returns the encoded bit length of a payload of n bytes with
-// the given interleave depth (useful for sizing receiver expectations).
-func FrameBits(n, interleaveDepth int) (int, error) {
-	if n < 0 || n > 255 {
-		return 0, fmt.Errorf("ecc: invalid payload size %d", n)
-	}
-	bits := (n + 2) * 8 / 4 * 7
-	if bits%2 != 0 {
-		bits++
-	}
-	return bits, nil
-}
-
 // DecodeFrame reverses EncodeFrame: deinterleave, Hamming-correct, unpack,
 // verify length and CRC. It returns the payload, the number of corrected
 // bit errors, and an error if the frame is unrecoverable.

@@ -51,10 +51,11 @@ type ScenarioOptions struct {
 	// Store, when set, serves scenarios whose (hash, seed) result it
 	// already holds and persists the rest — see StreamOptions.Store.
 	Store store.Store
-	// OnResult, when set, is called with each scenario's batch index as
-	// its outcome is emitted, in batch order (from the calling
-	// goroutine). The result slot is fully populated before the call.
-	OnResult func(i int)
+	// OnResult, when set, is called with each scenario's batch index and
+	// outcome as it is emitted, in batch order (from the calling
+	// goroutine) — cancelled slots included, so a caller can stream the
+	// batch before RunScenarios returns.
+	OnResult func(i int, o ScenarioOutcome)
 }
 
 // WithStore returns the options with the result store set — the fluent
@@ -149,64 +150,48 @@ func identify(s scenario.Scenario, base int64) (ScenarioOutcome, error) {
 }
 
 // RunScenarios executes a batch of scenarios and collects every
-// outcome — a thin collect-all wrapper over the streaming core
-// (StreamScenarios). It returns an error only for unrunnable requests
-// (an invalid spec, which would fail identically on every retry), and
-// validates the whole batch before running any of it; individual run
-// failures are recorded per-outcome and do not stop the batch.
-// Cancelling the context abandons scenarios that have not started:
-// their outcome slots carry the context error.
+// outcome — a collect-all wrapper over the streaming core. It returns an
+// error only for unrunnable requests (an invalid spec, which would fail
+// identically on every retry): the whole batch is identified up front,
+// once, so a malformed batch fails before any of it runs, naming its
+// index. Individual run failures are recorded per-outcome and do not
+// stop the batch. Cancelling the context abandons scenarios that have
+// not started: their outcome slots carry the context error.
 func RunScenarios(ctx context.Context, opts ScenarioOptions) (*ScenarioBatch, error) {
-	// Validate up front so a malformed batch fails whole, before any
-	// simulation runs — the stream itself validates lazily.
-	for i, s := range opts.Scenarios {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: scenarios[%d]: %w", i, err)
-		}
-	}
 	b := &ScenarioBatch{
 		BaseSeed: opts.BaseSeed,
 		Results:  make([]ScenarioOutcome, len(opts.Scenarios)),
 	}
-	next := 0
+	for i, s := range opts.Scenarios {
+		o, err := identify(s, opts.BaseSeed)
+		if err != nil {
+			return nil, fmt.Errorf("scenarios[%d]: %w", i, err)
+		}
+		b.Results[i] = o
+	}
 	emitted := 0
-	stats, err := StreamScenarios(ctx, StreamOptions{
-		Next: func() (scenario.Scenario, bool) {
-			if next >= len(opts.Scenarios) {
-				return scenario.Scenario{}, false
-			}
-			s := opts.Scenarios[next]
-			next++
-			return s, true
-		},
-		BaseSeed: opts.BaseSeed,
-		Parallel: poolSize(opts.Parallel, len(opts.Scenarios)),
+	emit := func(o ScenarioOutcome) error {
+		b.Results[emitted] = o
+		if opts.OnResult != nil {
+			opts.OnResult(emitted, o)
+		}
+		emitted++
+		return nil
+	}
+	stats, err := stream(ctx, StreamOptions{
+		Parallel: poolSize(opts.Parallel, len(b.Results)),
 		Runner:   opts.Runner,
 		Store:    opts.Store,
-		Emit: func(o ScenarioOutcome) error {
-			b.Results[emitted] = o
-			if opts.OnResult != nil {
-				opts.OnResult(emitted)
-			}
-			emitted++
-			return nil
-		},
-	})
+		Emit:     emit,
+	}, b.Results)
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && err == ctxErr {
-			// The stream stopped pulling on cancellation; restore the
-			// batch contract by populating the abandoned slots with the
-			// context error.
-			for i := emitted; i < len(opts.Scenarios); i++ {
-				o, _ := identify(opts.Scenarios[i], opts.BaseSeed) // validated up front
-				o.Err = ctxErr
-				b.Results[i] = o
-				if opts.OnResult != nil {
-					opts.OnResult(i)
-				}
-			}
-		} else {
-			return nil, err
+		// Only cancellation stops this stream (the slots are identified
+		// and emit never fails): fill the abandoned slots, still holding
+		// their identity, with the context error.
+		for emitted < len(b.Results) {
+			o := b.Results[emitted]
+			o.Err = err
+			emit(o)
 		}
 	}
 	b.StreamStats = *stats

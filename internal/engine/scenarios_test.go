@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,10 +144,10 @@ func TestScenarioBatchValidation(t *testing.T) {
 }
 
 // TestScenarioPanicIsolationAndOnResult: a panicking runner becomes a
-// per-outcome error, and OnResult fires exactly once per scenario with
-// the slot populated.
+// per-outcome error, and OnResult fires exactly once per scenario, in
+// order, with the outcome the batch then holds.
 func TestScenarioPanicIsolationAndOnResult(t *testing.T) {
-	var fired int64
+	var seen []ScenarioOutcome
 	specs := []scenario.Scenario{
 		{Role: scenario.RoleChannel, Bits: 8},
 		{Role: scenario.RoleChannel, Bits: 10},
@@ -162,15 +163,26 @@ func TestScenarioPanicIsolationAndOnResult(t *testing.T) {
 			}
 			return &scenario.Result{Role: s.Role, Seed: seed}, nil
 		}),
-		OnResult: func(i int) {
-			atomic.AddInt64(&fired, 1)
+		OnResult: func(i int, o ScenarioOutcome) {
+			if i != len(seen) {
+				t.Errorf("OnResult(%d) out of order, want %d", i, len(seen))
+			}
+			seen = append(seen, o)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fired != 3 {
-		t.Errorf("OnResult fired %d times, want 3", fired)
+	if len(seen) != 3 {
+		t.Fatalf("OnResult fired %d times, want 3", len(seen))
+	}
+	for i, o := range seen {
+		if r := b.Results[i]; o.Hash != r.Hash || o.Seed != r.Seed || o.Result != r.Result || o.Err != r.Err {
+			t.Errorf("OnResult(%d) outcome differs from the batch slot", i)
+		}
+	}
+	if seen[0].Result == nil || seen[1].Err == nil {
+		t.Error("OnResult outcome is not populated")
 	}
 	failed := b.Failed()
 	if len(failed) != 1 || !strings.Contains(failed[0].Err.Error(), "panicked") {
@@ -367,6 +379,17 @@ func TestCancellation(t *testing.T) {
 	}
 	if len(b.Failed()) != cancelled {
 		t.Errorf("Failed() = %d, want %d", len(b.Failed()), cancelled)
+	}
+	// A cancelled slot keeps the identity the batch computed up front.
+	full, err := RunScenarios(context.Background(), ScenarioOptions{Scenarios: specs, Parallel: 1, Runner: ScenarioRunFunc(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range b.Results {
+		w := full.Results[i]
+		if r.Hash != w.Hash || r.Seed != w.Seed || !reflect.DeepEqual(r.Scenario, w.Scenario) {
+			t.Errorf("slot %d: (%s, %d) differs from the uncancelled run's (%s, %d)", i, r.Hash, r.Seed, w.Hash, w.Seed)
+		}
 	}
 }
 

@@ -147,8 +147,10 @@ type streamSlot struct {
 
 // StreamScenarios executes an unbounded, lazily produced sequence of
 // scenarios on a worker pool and emits outcomes in order with bounded
-// memory — the streaming core RunScenarios (collect-all) and the sweep
-// subsystem (grids bigger than memory) are built on.
+// memory — the streaming path the sweep subsystem (grids bigger than
+// memory) is built on. It identifies each spec as it pulls it, so Next
+// may yield raw input; RunScenarios (collect-all) identifies its batch
+// up front and runs the same core.
 //
 // Determinism: outcomes are emitted in stream order and every spec that
 // pins no seed receives DeriveScenarioSeed(BaseSeed, spec), so for a
@@ -161,12 +163,20 @@ type streamSlot struct {
 // context stops the stream: nothing more is pulled from Next (so an
 // unbounded source cannot spin forever), in-flight outcomes drain
 // through Emit with their results or context errors, and the context's
-// error is returned. RunScenarios converts that truncation back into
-// its per-outcome-error batch contract.
+// error is returned. RunScenarios, on the same core, converts that
+// truncation back into its per-outcome-error batch contract.
 func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, error) {
 	if opts.Next == nil {
 		return nil, fmt.Errorf("engine: stream needs a Next source")
 	}
+	return stream(ctx, opts, nil)
+}
+
+// stream is the core behind StreamScenarios and RunScenarios. With
+// slots nil it pulls from opts.Next and identifies each spec as it
+// goes; otherwise it runs slots, which already carry each cell's spec,
+// hash and seed, in order and trusts them.
+func stream(ctx context.Context, opts StreamOptions, slots []ScenarioOutcome) (*StreamStats, error) {
 	runner := opts.Runner
 	if runner == nil {
 		runner = ScenarioRunFunc(scenario.Runner{}.RunCell)
@@ -213,14 +223,22 @@ func StreamScenarios(ctx context.Context, opts StreamOptions) (*StreamStats, err
 				srcErr = err
 				return
 			}
-			s, ok := opts.Next()
-			if !ok {
-				return
-			}
-			o, err := identify(s, opts.BaseSeed)
-			if err != nil {
-				srcErr = fmt.Errorf("engine: stream scenario %d: %w", i, err)
-				return
+			var o ScenarioOutcome
+			if slots != nil {
+				if i == len(slots) {
+					return
+				}
+				o = slots[i]
+			} else {
+				s, ok := opts.Next()
+				if !ok {
+					return
+				}
+				var err error
+				if o, err = identify(s, opts.BaseSeed); err != nil {
+					srcErr = fmt.Errorf("engine: stream scenario %d: %w", i, err)
+					return
+				}
 			}
 			sl := &streamSlot{outcome: o, ready: make(chan struct{})}
 			// The pending send blocks once Window slots await emission —

@@ -25,7 +25,7 @@ var benchVolt units.Volt
 // alternating up and down between two voltages, and samples the output
 // rampSamples times from the command to the settle time.
 func BenchmarkRegulatorStep(b *testing.B) {
-	r, err := NewRegulator(testConfig(), 0.8)
+	r, err := newRegulator(testConfig(), 0.8)
 	if err != nil {
 		b.Fatal(err)
 	}

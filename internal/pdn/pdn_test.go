@@ -64,17 +64,26 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+// newRegulator returns a regulator Reset to v0 under cfg.
+func newRegulator(cfg Config, v0 units.Volt) (*Regulator, error) {
+	r := new(Regulator)
+	if err := r.Reset(cfg, v0); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 func TestNewRegulatorBounds(t *testing.T) {
-	if _, err := NewRegulator(testConfig(), 0.2); err == nil {
+	if err := new(Regulator).Reset(testConfig(), 0.2); err == nil {
 		t.Fatal("initial voltage below VMin accepted")
 	}
-	if _, err := NewRegulator(testConfig(), 2.0); err == nil {
+	if err := new(Regulator).Reset(testConfig(), 2.0); err == nil {
 		t.Fatal("initial voltage above VMax accepted")
 	}
 }
 
 func TestRampTiming(t *testing.T) {
-	r, err := NewRegulator(testConfig(), 0.8)
+	r, err := newRegulator(testConfig(), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +111,7 @@ func TestRampTiming(t *testing.T) {
 }
 
 func TestDownRampUsesDownSlew(t *testing.T) {
-	r, _ := NewRegulator(testConfig(), 0.9)
+	r, _ := newRegulator(testConfig(), 0.9)
 	// −20 mV at 2 mV/µs → 10 µs ramp + 1 µs latency.
 	settle := r.SetTarget(0, 0.88)
 	if settle != units.Time(11*units.Microsecond) {
@@ -111,7 +120,7 @@ func TestDownRampUsesDownSlew(t *testing.T) {
 }
 
 func TestRetargetMidRampRebases(t *testing.T) {
-	r, _ := NewRegulator(testConfig(), 0.8)
+	r, _ := newRegulator(testConfig(), 0.8)
 	r.SetTarget(0, 0.82) // settles at 21 µs
 	// Retarget at 11 µs: output is ~0.81 then.
 	at := units.Time(11 * units.Microsecond)
@@ -128,12 +137,12 @@ func TestRetargetMidRampRebases(t *testing.T) {
 }
 
 func TestSetTargetClamps(t *testing.T) {
-	r, _ := NewRegulator(testConfig(), 0.8)
+	r, _ := newRegulator(testConfig(), 0.8)
 	r.SetTarget(0, 99)
 	if r.Target() != 1.5 {
 		t.Fatalf("clamped target = %v", r.Target())
 	}
-	r2, _ := NewRegulator(testConfig(), 0.8)
+	r2, _ := newRegulator(testConfig(), 0.8)
 	r2.SetTarget(0, 0)
 	if r2.Target() != 0.5 {
 		t.Fatalf("clamped target = %v", r2.Target())
@@ -141,7 +150,7 @@ func TestSetTargetClamps(t *testing.T) {
 }
 
 func TestZeroDeltaSettlesAfterLatency(t *testing.T) {
-	r, _ := NewRegulator(testConfig(), 0.8)
+	r, _ := newRegulator(testConfig(), 0.8)
 	settle := r.SetTarget(0, 0.8)
 	if settle != units.Time(units.Microsecond) {
 		t.Fatalf("zero-delta settle = %v", units.Duration(settle))
@@ -149,7 +158,7 @@ func TestZeroDeltaSettlesAfterLatency(t *testing.T) {
 }
 
 func TestTransitionTimePlansWithoutCommanding(t *testing.T) {
-	r, _ := NewRegulator(testConfig(), 0.8)
+	r, _ := newRegulator(testConfig(), 0.8)
 	d := r.TransitionTime(0, 0.81)
 	if d != 11*units.Microsecond {
 		t.Fatalf("TransitionTime = %v", d)
@@ -163,7 +172,7 @@ func TestTransitionTimePlansWithoutCommanding(t *testing.T) {
 // exceeds the target.
 func TestPropertyRampMonotone(t *testing.T) {
 	f := func(deltaMV uint8, probe uint16) bool {
-		r, _ := NewRegulator(testConfig(), 0.8)
+		r, _ := newRegulator(testConfig(), 0.8)
 		target := 0.8 + units.Volt(float64(deltaMV)/1000)
 		if target > 1.5 {
 			target = 1.5

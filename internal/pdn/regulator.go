@@ -125,19 +125,10 @@ type Regulator struct {
 	rampEnd   units.Time
 }
 
-// NewRegulator creates a regulator with its output settled at v0.
-func NewRegulator(cfg Config, v0 units.Volt) (*Regulator, error) {
-	r := new(Regulator)
-	if err := r.Reset(cfg, v0); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // Reset settles the regulator at v0 under a (possibly updated)
-// configuration. It is the only code that sets a regulator's state:
-// NewRegulator calls it, and a pooled machine calls it in place to avoid
-// rebuilding its power-delivery network.
+// configuration. It is the only code that sets a regulator's state: the
+// PMU calls it on a new(Regulator), and a pooled machine calls it in
+// place to avoid rebuilding its power-delivery network.
 func (r *Regulator) Reset(cfg Config, v0 units.Volt) error {
 	if err := cfg.Validate(); err != nil {
 		return err

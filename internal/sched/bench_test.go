@@ -1,7 +1,7 @@
-package ichannels_test
+package sched
 
-// Event-scheduler microbenchmarks: the timing wheel (sched.Queue)
-// against the container/heap reference (sched.HeapQueue) on the three
+// Event-scheduler microbenchmarks: the timing wheel (Queue)
+// against the container/heap reference (HeapQueue) on the three
 // load shapes the simulator produces — dense near-future completions,
 // sparse far-future timers (the wheel's overflow tier), and
 // cancel-heavy reprice storms. Run with -benchmem: the wheel's
@@ -10,7 +10,6 @@ package ichannels_test
 import (
 	"testing"
 
-	"ichannels/internal/sched"
 	"ichannels/internal/units"
 )
 
@@ -29,7 +28,7 @@ func benchRNG(s *uint64) uint64 {
 	return z ^ z>>31
 }
 
-func benchScheduler(b *testing.B, mk func() sched.Scheduler) {
+func benchScheduler(b *testing.B, mk func() Scheduler) {
 	nop := func(units.Time) {}
 
 	// dense: every delay lands inside the wheel horizon (≈1 ms), the
@@ -68,7 +67,7 @@ func benchScheduler(b *testing.B, mk func() sched.Scheduler) {
 	// the completion-reprice storm SMT co-scheduling produces.
 	b.Run("cancel", func(b *testing.B) {
 		q := mk()
-		refs := make([]sched.EventRef, benchEvents)
+		refs := make([]EventRef, benchEvents)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -90,9 +89,9 @@ func benchScheduler(b *testing.B, mk func() sched.Scheduler) {
 }
 
 func BenchmarkSchedWheel(b *testing.B) {
-	benchScheduler(b, func() sched.Scheduler { return sched.NewQueue() })
+	benchScheduler(b, func() Scheduler { return NewQueue() })
 }
 
 func BenchmarkSchedHeap(b *testing.B) {
-	benchScheduler(b, func() sched.Scheduler { return sched.NewHeapQueue() })
+	benchScheduler(b, func() Scheduler { return NewHeapQueue() })
 }

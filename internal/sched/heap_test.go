@@ -7,6 +7,21 @@ import (
 	"ichannels/internal/units"
 )
 
+// Scheduler is the event-queue contract shared by the timing-wheel Queue
+// and the reference HeapQueue. The property tests drive both with the same
+// operation sequence; the benchmarks compare them on the same workloads.
+type Scheduler interface {
+	Now() units.Time
+	Fired() uint64
+	Pending() int
+	At(t units.Time, fn func(units.Time)) EventRef
+	After(d units.Duration, fn func(units.Time)) EventRef
+	Cancel(r EventRef)
+	Step() bool
+	RunUntil(t units.Time)
+	Run(maxEvents uint64) uint64
+}
+
 // HeapQueue is the original container/heap event queue, kept as the
 // conformance oracle for the timing-wheel Queue: the property tests drive
 // both with identical operation sequences and require identical firing

@@ -9,9 +9,10 @@
 // at µs, license hysteresis at 650 µs, frequency restores at ms): a ring
 // of ~1 µs buckets covering ~1 ms of future, an overflow heap for
 // everything beyond the horizon, and a free list of event nodes so the
-// steady state schedules without allocating. HeapQueue (heap.go) keeps the
-// original container/heap implementation as the conformance oracle; both
-// fire in the identical (time, sequence) total order.
+// steady state schedules without allocating. The tests keep the original
+// container/heap implementation (HeapQueue, heap_test.go) as the
+// conformance oracle; both fire in the identical (time, sequence) total
+// order.
 package sched
 
 import (
@@ -75,21 +76,6 @@ func (r EventRef) Time() units.Time {
 		return 0
 	}
 	return r.e.at
-}
-
-// Scheduler is the event-queue contract shared by the timing-wheel Queue
-// and the reference HeapQueue. The property tests drive both with the same
-// operation sequence; the benchmarks compare them on the same workloads.
-type Scheduler interface {
-	Now() units.Time
-	Fired() uint64
-	Pending() int
-	At(t units.Time, fn func(units.Time)) EventRef
-	After(d units.Duration, fn func(units.Time)) EventRef
-	Cancel(r EventRef)
-	Step() bool
-	RunUntil(t units.Time)
-	Run(maxEvents uint64) uint64
 }
 
 // Queue is a deterministic event queue with a current simulated time,
@@ -368,7 +354,7 @@ func (q *Queue) Reset() {
 }
 
 // eventHeap orders events by (time, sequence). It backs both the wheel's
-// overflow tier and the reference HeapQueue.
+// overflow tier and the tests' reference HeapQueue.
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }

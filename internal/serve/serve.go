@@ -25,8 +25,8 @@
 // Every route resolves a cell the same way — Server.RunCell publishes
 // or joins its cache entry and fills it once through engine.Resolve,
 // the fetch-or-compute path the CLI and sweeps share — and every
-// fan-out is the engine stream: a batch runs on engine.StreamScenarios
-// and a sweep on sweep.Run, with the Server itself as the
+// fan-out is the engine's: a batch runs on engine.RunScenarios (as the
+// CLI's does) and a sweep on sweep.Run, with the Server itself as the
 // engine.CellRunner. A cell's elapsed_us is its entry's compute (or
 // store-read) cost on every route, never the time a request waited for
 // it.
@@ -583,48 +583,40 @@ func (s *Server) v1Scenarios(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runBatch executes a scenario array on the engine stream and writes
-// one NDJSON outcome line per scenario, in request order, as each
-// completes.
+// runBatch executes a scenario array through engine.RunScenarios and
+// writes one NDJSON outcome line per scenario, in request order, as each
+// completes. A batch the engine rejects up front answers 400 before the
+// stream starts; a client that goes away cancels the request context,
+// which stops the batch (in-flight cells still complete into the cache).
 func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, specs []scenario.Scenario, baseSeed int64) {
 	if len(specs) > MaxBatchScenarios {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
 			"batch of %d scenarios exceeds the limit of %d", len(specs), MaxBatchScenarios)
 		return
 	}
-	// Validate everything up front: a malformed batch fails whole,
-	// before any simulation runs.
-	for i, spec := range specs {
-		if err := spec.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidScenario, "scenarios[%d]: %v", i, err)
-			return
-		}
-	}
-	enc := json.NewEncoder(startNDJSON(w))
-	next, index := 0, 0
-	// The error is the client going away (a failed write stops the
-	// stream); in-flight cells still complete into the cache.
-	engine.StreamScenarios(r.Context(), engine.StreamOptions{
-		Next: func() (scenario.Scenario, bool) {
-			if next == len(specs) {
-				return scenario.Scenario{}, false
+	var enc *json.Encoder
+	_, err := engine.RunScenarios(r.Context(), engine.ScenarioOptions{
+		Scenarios: specs,
+		BaseSeed:  baseSeed,
+		Parallel:  s.parallel(),
+		Runner:    s,
+		OnResult: func(i int, o engine.ScenarioOutcome) {
+			if enc == nil {
+				enc = json.NewEncoder(startNDJSON(w))
 			}
-			next++
-			return specs[next-1], true
-		},
-		BaseSeed: baseSeed,
-		Parallel: s.parallel(),
-		Runner:   s,
-		Emit: func(o engine.ScenarioOutcome) error {
 			line := scenarioLine{
-				Index: index, Name: o.Scenario.Name, Hash: o.Hash, Seed: o.Seed,
+				Index: i, Name: o.Scenario.Name, Hash: o.Hash, Seed: o.Seed,
 				Cached: o.Cached, ElapsedUS: elapsedUS(o.Elapsed),
 			}
-			index++
 			line.Error, line.Result = outcomeBody(o.Scenario, o.Seed, o.Result, o.Err)
-			return enc.Encode(line)
+			// A failed write means the client went away; its cancelled
+			// request context is what stops the batch.
+			enc.Encode(line)
 		},
 	})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidScenario, "%v", err)
+	}
 }
 
 // elapsedUS renders a cell's cost as the wire's elapsed_us.

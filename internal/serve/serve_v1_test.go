@@ -164,8 +164,30 @@ func TestV1BadBodies(t *testing.T) {
 	}
 	// An invalid array item names its index.
 	_, body := postJSON(t, ts, "/v1/scenarios", "application/json", `[{"role":"channel","bits":8},{"role":"warp"}]`)
-	if e := decodeErr(t, body); !strings.Contains(e.Message, "scenarios[1]") {
-		t.Errorf("array error does not name the index: %s", e.Message)
+	const want = `scenarios[1]: scenario: unknown role "warp" (channel, baseline, spy, mitigation-eval, or experiment)`
+	if e := decodeErr(t, body); e.Message != want {
+		t.Errorf("array error = %q, want %q", e.Message, want)
+	}
+}
+
+// TestV1BatchStopsWhenClientLeaves: a client that goes away cancels the
+// request context, and that stops the array batch: the cell in flight
+// completes, and no later cell runs.
+func TestV1BatchStopsWhenClientLeaves(t *testing.T) {
+	s := New(Options{MaxConcurrent: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	s.sim.run = func(_ context.Context, n scenario.Scenario, hash string, seed int64) (*scenario.Result, error) {
+		calls++
+		cancel() // the client leaves while the first cell runs
+		return &scenario.Result{Role: n.Role, Hash: hash, Seed: seed}, nil
+	}
+	body := `[{"role":"channel","bits":8},{"role":"channel","bits":10},{"role":"channel","bits":12},{"role":"channel","bits":14}]`
+	req := httptest.NewRequest(http.MethodPost, "/v1/scenarios", strings.NewReader(body)).WithContext(ctx)
+	req.Header.Set("Content-Type", "application/json")
+	s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	if calls != 1 {
+		t.Errorf("%d cells ran, want 1: the batch went on after the client left", calls)
 	}
 }
 

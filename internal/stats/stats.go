@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the experiments
-// need: summaries, histograms, separability checks for multi-level
+// need: summaries, separability checks for multi-level
 // distributions, and bit-error-rate accounting.
 package stats
 
@@ -75,65 +75,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Histogram is a fixed-width-bin histogram.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-	Under  int // samples below Lo
-	Over   int // samples at or above Hi
-}
-
-// NewHistogram builds a histogram of xs over [lo, hi) with bins bins.
-func NewHistogram(xs []float64, lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: bins must be positive, got %d", bins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%g, %g) is empty", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		h.Total++
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			h.Counts[int((x-lo)/width)]++
-		}
-	}
-	return h, nil
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}
-
-// Density returns the probability density of bin i.
-func (h *Histogram) Density(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return float64(h.Counts[i]) / (float64(h.Total) * width)
-}
-
-// Mode returns the center of the most populated bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
-}
-
 // Separable reports whether the per-level sample groups are pairwise
 // non-overlapping with at least gap between the max of one group and the
 // min of the next (groups ordered by mean). This is the paper's Fig. 13
@@ -156,23 +97,6 @@ func Separable(groups [][]float64, gap float64) bool {
 		}
 	}
 	return true
-}
-
-// MidpointThresholds returns len(groups)-1 decision thresholds at the
-// midpoints between adjacent group means (groups must be ordered by
-// increasing symbol value; thresholds come back sorted by mean order).
-func MidpointThresholds(groups [][]float64) []float64 {
-	means := make([]float64, len(groups))
-	for i, g := range groups {
-		means[i] = Summarize(g).Mean
-	}
-	sorted := append([]float64(nil), means...)
-	sort.Float64s(sorted)
-	out := make([]float64, 0, len(sorted)-1)
-	for i := 1; i < len(sorted); i++ {
-		out = append(out, (sorted[i-1]+sorted[i])/2)
-	}
-	return out
 }
 
 // BitErrors counts differing bits between two equal-length bit slices.

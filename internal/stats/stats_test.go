@@ -61,42 +61,6 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0.5, 1.5, 1.6, 2.5, -1, 10}, 0, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[2] != 1 {
-		t.Fatalf("counts %v", h.Counts)
-	}
-	if h.Under != 1 || h.Over != 1 || h.Total != 6 {
-		t.Fatalf("under/over %d/%d total %d", h.Under, h.Over, h.Total)
-	}
-	if h.BinCenter(0) != 0.5 {
-		t.Fatalf("center %g", h.BinCenter(0))
-	}
-	if h.Mode() != 1.5 {
-		t.Fatalf("mode %g", h.Mode())
-	}
-	// Density integrates to the in-range fraction.
-	var integral float64
-	for i := range h.Counts {
-		integral += h.Density(i) * 1.0 // bin width 1
-	}
-	if math.Abs(integral-4.0/6) > 1e-12 {
-		t.Fatalf("density integral %g", integral)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := NewHistogram(nil, 1, 1, 4); err == nil {
-		t.Fatal("empty range accepted")
-	}
-}
-
 func TestSeparable(t *testing.T) {
 	a := []float64{10, 11, 12}
 	b := []float64{20, 21, 22}
@@ -116,14 +80,6 @@ func TestSeparable(t *testing.T) {
 	// Order must not matter.
 	if !Separable([][]float64{c, a, b}, 5) {
 		t.Fatal("separability must be order-independent")
-	}
-}
-
-func TestMidpointThresholds(t *testing.T) {
-	groups := [][]float64{{10, 12}, {20, 22}, {30, 32}}
-	th := MidpointThresholds(groups)
-	if len(th) != 2 || th[0] != 16 || th[1] != 26 {
-		t.Fatalf("thresholds %v", th)
 	}
 }
 

@@ -84,12 +84,6 @@ func FromSeconds(s float64) Duration {
 	return Duration(ps)
 }
 
-// FromMicroseconds converts microseconds to a Duration.
-func FromMicroseconds(us float64) Duration { return FromSeconds(us * 1e-6) }
-
-// FromNanoseconds converts nanoseconds to a Duration.
-func FromNanoseconds(ns float64) Duration { return FromSeconds(ns * 1e-9) }
-
 // Volt is an electric potential in volts.
 type Volt float64
 

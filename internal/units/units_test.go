@@ -53,12 +53,14 @@ func TestFromSecondsSaturates(t *testing.T) {
 	}
 }
 
+// TestFromMicroAndNano: FromSeconds lands sub-millisecond float inputs
+// on exact picosecond counts.
 func TestFromMicroAndNano(t *testing.T) {
-	if FromMicroseconds(1.5) != 1500*Nanosecond {
-		t.Fatalf("FromMicroseconds(1.5) = %v", FromMicroseconds(1.5))
+	if FromSeconds(1.5e-6) != 1500*Nanosecond {
+		t.Fatalf("FromSeconds(1.5e-6) = %v", FromSeconds(1.5e-6))
 	}
-	if FromNanoseconds(2) != 2*Nanosecond {
-		t.Fatalf("FromNanoseconds(2) = %v", FromNanoseconds(2))
+	if FromSeconds(2e-9) != 2*Nanosecond {
+		t.Fatalf("FromSeconds(2e-9) = %v", FromSeconds(2e-9))
 	}
 }
 

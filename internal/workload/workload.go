@@ -47,21 +47,6 @@ func (p *PhasedLoop) Next(env *soc.Env, prev *soc.Result) soc.Action {
 	return soc.Exec(ph.Kernel, ph.Iters)
 }
 
-// NewPowerVirus returns an agent that pins the machine at the worst-case
-// dynamic capacitance (a 512b_Heavy virus loop, or 256b_Heavy on parts
-// without AVX-512) until the deadline.
-func NewPowerVirus(avx512 bool, until units.Time) *PhasedLoop {
-	k := isa.Loop512Heavy
-	if !avx512 {
-		k = isa.Loop256Heavy
-	}
-	return &PhasedLoop{
-		Label:  "power-virus",
-		Phases: []Phase{{Kernel: k, Iters: 2000}},
-		Until:  until,
-	}
-}
-
 // NewCalculixProxy returns an agent mimicking 454.calculix compiled with
 // AVX2 auto-vectorization: long scalar phases interleaved with AVX2
 // phases of comparable length (the paper's Fig. 6(b) trace alternates on

@@ -50,17 +50,17 @@ func TestPhasedLoopEmptyStops(t *testing.T) {
 
 func TestPowerVirusRaisesLicense(t *testing.T) {
 	m := machine(t, 2)
-	v := NewPowerVirus(true, units.Time(100*units.Microsecond))
+	v := &PhasedLoop{
+		Label:  "power-virus",
+		Phases: []Phase{{Kernel: isa.Loop512Heavy, Iters: 2000}},
+		Until:  units.Time(100 * units.Microsecond),
+	}
 	if _, err := m.Bind(0, 0, v); err != nil {
 		t.Fatal(err)
 	}
 	m.RunFor(60 * units.Microsecond)
 	if m.PMU.Licenses()[0] != isa.Vec512Heavy {
 		t.Fatalf("virus license = %v", m.PMU.Licenses()[0])
-	}
-	// Non-AVX512 variant must cap at 256b_Heavy.
-	if NewPowerVirus(false, 0).Phases[0].Kernel.Class != isa.Vec256Heavy {
-		t.Fatal("non-AVX512 virus class")
 	}
 }
 
